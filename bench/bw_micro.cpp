@@ -3,6 +3,8 @@
 //  * Lamport SPSC queue push/pop
 //  * context-tracker key maintenance
 //  * per-category instance checks
+//  * branch-table filing (process + finalize) per CheckCode, and under
+//    eviction pressure
 //  * monitor end-to-end report throughput
 //  * front-end compile, similarity analysis (paper: < 1 s per program),
 //    and instrumentation pass latency per benchmark kernel
@@ -22,6 +24,7 @@
 #include "frontend/compiler.h"
 #include "instrument/instrument.h"
 #include "pipeline/pipeline.h"
+#include "runtime/branch_table.h"
 #include "runtime/checker.h"
 #include "runtime/context_tracker.h"
 #include "runtime/hierarchical_monitor.h"
@@ -78,6 +81,50 @@ void BM_CheckInstance(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CheckInstance)->DenseRange(0, 3);
+
+/// BranchTable filing on a synthetic 3-thread stream over 8 branch keys.
+/// Arg 0-3: one CheckCode each, thread 0 running 16 instances ahead of
+/// the others. Arg 4: SharedOutcome with thread 0 running 256 instances
+/// ahead under a pending cap of 4, so most instances are evicted.
+void BM_BranchTableProcess(benchmark::State& state) {
+  constexpr unsigned kThreads = 3;
+  const bool evicting = state.range(0) == 4;
+  const auto check = evicting ? runtime::CheckCode::SharedOutcome
+                              : static_cast<runtime::CheckCode>(state.range(0));
+  const std::uint64_t lead = evicting ? 256 : 16;
+  std::vector<runtime::BranchReport> order;
+  for (std::uint64_t i = 0; order.size() < 60'000; ++i) {
+    for (unsigned t = 0; t < kThreads; ++t) {
+      if (t != 0 && i < lead) continue;
+      const std::uint64_t instance = t == 0 ? i : i - lead;
+      runtime::BranchReport r;
+      r.thread = t;
+      r.check = check;
+      r.static_id = static_cast<std::uint32_t>(1 + instance % 8);
+      r.iter_hash = instance / 8;
+      if (check == runtime::CheckCode::PartialValue) {
+        r.kind = runtime::ReportKind::Condition;
+        r.value = instance % 2;
+        order.push_back(r);
+      }
+      r.kind = runtime::ReportKind::Outcome;
+      r.outcome = check == runtime::CheckCode::ThreadIdMonotone ? t < 2
+                  : check == runtime::CheckCode::ThreadIdEq     ? t == 1
+                                                                : true;
+      order.push_back(r);
+    }
+  }
+  runtime::BranchTable table(kThreads, evicting ? 4 : 1 << 15);
+  for (auto _ : state) {
+    for (const runtime::BranchReport& r : order) table.process(r, false);
+    table.finalize(false);
+  }
+  benchmark::DoNotOptimize(table.instances_checked());
+  state.SetLabel(evicting ? "evict cap=4" : "");
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(order.size()));
+}
+BENCHMARK(BM_BranchTableProcess)->DenseRange(0, 4);
 
 void BM_MonitorThroughput(benchmark::State& state) {
   const unsigned kThreads = 4;

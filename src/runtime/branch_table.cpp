@@ -1,14 +1,46 @@
 #include "runtime/branch_table.h"
 
+#include <algorithm>
+#include <bit>
+#include <span>
+
 #include "support/prng.h"
 #include "support/telemetry/telemetry.h"
 
 namespace bw::runtime {
 
 namespace {
+
+constexpr unsigned kMinBranchBits = 4;
+constexpr unsigned kMinCellBits = 6;
+
 std::uint64_t level1_key(std::uint64_t ctx_hash, std::uint32_t static_id) {
   return support::hash_combine(ctx_hash, static_id);
 }
+
+constexpr std::uint64_t kFibonacci = 0x9e3779b97f4a7c15ULL;
+
+/// Fibonacci hashing: the top bits of the product depend on every key bit.
+std::size_t branch_home(std::uint64_t key, std::size_t index_size) {
+  return static_cast<std::size_t>((key * kFibonacci) >>
+                                  (64 - std::countr_zero(index_size)));
+}
+
+/// The level-2 hash of one (branch, iteration) pair. Its top 32 bits are
+/// the cell tag, and the top `bits` of the tag are the home position, so
+/// probing, growth and backward shifting never read the slot back.
+std::uint64_t instance_hash(std::uint32_t branch, std::uint64_t iter_hash) {
+  return (iter_hash ^ (std::uint64_t{branch} << 40)) * kFibonacci;
+}
+
+std::uint32_t cell_tag(std::uint64_t hash) {
+  return static_cast<std::uint32_t>(hash >> 32);
+}
+
+std::uint32_t home_of(std::uint32_t tag, unsigned bits) {
+  return tag >> (32 - bits);
+}
+
 }  // namespace
 
 BranchTable::BranchTable(unsigned num_threads,
@@ -16,59 +48,209 @@ BranchTable::BranchTable(unsigned num_threads,
                          ViolationHook on_violation)
     : num_threads_(num_threads),
       max_pending_per_branch_(max_pending_per_branch),
-      on_violation_(std::move(on_violation)) {}
+      on_violation_(std::move(on_violation)),
+      slot_stride_(sizeof(Slot) +
+                   std::size_t{num_threads} * sizeof(ThreadObservation)) {}
 
-BranchTable::Instance& BranchTable::instance_for(const BranchReport& report,
-                                                 bool degraded) {
-  std::uint64_t key1 = level1_key(report.ctx_hash, report.static_id);
-  Branch& branch = table_[key1];
-  key_debug_.emplace(key1,
-                     std::make_pair(report.static_id, report.ctx_hash));
-  auto [it, inserted] = branch.instances.try_emplace(report.iter_hash);
-  Instance& inst = it->second;
-  if (inserted) {
-    inst.observations.resize(num_threads_);
-    for (unsigned t = 0; t < num_threads_; ++t) {
-      inst.observations[t].thread = t;
-    }
-    inst.check = report.check;
-    inst.iter_hash = report.iter_hash;
-    inst.sequence = next_sequence_++;
-    maybe_evict(key1, report.static_id, report.ctx_hash, degraded);
+std::uint32_t BranchTable::branch_for(const BranchReport& report) {
+  const std::uint64_t key = level1_key(report.ctx_hash, report.static_id);
+  if (2 * (branches_.size() + 1) > branch_index_.size()) grow_branch_index();
+  const std::size_t mask = branch_index_.size() - 1;
+  std::size_t pos = branch_home(key, branch_index_.size());
+  for (;; pos = (pos + 1) & mask) {
+    const std::uint32_t cell = branch_index_[pos];
+    if (cell == 0) break;
+    if (branches_[cell - 1].key == key) return cell - 1;
   }
-  return inst;
+  const auto b = static_cast<std::uint32_t>(branches_.size());
+  Branch& branch = branches_.emplace_back();
+  branch.key = key;
+  branch.ctx_hash = report.ctx_hash;
+  branch.static_id = report.static_id;
+  branch_index_[pos] = b + 1;
+  return b;
+}
+
+void BranchTable::grow_branch_index() {
+  const std::size_t size =
+      std::max<std::size_t>(branch_index_.size() * 2, 1u << kMinBranchBits);
+  branch_index_.assign(size, 0);
+  const std::size_t mask = size - 1;
+  for (std::size_t b = 0; b < branches_.size(); ++b) {
+    std::size_t pos = branch_home(branches_[b].key, size);
+    while (branch_index_[pos] != 0) pos = (pos + 1) & mask;
+    branch_index_[pos] = static_cast<std::uint32_t>(b + 1);
+  }
+}
+
+std::uint32_t BranchTable::find_instance(std::uint32_t branch,
+                                         std::uint64_t iter_hash,
+                                         std::uint64_t hash) {
+  const std::uint32_t tag = cell_tag(hash);
+  const std::size_t mask = cells_.size() - 1;
+  for (std::size_t pos = home_of(tag, cell_bits_);; pos = (pos + 1) & mask) {
+    const std::uint64_t cell = cells_[pos];
+    if (cell == 0) return kNone;
+    if (static_cast<std::uint32_t>(cell >> 32) != tag) continue;
+    const auto s = static_cast<std::uint32_t>(cell) - 1;
+    const Slot& candidate = slot(s);
+    if (candidate.branch == branch && candidate.iter_hash == iter_hash) {
+      return s;
+    }
+  }
+}
+
+std::uint32_t BranchTable::insert_instance(std::uint32_t branch,
+                                           const BranchReport& report,
+                                           std::uint64_t hash) {
+  std::uint32_t s = free_head_;
+  if (s != kNone) {
+    free_head_ = slot(s).next;
+  } else {
+    s = slots_used_++;
+    if ((s >> kChunkShift) == chunks_.size()) {
+      chunks_.push_back(std::make_unique<std::byte[]>(kChunkSlots *
+                                                      slot_stride_));
+    }
+  }
+  Branch& owner = branches_[branch];
+  new (slot_bytes(s)) Slot{.iter_hash = report.iter_hash,
+                           .branch = branch,
+                           .prev = owner.tail,
+                           .check = report.check};
+  ThreadObservation* obs = observations(s);
+  for (unsigned t = 0; t < num_threads_; ++t) {
+    new (obs + t) ThreadObservation{.thread = t};
+  }
+  if (owner.tail != kNone) {
+    slot(owner.tail).next = s;
+  } else {
+    owner.head = s;
+  }
+  owner.tail = s;
+  ++owner.pending;
+
+  const std::uint32_t tag = cell_tag(hash);
+  const std::size_t mask = cells_.size() - 1;
+  std::size_t pos = home_of(tag, cell_bits_);
+  while (cells_[pos] != 0) pos = (pos + 1) & mask;
+  cells_[pos] = (std::uint64_t{tag} << 32) | (std::uint64_t{s} + 1);
+  ++live_;
+  return s;
+}
+
+void BranchTable::erase_instance(std::uint32_t s, std::uint64_t hash) {
+  Slot& gone = slot(s);
+  Branch& owner = branches_[gone.branch];
+  if (gone.prev != kNone) {
+    slot(gone.prev).next = gone.next;
+  } else {
+    owner.head = gone.next;
+  }
+  if (gone.next != kNone) {
+    slot(gone.next).prev = gone.prev;
+  } else {
+    owner.tail = gone.prev;
+  }
+  --owner.pending;
+
+  // Find the slot's cell, then close the gap by backward shifting: a later
+  // cell moves into the hole when the hole lies between its home and it.
+  const std::uint64_t slot_bits = std::uint64_t{s} + 1;
+  const std::size_t mask = cells_.size() - 1;
+  std::size_t hole = home_of(cell_tag(hash), cell_bits_);
+  while (static_cast<std::uint32_t>(cells_[hole]) != slot_bits) {
+    hole = (hole + 1) & mask;
+  }
+  for (std::size_t next = (hole + 1) & mask; cells_[next] != 0;
+       next = (next + 1) & mask) {
+    const std::size_t home =
+        home_of(static_cast<std::uint32_t>(cells_[next] >> 32), cell_bits_);
+    if (((next - home) & mask) >= ((next - hole) & mask)) {
+      cells_[hole] = cells_[next];
+      hole = next;
+    }
+  }
+  cells_[hole] = 0;
+  --live_;
+
+  gone.next = free_head_;
+  free_head_ = s;
+}
+
+void BranchTable::grow_cells() {
+  const unsigned bits = std::max(cell_bits_ + 1, kMinCellBits);
+  std::vector<std::uint64_t> grown(std::size_t{1} << bits, 0);
+  const std::size_t mask = grown.size() - 1;
+  for (std::uint64_t cell : cells_) {
+    if (cell == 0) continue;
+    std::size_t pos = home_of(static_cast<std::uint32_t>(cell >> 32), bits);
+    while (grown[pos] != 0) pos = (pos + 1) & mask;
+    grown[pos] = cell;
+  }
+  cells_.swap(grown);
+  cell_bits_ = bits;
 }
 
 void BranchTable::process(const BranchReport& report, bool degraded) {
-  Instance& inst = instance_for(report, degraded);
-  ThreadObservation& obs = inst.observations[report.thread];
+  const std::uint32_t branch = branch_for(report);
+  const std::uint64_t hash = instance_hash(branch, report.iter_hash);
+  if (2 * (std::size_t{live_} + 1) > cells_.size()) grow_cells();
+  std::uint32_t s = find_instance(branch, report.iter_hash, hash);
+  if (s == kNone) {
+    s = insert_instance(branch, report, hash);
+    evict_oldest(branch, s, degraded);
+  }
+  ThreadObservation& obs = observations(s)[report.thread];
   if (report.kind == ReportKind::Condition) {
     obs.has_value = true;
     obs.value = report.value;
-  } else {
-    if (!obs.has_outcome) ++inst.outcomes_reported;
-    obs.has_outcome = true;
-    obs.outcome = report.outcome;
-    if (inst.outcomes_reported == num_threads_) {
-      // Eager path: everyone reported; check and evict. Complete
-      // instances are fully trustworthy even when degraded.
-      check_instance_now(report.static_id, report.ctx_hash, inst);
-      std::uint64_t key1 = level1_key(report.ctx_hash, report.static_id);
-      table_[key1].instances.erase(report.iter_hash);
-    }
+    return;
+  }
+  Slot& inst = slot(s);
+  if (!obs.has_outcome) ++inst.outcomes_reported;
+  obs.has_outcome = true;
+  obs.outcome = report.outcome;
+  if (inst.outcomes_reported == num_threads_) {
+    // Eager path: everyone reported; check and evict. Complete
+    // instances are fully trustworthy even when degraded.
+    check_instance_now(branch, s);
+    erase_instance(s, hash);
   }
 }
 
-void BranchTable::check_instance_now(std::uint32_t static_id,
-                                     std::uint64_t ctx_hash,
-                                     const Instance& instance) {
+void BranchTable::evict_oldest(std::uint32_t branch, std::uint32_t filing,
+                               bool degraded) {
+  const Branch& owner = branches_[branch];
+  if (owner.pending <= max_pending_per_branch_) return;
+  // Never evict the instance being filed: the caller still writes to it.
+  const std::uint32_t oldest = owner.head;
+  if (oldest == filing) return;
+  // Evict the oldest pending instance after checking the subset of threads
+  // that did report (sound: every check holds on subsets) — unless the
+  // monitor is degraded, in which case the missing observations may be
+  // dropped reports and the instance is unverifiable.
+  if (slot(oldest).outcomes_reported >= 2) {
+    if (degraded) {
+      ++instances_skipped_;
+    } else {
+      check_instance_now(branch, oldest);
+    }
+  }
+  ++instances_evicted_;
+  erase_instance(oldest, instance_hash(branch, slot(oldest).iter_hash));
+}
+
+void BranchTable::check_instance_now(std::uint32_t branch, std::uint32_t s) {
   ++instances_checked_;
-  std::optional<std::uint32_t> suspect =
-      check_instance(instance.check, instance.observations);
+  const Slot& instance = slot(s);
+  std::optional<std::uint32_t> suspect = check_instance(
+      instance.check, std::span<const ThreadObservation>(observations(s),
+                                                         num_threads_));
   if (!suspect.has_value()) return;
   Violation v;
-  v.static_id = static_id;
-  v.ctx_hash = ctx_hash;
+  v.static_id = branches_[branch].static_id;
+  v.ctx_hash = branches_[branch].ctx_hash;
   v.iter_hash = instance.iter_hash;
   v.check = instance.check;
   v.suspect_thread = *suspect;
@@ -80,53 +262,37 @@ void BranchTable::check_instance_now(std::uint32_t static_id,
   if (on_violation_) on_violation_(v);
 }
 
-void BranchTable::maybe_evict(std::uint64_t key1, std::uint32_t static_id,
-                              std::uint64_t ctx_hash, bool degraded) {
-  Branch& branch = table_[key1];
-  if (branch.instances.size() <= max_pending_per_branch_) return;
-  // Evict the oldest pending instance after checking the subset of threads
-  // that did report (sound: every check holds on subsets) — unless the
-  // monitor is degraded, in which case the missing observations may be
-  // dropped reports and the instance is unverifiable.
-  auto oldest = branch.instances.begin();
-  for (auto it = branch.instances.begin(); it != branch.instances.end();
-       ++it) {
-    if (it->second.sequence < oldest->second.sequence) oldest = it;
-  }
-  if (oldest->second.outcomes_reported >= 2) {
-    if (degraded) {
-      ++instances_skipped_;
-    } else {
-      check_instance_now(static_id, ctx_hash, oldest->second);
-    }
-  }
-  ++instances_evicted_;
-  branch.instances.erase(oldest);
-}
-
 void BranchTable::finalize(bool degraded) {
-  for (auto& [key1, branch] : table_) {
-    auto debug = key_debug_[key1];
-    for (auto& [iter_hash, inst] : branch.instances) {
-      (void)iter_hash;
-      if (inst.outcomes_reported < 2) continue;
-      if (degraded && inst.outcomes_reported < num_threads_) {
+  for (std::uint32_t branch = 0; branch < branches_.size(); ++branch) {
+    for (std::uint32_t s = branches_[branch].head; s != kNone;
+         s = slot(s).next) {
+      const std::uint32_t outcomes = slot(s).outcomes_reported;
+      if (outcomes < 2) continue;
+      if (degraded && outcomes < num_threads_) {
         // Degraded: a missing observation may be a dropped report, so a
         // subset "violation" could be an artifact of the loss. Skip.
         ++instances_skipped_;
         continue;
       }
-      check_instance_now(debug.first, debug.second, inst);
+      check_instance_now(branch, s);
     }
-    branch.instances.clear();
   }
-  table_.clear();
+  reset();
 }
 
 void BranchTable::clear() {
-  table_.clear();
-  key_debug_.clear();
+  reset();
   violations_.clear();
+}
+
+void BranchTable::reset() {
+  // Emptied indexes and chunks keep their memory for the next section.
+  if (live_ != 0) std::fill(cells_.begin(), cells_.end(), 0);
+  live_ = 0;
+  std::fill(branch_index_.begin(), branch_index_.end(), 0);
+  branches_.clear();
+  slots_used_ = 0;
+  free_head_ = kNone;
 }
 
 }  // namespace bw::runtime

@@ -1,8 +1,9 @@
 // The per-branch instance state machine shared by every monitor backend:
-// a two-level table keyed by (ctx_hash + static branch id, outer-loop
-// iteration vector) holding partially-observed branch instances, with the
-// paper's eager check (all threads reported), bounded-pending eviction
-// (subset checks are sound), and the end-of-section finalize pass.
+// the paper's two-level table, keyed by (ctx_hash + static branch id,
+// outer-loop iteration vector), holding partially-observed branch
+// instances, with the paper's eager check (all threads reported),
+// bounded-pending eviction (subset checks are sound), and the
+// end-of-section finalize pass.
 //
 // Extracted from Monitor / ShardedMonitor (which carried byte-identical
 // copies) so that every owner of branch state — the legacy single
@@ -12,6 +13,28 @@
 // verdict semantics; keying a table per tenant is what makes cross-tenant
 // verdict interference impossible by construction.
 //
+// Layout. The two-level key is kept as a logical key; physically the
+// table is flat, so that filing and checking never touch the heap once
+// the table has grown to its working size:
+//   * Level 1: a small open-addressed index from the level-1 key to a
+//     dense Branch entry (static_id, ctx_hash, pending count, and the
+//     head/tail of an insertion-order list of its pending instances).
+//   * Level 2: an open-addressed index of 8-byte cells (32-bit hash tag,
+//     slot + 1) from (branch, iter_hash) to a slot; linear probing with
+//     backward-shift deletion, so there are no tombstones.
+//   * Slots: one per pending instance, holding its metadata (32 bytes)
+//     and num_threads ThreadObservations (16 bytes each) indexed by thread
+//     id, in fixed-size chunks of kChunkSlots. Freed slots go on a free
+//     list; chunks are kept across finalize()/clear() and are never moved,
+//     so growth never copies. A pending instance costs
+//     32 + 16 * num_threads bytes of slot plus 16-32 bytes of index cells.
+//
+// Order. Eviction is FIFO per branch: the oldest pending instance (the
+// list head) goes first, in O(1), and the instance being filed is never
+// evicted. finalize() visits branches in first-seen order and each
+// branch's instances in insertion order, so violations come out in a
+// deterministic order.
+//
 // Threading: a BranchTable is owned by exactly one consumer thread; it
 // performs no synchronization of its own. Violation side effects that
 // must escape the owner (violation counters, sampling snap-back) are the
@@ -20,8 +43,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
-#include <utility>
+#include <memory>
+#include <new>
 #include <vector>
 
 #include "runtime/checker.h"
@@ -53,7 +76,7 @@ class BranchTable {
   /// the violation list are left untouched, as before the extraction.
   void clear();
 
-  bool empty() const { return table_.empty(); }
+  bool empty() const { return branches_.empty(); }
 
   const std::vector<Violation>& violations() const { return violations_; }
   std::uint64_t instances_checked() const { return instances_checked_; }
@@ -61,30 +84,69 @@ class BranchTable {
   std::uint64_t instances_skipped() const { return instances_skipped_; }
 
  private:
-  struct Instance {
-    std::vector<ThreadObservation> observations;  // indexed by thread id
-    unsigned outcomes_reported = 0;
-    CheckCode check = CheckCode::SharedOutcome;
-    std::uint64_t iter_hash = 0;
-    std::uint64_t sequence = 0;  // insertion order, for eviction
-  };
-  struct Branch {  // level-1 bucket: one (ctx, static_id) pair
-    std::unordered_map<std::uint64_t, Instance> instances;  // by iter hash
-  };
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+  static constexpr std::uint32_t kChunkShift = 6;
+  static constexpr std::uint32_t kChunkSlots = 1u << kChunkShift;
 
-  Instance& instance_for(const BranchReport& report, bool degraded);
-  void check_instance_now(std::uint32_t static_id, std::uint64_t ctx_hash,
-                          const Instance& instance);
-  void maybe_evict(std::uint64_t key1, std::uint32_t static_id,
-                   std::uint64_t ctx_hash, bool degraded);
+  struct Branch {  // one level-1 key: a (ctx, static_id) pair
+    std::uint64_t key = 0;
+    std::uint64_t ctx_hash = 0;
+    std::uint32_t static_id = 0;
+    std::uint32_t pending = 0;
+    std::uint32_t head = kNone;  // oldest pending slot
+    std::uint32_t tail = kNone;  // newest pending slot
+  };
+  struct Slot {  // one pending instance; its observations sit in the chunk
+    std::uint64_t iter_hash = 0;
+    std::uint32_t branch = 0;
+    std::uint32_t prev = kNone;  // insertion-order list within the branch
+    std::uint32_t next = kNone;  // (also links the free list)
+    std::uint32_t outcomes_reported = 0;
+    CheckCode check = CheckCode::SharedOutcome;
+  };
+  static_assert(sizeof(Slot) % alignof(ThreadObservation) == 0);
+
+  // A slot's metadata is followed directly by its observations.
+  std::byte* slot_bytes(std::uint32_t s) {
+    return chunks_[s >> kChunkShift].get() +
+           std::size_t{s & (kChunkSlots - 1)} * slot_stride_;
+  }
+  Slot& slot(std::uint32_t s) {
+    return *std::launder(reinterpret_cast<Slot*>(slot_bytes(s)));
+  }
+  ThreadObservation* observations(std::uint32_t s) {
+    return std::launder(
+        reinterpret_cast<ThreadObservation*>(slot_bytes(s) + sizeof(Slot)));
+  }
+
+  std::uint32_t branch_for(const BranchReport& report);
+  void grow_branch_index();
+  std::uint32_t find_instance(std::uint32_t branch, std::uint64_t iter_hash,
+                              std::uint64_t hash);
+  std::uint32_t insert_instance(std::uint32_t branch,
+                                const BranchReport& report,
+                                std::uint64_t hash);
+  void erase_instance(std::uint32_t s, std::uint64_t hash);
+  void grow_cells();
+  void evict_oldest(std::uint32_t branch, std::uint32_t filing,
+                    bool degraded);
+  void check_instance_now(std::uint32_t branch, std::uint32_t s);
+  void reset();
 
   unsigned num_threads_;
   std::size_t max_pending_per_branch_;
   ViolationHook on_violation_;
-  std::unordered_map<std::uint64_t, Branch> table_;
-  std::unordered_map<std::uint64_t, std::pair<std::uint32_t, std::uint64_t>>
-      key_debug_;  // level1 key -> (static_id, ctx) for violation reports
-  std::uint64_t next_sequence_ = 0;
+
+  std::vector<Branch> branches_;            // first-seen order
+  std::vector<std::uint32_t> branch_index_;  // branch + 1, 0 = empty
+  std::vector<std::uint64_t> cells_;        // tag << 32 | (slot + 1)
+  unsigned cell_bits_ = 0;                  // cells_.size() == 1 << bits
+  std::uint32_t live_ = 0;                  // pending instances
+  std::size_t slot_stride_;  // sizeof(Slot) + observations
+  std::vector<std::unique_ptr<std::byte[]>> chunks_;
+  std::uint32_t slots_used_ = 0;  // slots ever handed out since reset()
+  std::uint32_t free_head_ = kNone;
+
   std::uint64_t instances_checked_ = 0;
   std::uint64_t instances_evicted_ = 0;
   std::uint64_t instances_skipped_ = 0;

@@ -1,7 +1,7 @@
 #include "runtime/checker.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <vector>
 
 namespace bw::runtime {
 
@@ -9,12 +9,17 @@ namespace {
 
 constexpr std::uint32_t kNoSuspect = 0xffffffffu;
 
+/// Per-check scratch lives in a stack array of this many entries; larger
+/// instances fall back to a heap buffer.
+constexpr std::size_t kStackEntries = 64;
+
+using Observations = std::span<const ThreadObservation>;
+
 /// All reporting threads must agree on the outcome. Suspect: the minority
 /// thread if the minority is a single thread. When condition data was also
 /// sent (the send_cond_for_shared extension), the values themselves must
 /// agree too — catching corruptions that do not flip this branch.
-std::optional<std::uint32_t> check_shared(
-    const std::vector<ThreadObservation>& obs) {
+std::optional<std::uint32_t> check_shared(Observations obs) {
   bool have_reference = false;
   std::uint64_t reference = 0;
   std::uint32_t reference_thread = 0;
@@ -52,8 +57,7 @@ std::optional<std::uint32_t> check_shared(
 /// from the majority outcome (paper: "one thread follows one path and the
 /// remaining threads follow the other"). All-agree is also legal (the
 /// singled-out thread may simply not be participating).
-std::optional<std::uint32_t> check_threadid_eq(
-    const std::vector<ThreadObservation>& obs) {
+std::optional<std::uint32_t> check_threadid_eq(Observations obs) {
   int taken = 0;
   int not_taken = 0;
   for (const ThreadObservation& o : obs) {
@@ -67,19 +71,30 @@ std::optional<std::uint32_t> check_threadid_eq(
 /// threadID with an ordered comparison over an affine function of tid:
 /// ordered by thread id, the outcome sequence must change at most once
 /// (prefix/suffix pattern). Suspect: a thread flanked by two transitions.
-std::optional<std::uint32_t> check_threadid_monotone(
-    const std::vector<ThreadObservation>& obs) {
-  std::vector<const ThreadObservation*> sorted;
-  for (const ThreadObservation& o : obs) {
-    if (o.has_outcome) sorted.push_back(&o);
+std::optional<std::uint32_t> check_threadid_monotone(Observations obs) {
+  const ThreadObservation* stack_sorted[kStackEntries];
+  std::vector<const ThreadObservation*> heap_sorted;
+  const ThreadObservation** sorted = stack_sorted;
+  if (obs.size() > kStackEntries) {
+    heap_sorted.resize(obs.size());
+    sorted = heap_sorted.data();
   }
-  std::sort(sorted.begin(), sorted.end(),
-            [](const ThreadObservation* a, const ThreadObservation* b) {
-              return a->thread < b->thread;
-            });
+  std::size_t count = 0;
+  bool in_order = true;
+  for (const ThreadObservation& o : obs) {
+    if (!o.has_outcome) continue;
+    if (count > 0 && o.thread < sorted[count - 1]->thread) in_order = false;
+    sorted[count++] = &o;
+  }
+  if (!in_order) {
+    std::sort(sorted, sorted + count,
+              [](const ThreadObservation* a, const ThreadObservation* b) {
+                return a->thread < b->thread;
+              });
+  }
   int transitions = 0;
   std::size_t first_transition = 0;
-  for (std::size_t i = 1; i < sorted.size(); ++i) {
+  for (std::size_t i = 1; i < count; ++i) {
     if (sorted[i]->outcome != sorted[i - 1]->outcome) {
       if (transitions == 0) first_transition = i;
       ++transitions;
@@ -87,7 +102,7 @@ std::optional<std::uint32_t> check_threadid_monotone(
   }
   if (transitions <= 1) return std::nullopt;
   // A lone island like 0001000 indicts the island thread.
-  if (transitions == 2 && first_transition + 1 < sorted.size() &&
+  if (transitions == 2 && first_transition + 1 < count &&
       sorted[first_transition + 1]->outcome !=
           sorted[first_transition]->outcome) {
     return sorted[first_transition]->thread;
@@ -97,34 +112,47 @@ std::optional<std::uint32_t> check_threadid_monotone(
 
 /// partial: threads reporting equal condition data must agree on the
 /// outcome (paper: "threads which are assigned to the same shared variable
-/// take the same decision").
-std::optional<std::uint32_t> check_partial(
-    const std::vector<ThreadObservation>& obs) {
+/// take the same decision"). Groups are formed in observation order; when
+/// several groups conflict, the first one decides the suspect.
+std::optional<std::uint32_t> check_partial(Observations obs) {
   struct Group {
-    int taken = 0;
-    int not_taken = 0;
-    std::uint32_t last_taken = kNoSuspect;
-    std::uint32_t last_not_taken = kNoSuspect;
+    std::uint64_t value;
+    int taken;
+    int not_taken;
+    std::uint32_t last_taken;
+    std::uint32_t last_not_taken;
   };
-  std::unordered_map<std::uint64_t, Group> groups;
+  // Uninitialised on purpose: only groups [0, used) are ever read.
+  Group stack_groups[kStackEntries];
+  std::vector<Group> heap_groups;
+  Group* groups = stack_groups;
+  if (obs.size() > kStackEntries) {
+    heap_groups.resize(obs.size());
+    groups = heap_groups.data();
+  }
+  std::size_t used = 0;
   for (const ThreadObservation& o : obs) {
     if (!o.has_outcome || !o.has_value) continue;
-    Group& g = groups[o.value];
+    Group* g = groups;
+    while (g != groups + used && g->value != o.value) ++g;
+    if (g == groups + used) {
+      *g = {o.value, 0, 0, kNoSuspect, kNoSuspect};
+      ++used;
+    }
     if (o.outcome) {
-      ++g.taken;
-      g.last_taken = o.thread;
+      ++g->taken;
+      g->last_taken = o.thread;
     } else {
-      ++g.not_taken;
-      g.last_not_taken = o.thread;
+      ++g->not_taken;
+      g->last_not_taken = o.thread;
     }
   }
-  for (const auto& [value, g] : groups) {
-    (void)value;
-    if (g.taken == 0 || g.not_taken == 0) continue;
+  for (const Group* g = groups; g != groups + used; ++g) {
+    if (g->taken == 0 || g->not_taken == 0) continue;
     // A lone minority inside a group is the suspect; a tie (e.g. 1 vs 1)
     // identifies a violation but no particular thread.
-    if (g.taken == 1 && g.not_taken > 1) return g.last_taken;
-    if (g.not_taken == 1 && g.taken > 1) return g.last_not_taken;
+    if (g->taken == 1 && g->not_taken > 1) return g->last_taken;
+    if (g->not_taken == 1 && g->taken > 1) return g->last_not_taken;
     return kNoSuspect;
   }
   return std::nullopt;
@@ -132,8 +160,8 @@ std::optional<std::uint32_t> check_partial(
 
 }  // namespace
 
-std::optional<std::uint32_t> check_instance(
-    CheckCode check, const std::vector<ThreadObservation>& observations) {
+std::optional<std::uint32_t> check_instance(CheckCode check,
+                                            Observations observations) {
   switch (check) {
     case CheckCode::SharedOutcome: return check_shared(observations);
     case CheckCode::ThreadIdEq: return check_threadid_eq(observations);

@@ -6,7 +6,7 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
+#include <span>
 
 #include "runtime/report.h"
 
@@ -26,7 +26,11 @@ struct ThreadObservation {
 /// Returns the offending thread when a violation is found (or
 /// a violation with suspect UINT32_MAX when no single thread stands out),
 /// std::nullopt when the instance is consistent.
+///
+/// Allocation-free for up to 64 observations (larger instances fall back
+/// to a heap buffer). Observations are normally in thread order; the
+/// monotone check sorts them only when they are not.
 std::optional<std::uint32_t> check_instance(
-    CheckCode check, const std::vector<ThreadObservation>& observations);
+    CheckCode check, std::span<const ThreadObservation> observations);
 
 }  // namespace bw::runtime

@@ -161,6 +161,95 @@ TEST(CheckerPartial, MissingValuesAreSkipped) {
   EXPECT_FALSE(check_instance(CheckCode::PartialValue, obs));
 }
 
+TEST(CheckerPartial, FirstConflictingGroupInThreadOrderNamesTheSuspect) {
+  // Two value groups, each with a lone dissenter: group 9 = threads 0, 2, 4
+  // (thread 4 dissents), group 5 = threads 1, 3, 5 (thread 1 dissents).
+  auto obs = outcomes({1, 1, 1, 0, 0, 0});
+  const std::uint64_t values[] = {9, 5, 9, 5, 9, 5};
+  for (std::size_t t = 0; t < obs.size(); ++t) {
+    obs[t].has_value = true;
+    obs[t].value = values[t];
+  }
+  // Thread 0 opens group 9, so group 9 names the suspect.
+  auto suspect = check_instance(CheckCode::PartialValue, obs);
+  ASSERT_TRUE(suspect.has_value());
+  EXPECT_EQ(*suspect, 4u);
+  // Without thread 0's condition data, thread 1 opens the first group (5),
+  // which names thread 1 although group 9 (now thread 2 "no" vs thread 4
+  // "yes", a tie without a suspect) conflicts too.
+  obs[0].has_value = false;
+  obs[2].outcome = false;
+  obs[4].outcome = true;
+  suspect = check_instance(CheckCode::PartialValue, obs);
+  ASSERT_TRUE(suspect.has_value());
+  EXPECT_EQ(*suspect, 1u);
+}
+
+TEST(CheckerMonotone, ShuffledArrivalOrderMatchesThreadOrder) {
+  // The hierarchical monitor hands over observations in arrival order;
+  // the verdict and suspect must be those of the thread-ordered input.
+  const std::vector<int> patterns[] = {
+      {1, 1, 0, 1, 1}, {1, 1, 1, 0, 0}, {0, 1, 0, 0, 1}, {1, -1, 0, 1, 0}};
+  for (const std::vector<int>& pattern : patterns) {
+    std::vector<ThreadObservation> sorted = outcomes(pattern);
+    std::vector<ThreadObservation> shuffled(sorted.rbegin(), sorted.rend());
+    std::swap(shuffled[1], shuffled[3]);
+    EXPECT_EQ(check_instance(CheckCode::ThreadIdMonotone, sorted),
+              check_instance(CheckCode::ThreadIdMonotone, shuffled));
+  }
+  auto island = outcomes({0, 0, 1, 0, 0});
+  std::swap(island[0], island[4]);
+  std::swap(island[1], island[2]);
+  auto suspect = check_instance(CheckCode::ThreadIdMonotone, island);
+  ASSERT_TRUE(suspect.has_value());
+  EXPECT_EQ(*suspect, 2u);
+}
+
+// --- Beyond the checkers' stack scratch (64 entries) --------------------------
+
+class WideInstance : public ::testing::TestWithParam<int> {};
+
+TEST_P(WideInstance, PartialFindsTheLoneMinority) {
+  const int n = GetParam();
+  auto obs = outcomes(std::vector<int>(static_cast<std::size_t>(n), 0));
+  for (int t = 0; t < n; ++t) {
+    auto& o = obs[static_cast<std::size_t>(t)];
+    o.has_value = true;
+    o.value = static_cast<std::uint64_t>(t);  // n distinct groups...
+    o.outcome = t % 2 == 1;
+  }
+  EXPECT_FALSE(check_instance(CheckCode::PartialValue, obs));
+  // ...until the last thread joins group 1 with the opposite outcome.
+  obs.back().value = 1;
+  obs.back().outcome = false;
+  obs[static_cast<std::size_t>(n - 2)].value = 1;
+  obs[static_cast<std::size_t>(n - 2)].outcome = true;
+  auto suspect = check_instance(CheckCode::PartialValue, obs);
+  ASSERT_TRUE(suspect.has_value());
+  EXPECT_EQ(*suspect, static_cast<std::uint32_t>(n - 1));
+}
+
+TEST_P(WideInstance, MonotoneFindsTheIslandInAnyOrder) {
+  const int n = GetParam();
+  std::vector<int> pattern(static_cast<std::size_t>(n));
+  for (int t = 0; t < n; ++t) pattern[static_cast<std::size_t>(t)] = t < n / 2;
+  auto obs = outcomes(pattern);
+  EXPECT_FALSE(check_instance(CheckCode::ThreadIdMonotone, obs));
+  std::vector<ThreadObservation> reversed(obs.rbegin(), obs.rend());
+  EXPECT_FALSE(check_instance(CheckCode::ThreadIdMonotone, reversed));
+  obs = outcomes(std::vector<int>(static_cast<std::size_t>(n), 1));
+  obs[10].outcome = false;  // an island in an all-taken instance
+  reversed.assign(obs.rbegin(), obs.rend());
+  for (const auto* input : {&obs, &reversed}) {
+    auto suspect = check_instance(CheckCode::ThreadIdMonotone, *input);
+    ASSERT_TRUE(suspect.has_value());
+    EXPECT_EQ(*suspect, 10u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ThreadCounts, WideInstance,
+                         ::testing::Values(64, 65, 128));
+
 // --- Parameterized: a lone flipped thread is caught at every scale -------------
 
 class FlipSweep : public ::testing::TestWithParam<int> {};

@@ -11,7 +11,9 @@
 //      instances at K in {1,2,4} x batch in {1,8,64}.
 //   3. The canonicalized violation set (sorted, order-free) and the
 //      instance counters (checked / skipped / evicted / processed /
-//      dropped) must match the legacy verdict exactly.
+//      dropped) must match the legacy verdict exactly. Producers use an
+//      unbounded backoff, so no replay drops a report (asserted) and the
+//      comparison does not depend on host load.
 //
 // Each stream is compared twice: clean (the no-false-positive guarantee —
 // both backends must report nothing) and faulted, where deterministic
@@ -35,32 +37,13 @@
 #include "pipeline/pipeline.h"
 #include "runtime/monitor.h"
 #include "runtime/sharded_monitor.h"
+#include "test_support.h"
 #include "vm/machine.h"
 
 namespace {
 
 using namespace bw;
 using runtime::BranchReport;
-
-/// Captures the instrumented program's report streams, one vector per
-/// producer thread (send() is called by exactly one thread per id, so
-/// the per-thread vectors need no locking).
-class RecorderSink : public runtime::BranchSink {
- public:
-  explicit RecorderSink(unsigned num_threads) : streams_(num_threads) {}
-
-  void send(const BranchReport& report) override {
-    streams_[report.thread].push_back(report);
-  }
-  bool violation_detected() const override { return false; }
-
-  const std::vector<std::vector<BranchReport>>& streams() const {
-    return streams_;
-  }
-
- private:
-  std::vector<std::vector<BranchReport>> streams_;
-};
 
 /// Everything a monitor concluded, in canonical (order-free) form.
 struct Verdict {
@@ -114,9 +97,15 @@ void replay(MonitorT& monitor,
   monitor.stop();
 }
 
+// Both sides block on a full queue instead of dropping, so host load can
+// slow a replay down but never change what the monitor sees.
+constexpr runtime::BackoffPolicy kLossless{.bounded = false};
+
 Verdict legacy_verdict(const std::vector<std::vector<BranchReport>>& streams,
                        unsigned num_threads) {
-  runtime::Monitor monitor(num_threads);
+  runtime::MonitorOptions options;
+  options.backoff = kLossless;
+  runtime::Monitor monitor(num_threads, options);
   replay(monitor, streams);
   return canonicalize(monitor.violations(), monitor.stats());
 }
@@ -127,6 +116,7 @@ Verdict sharded_verdict(const std::vector<std::vector<BranchReport>>& streams,
   runtime::ShardedMonitorOptions options;
   options.num_shards = shards;
   options.batch_size = batch;
+  options.backoff = kLossless;
   runtime::ShardedMonitor monitor(num_threads, options);
   replay(monitor, streams);
   return canonicalize(monitor.violations(), monitor.stats());
@@ -136,6 +126,8 @@ void expect_equivalent(const Verdict& legacy, const Verdict& sharded,
                        unsigned shards, std::size_t batch) {
   SCOPED_TRACE("shards=" + std::to_string(shards) +
                " batch=" + std::to_string(batch));
+  EXPECT_EQ(legacy.dropped_reports, 0u);
+  EXPECT_EQ(sharded.dropped_reports, 0u);
   EXPECT_EQ(legacy.violations, sharded.violations);
   EXPECT_EQ(legacy.reports_processed, sharded.reports_processed);
   EXPECT_EQ(legacy.instances_checked, sharded.instances_checked);
@@ -189,7 +181,7 @@ TEST_P(MonitorDifferential, ShardedVerdictsMatchLegacyOnRandomKernels) {
   ASSERT_NO_THROW(program = pipeline::protect_program(source));
 
   // One VM run, recorded; every monitor below sees these exact streams.
-  RecorderSink recorder(kThreads);
+  test::RecorderSink recorder(kThreads);
   vm::RunOptions ropts;
   ropts.num_threads = kThreads;
   ropts.monitor = &recorder;

@@ -148,6 +148,105 @@ TEST(Monitor, EvictionKeepsMemoryBoundedAndStaysSound) {
   EXPECT_GT(monitor.stats().instances_evicted, 0u);
 }
 
+class MonitorTinyCap : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(MonitorTinyCap, NeverEvictsTheInstanceBeingFiled) {
+  // Caps 0 and 1 both keep exactly the newest instance of a branch: each
+  // new instance evicts its predecessor, never itself. (One producer, so
+  // the consumer sees the reports in send order.)
+  MonitorOptions options;
+  options.max_pending_per_branch = GetParam();
+  Monitor monitor(2, options);
+  monitor.start();
+  for (std::uint64_t iter = 0; iter < 10; ++iter) {
+    monitor.send(report(0, 2, CheckCode::SharedOutcome, true, iter));
+  }
+  monitor.stop();
+  EXPECT_TRUE(monitor.violations().empty());
+  EXPECT_EQ(monitor.stats().reports_processed, 10u);
+  EXPECT_EQ(monitor.stats().instances_evicted, 9u);
+  EXPECT_EQ(monitor.stats().instances_checked, 0u);
+}
+
+TEST_P(MonitorTinyCap, EvictedSubsetsAreStillChecked) {
+  BranchTable table(3, GetParam());
+  // Threads 0 and 1 disagree on iteration 0 (a subset violation, found
+  // when iteration 1 evicts it); thread 0 alone reaches iterations 1-3.
+  table.process(report(0, 2, CheckCode::SharedOutcome, true, 0), false);
+  table.process(report(1, 2, CheckCode::SharedOutcome, false, 0), false);
+  for (std::uint64_t iter = 1; iter <= 3; ++iter) {
+    table.process(report(0, 2, CheckCode::SharedOutcome, true, iter), false);
+  }
+  // The survivor (iteration 3) completes and is checked eagerly.
+  table.process(report(1, 2, CheckCode::SharedOutcome, true, 3), false);
+  table.process(report(2, 2, CheckCode::SharedOutcome, true, 3), false);
+  ASSERT_EQ(table.violations().size(), 1u);
+  EXPECT_EQ(table.violations()[0].iter_hash, 0u);
+  EXPECT_EQ(table.instances_evicted(), 3u);
+  EXPECT_EQ(table.instances_checked(), 2u);
+  EXPECT_FALSE(table.empty());
+  table.finalize(false);
+  EXPECT_TRUE(table.empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(Caps, MonitorTinyCap, ::testing::Values(0u, 1u));
+
+// BranchTable order is deterministic: finalize() visits branch keys in
+// first-seen order and each key's instances in insertion order; eviction
+// is FIFO per key.
+
+BranchReport outcome(std::uint32_t thread, std::uint32_t static_id,
+                     std::uint64_t iter, bool taken) {
+  return report(thread, static_id, CheckCode::SharedOutcome, taken, iter);
+}
+
+/// Files a two-thread disagreement (a subset violation once checked).
+void file_conflict(BranchTable& table, std::uint32_t static_id,
+                   std::uint64_t iter) {
+  table.process(outcome(0, static_id, iter, true), false);
+  table.process(outcome(1, static_id, iter, false), false);
+}
+
+std::vector<std::pair<std::uint32_t, std::uint64_t>> order_of(
+    const BranchTable& table) {
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> out;
+  for (const Violation& v : table.violations()) {
+    out.emplace_back(v.static_id, v.iter_hash);
+  }
+  return out;
+}
+
+TEST(BranchTableOrder, FinalizeVisitsKeysFirstSeenThenInsertionOrder) {
+  BranchTable table(3, 1 << 15);
+  file_conflict(table, 5, 30);
+  file_conflict(table, 1, 2);
+  file_conflict(table, 5, 10);
+  file_conflict(table, 1, 1);
+  file_conflict(table, 5, 20);
+  table.finalize(false);
+  using P = std::pair<std::uint32_t, std::uint64_t>;
+  EXPECT_EQ(order_of(table),
+            (std::vector<P>{{5, 30}, {5, 10}, {5, 20}, {1, 2}, {1, 1}}));
+  EXPECT_TRUE(table.empty());
+}
+
+TEST(BranchTableOrder, EvictionIsFifoPerKey) {
+  BranchTable table(3, 3);
+  file_conflict(table, 7, 1);
+  file_conflict(table, 7, 2);
+  file_conflict(table, 7, 3);
+  table.process(outcome(2, 7, 2, true), false);  // 2 completes mid-list
+  file_conflict(table, 7, 4);  // pending {1, 3, 4}: within the cap
+  EXPECT_EQ(table.instances_evicted(), 0u);
+  file_conflict(table, 7, 5);  // evicts 1, the oldest
+  file_conflict(table, 7, 6);  // evicts 3
+  EXPECT_EQ(table.instances_evicted(), 2u);
+  table.finalize(false);
+  using P = std::pair<std::uint32_t, std::uint64_t>;
+  EXPECT_EQ(order_of(table),
+            (std::vector<P>{{7, 2}, {7, 1}, {7, 3}, {7, 4}, {7, 5}, {7, 6}}));
+}
+
 TEST(Monitor, ManyCleanInstancesUnderConcurrency) {
   // 4 producer threads hammer the monitor with consistent reports.
   Monitor monitor(4);

@@ -3,6 +3,7 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "pipeline/pipeline.h"
 
@@ -40,5 +41,25 @@ inline const analysis::BranchInfo* branch_in(
   }
   return nullptr;
 }
+
+/// Captures the instrumented program's report streams, one vector per
+/// producer thread (send() is called by exactly one thread per id, so
+/// the per-thread vectors need no locking).
+class RecorderSink : public runtime::BranchSink {
+ public:
+  explicit RecorderSink(unsigned num_threads) : streams_(num_threads) {}
+
+  void send(const runtime::BranchReport& report) override {
+    streams_[report.thread].push_back(report);
+  }
+  bool violation_detected() const override { return false; }
+
+  const std::vector<std::vector<runtime::BranchReport>>& streams() const {
+    return streams_;
+  }
+
+ private:
+  std::vector<std::vector<runtime::BranchReport>> streams_;
+};
 
 }  // namespace bw::test
