@@ -16,7 +16,6 @@
 
 #include "benchmarks/registry.h"
 #include "fault/campaign.h"
-#include "support/prng.h"
 
 using namespace bw;
 
@@ -162,47 +161,6 @@ int main(int argc, char** argv) {
                 dedup.instrument_stats.instrumented_branches,
                 dedup.instrument_stats.skipped_dedup,
                 100.0 * plain_cov.coverage(), 100.0 * dedup_cov.coverage());
-  }
-
-  // --- A7: hierarchical monitor (paper §VI future work) -----------------------
-  std::printf("\nA7: hierarchical monitor vs flat monitor (coverage parity, "
-              "%d branch-flip injections at 8 threads)\n", injections);
-  {
-    const benchmarks::Benchmark* bench = benchmarks::find_benchmark("fft");
-    pipeline::CompiledProgram program =
-        pipeline::protect_program(bench->source);
-    fault::GoldenRun golden = fault::golden_run(program, 8);
-    support::SplitMixRng rng(0xA7);
-    int flat_detected = 0;
-    int tree_detected = 0;
-    int activated = 0;
-    for (int i = 0; i < injections; ++i) {
-      unsigned thread = static_cast<unsigned>(rng.next_below(8));
-      if (golden.branches_per_thread[thread] == 0) continue;
-      std::uint64_t target =
-          1 + rng.next_below(golden.branches_per_thread[thread]);
-      bool any_active = false;
-      for (bool hierarchical : {false, true}) {
-        pipeline::ExecutionConfig config;
-        config.num_threads = 8;
-        config.monitor = hierarchical ? pipeline::MonitorMode::Hierarchical
-                                      : pipeline::MonitorMode::Full;
-        config.monitor_groups = 4;
-        config.instruction_budget =
-            golden.max_thread_instructions * 10 + 1000000;
-        config.fault.active = true;
-        config.fault.thread = thread;
-        config.fault.target_branch = target;
-        pipeline::ExecutionResult run = pipeline::execute(program, config);
-        if (!run.run.fault_applied) continue;
-        any_active = true;
-        if (run.detected) (hierarchical ? tree_detected : flat_detected)++;
-      }
-      if (any_active) ++activated;
-    }
-    std::printf("  fft @8 threads: flat detected %d/%d, hierarchical "
-                "(4 groups) detected %d/%d\n",
-                flat_detected, activated, tree_detected, activated);
   }
 
   // --- A5: condition data for shared branches --------------------------------

@@ -9,11 +9,11 @@
 // measured is the instrumentation's client-side cost. Wall-clock is the
 // parallel section only. Median of `reps` runs.
 //
-// The sharded/batched monitor adds an axis: with --shards=K the drain
-// side is K checker shards, and with --batch=B producers push one ring
-// entry per B reports instead of per report (B=1 reproduces the legacy
-// wire protocol over the sharded fabric). See EXPERIMENTS.md for the
-// recorded batch=1 vs batch=64 comparison.
+// The sharded/batched monitor adds an axis: with --shards=K the run is
+// the only session of a K-shard MonitorService, and with --batch=B
+// producers push one ring entry per B reports instead of per report (B=1
+// reproduces the legacy wire protocol over the sharded fabric). See
+// EXPERIMENTS.md for the recorded batch=1 vs batch=64 comparison.
 //
 //   usage: bw_fig6_overhead [reps] [--shards=K] [--batch=B]
 //          [--tier=auto|interpreter|threaded]
@@ -146,10 +146,6 @@ int main(int argc, char** argv) {
   const double geomean32 = std::exp(log_sum32 / count);
   std::printf("%-22s %11.2fx %11.2fx   (paper: 2.15x / 1.16x)\n", "geomean",
               geomean4, geomean32);
-  std::printf(
-      "\nNote: this container has 1 core, so threads timeshare; the "
-      "normalized\nratio (instrumented/baseline at equal thread count) is "
-      "the comparable\nquantity, not absolute time. See EXPERIMENTS.md.\n");
   if (!json_path.empty()) {
     bench::JsonWriter json("bw_fig6_overhead");
     json.num("reps", reps);

@@ -27,7 +27,6 @@
 #include "runtime/branch_table.h"
 #include "runtime/checker.h"
 #include "runtime/context_tracker.h"
-#include "runtime/hierarchical_monitor.h"
 #include "runtime/monitor.h"
 #include "runtime/spsc_queue.h"
 
@@ -149,34 +148,6 @@ void BM_MonitorThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1024 * kThreads);
 }
 BENCHMARK(BM_MonitorThroughput);
-
-void BM_HierarchicalMonitorThroughput(benchmark::State& state) {
-  const unsigned kThreads = 16;
-  const unsigned groups = static_cast<unsigned>(state.range(0));
-  state.SetLabel(std::to_string(groups) + " groups");
-  for (auto _ : state) {
-    runtime::HierarchicalMonitorOptions options;
-    options.num_groups = groups;
-    runtime::HierarchicalMonitor monitor(kThreads, options);
-    monitor.start();
-    runtime::BranchReport report;
-    report.check = runtime::CheckCode::SharedOutcome;
-    report.kind = runtime::ReportKind::Outcome;
-    report.outcome = true;
-    for (std::uint32_t instance = 0; instance < 1024; ++instance) {
-      report.iter_hash = instance;
-      report.static_id = 1 + instance % 8;
-      for (unsigned t = 0; t < kThreads; ++t) {
-        report.thread = t;
-        monitor.send(report);
-      }
-    }
-    monitor.stop();
-    benchmark::DoNotOptimize(monitor.stats().instances_checked);
-  }
-  state.SetItemsProcessed(state.iterations() * 1024 * kThreads);
-}
-BENCHMARK(BM_HierarchicalMonitorThroughput)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_Compile(benchmark::State& state) {
   const benchmarks::Benchmark& bench =

@@ -140,7 +140,7 @@ if [ "$run_tsan" = 1 ]; then
   cmake --build build-tsan
   {
     ctest --test-dir build-tsan --output-on-failure \
-      -R 'SpscQueue|Monitor|Hierarchical|Resilience|Checker|ContextTracker'
+      -R 'SpscQueue|Monitor|Resilience|Checker|ContextTracker'
     echo "===== TSan stress lane (N producers x K shards, fault hooks) ====="
     ctest --test-dir build-tsan --output-on-failure -L stress
     echo "===== TSan recovery lane (quiesce/reset/rollback rendezvous) ====="

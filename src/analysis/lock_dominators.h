@@ -1,11 +1,11 @@
 // Lock-dominator analysis (ROADMAP "static concurrency analysis", ACT13
 // LockDomAnalysis shape): for every instruction, the set of lock IDs that
 // are *guaranteed* to be held whenever it executes, over all paths and —
-// in module mode — through calls. This supersedes the depth-only
-// `LockRegions` view: two accesses with a common dominating lock are
-// serialized, which is what both the race checker and proof-backed
-// critical-section elision actually need (a nonzero lock *depth* does not
-// prove mutual exclusion — different paths may hold different locks).
+// in module mode — through calls. Two accesses with a common dominating
+// lock are serialized, which is what both the race checker and
+// proof-backed critical-section elision (paper Section III-A,
+// optimization 2) actually need; a nonzero lock *depth* does not prove
+// mutual exclusion, since different paths may hold different locks.
 #pragma once
 
 #include <cstdint>

@@ -4,7 +4,7 @@
 #include <string_view>
 #include <unordered_set>
 
-#include "analysis/lock_regions.h"
+#include "analysis/lock_dominators.h"
 #include "ir/dominators.h"
 #include "ir/loop_info.h"
 #include "support/diagnostics.h"
@@ -146,7 +146,7 @@ class Analysis {
   struct FunctionInfo {
     std::unique_ptr<DominatorTree> domtree;
     std::unique_ptr<LoopInfo> loops;
-    std::unique_ptr<LockRegions> locks;        // proof-backed (must-held set)
+    std::unique_ptr<LockDominators> locks;     // proof-backed (must-held set)
     std::unique_ptr<SyntacticLockDepth> depth;  // syntactic ablation arm
     bool in_parallel_section = false;
   };
@@ -157,7 +157,7 @@ class Analysis {
       FunctionInfo info;
       info.domtree = std::make_unique<DominatorTree>(*func);
       info.loops = std::make_unique<LoopInfo>(*func, *info.domtree);
-      info.locks = std::make_unique<LockRegions>(*func);
+      info.locks = std::make_unique<LockDominators>(*func);
       info.depth = std::make_unique<SyntacticLockDepth>(*func);
       func_info_.emplace(func.get(), std::move(info));
     }
@@ -835,7 +835,7 @@ class Analysis {
           info.in_parallel_section = fi.in_parallel_section;
           info.loop_depth = fi.loops->depth_of(bb.get());
           bool syntactic = fi.depth->depth_at(term) > 0;
-          bool proven = fi.locks->in_critical_section(term);
+          bool proven = fi.locks->any_lock_held(term);
           switch (options_.elision) {
             case ElisionMode::None:
               break;

@@ -1,6 +1,7 @@
 #include "pipeline/pipeline.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "ir/verifier.h"
 #include "support/telemetry/telemetry.h"
@@ -127,55 +128,45 @@ CompiledProgram protect_program(std::string_view source,
 
 ExecutionResult execute(const CompiledProgram& program,
                         const ExecutionConfig& config) {
-  ExecutionResult result;
-
-  std::unique_ptr<runtime::Monitor> monitor;
-  std::unique_ptr<runtime::ShardedMonitor> sharded;
-  std::unique_ptr<runtime::HierarchicalMonitor> tree;
-  runtime::BranchSink* sink = nullptr;
-  if (config.monitor == MonitorMode::Hierarchical) {
-    runtime::HierarchicalMonitorOptions hopts;
-    hopts.num_groups = config.monitor_groups;
-    hopts.queue_capacity = config.monitor_options.queue_capacity;
-    hopts.backoff = config.monitor_options.backoff;
-    hopts.watchdog = config.monitor_options.watchdog;
-    hopts.fault_hooks = config.monitor_options.fault_hooks;
-    tree = std::make_unique<runtime::HierarchicalMonitor>(
-        config.num_threads, hopts);
-    tree->start();
-    sink = tree.get();
-  } else if (config.monitor != MonitorMode::Off &&
-             config.monitor_shards >= 1) {
-    runtime::ShardedMonitorOptions sopts;
+  if (config.monitor != MonitorMode::Off && config.monitor_shards >= 1) {
+    runtime::MonitorServiceOptions sopts;
     sopts.num_shards = config.monitor_shards;
     sopts.batch_size = config.monitor_batch;
+    sopts.max_sessions = 1;
     // Preserve the legacy option's buffering budget: queue_capacity is in
-    // reports, the sharded rings are in batches. Bounded so a 32-thread
+    // reports, the service rings are in batches. Bounded so a 32-thread
     // x K-shard fabric of 3 KiB slots stays within a sane footprint.
-    std::size_t batch = std::max<std::size_t>(config.monitor_batch, 1);
+    const std::size_t batch = std::max<std::size_t>(config.monitor_batch, 1);
     sopts.batch_queue_capacity = std::clamp<std::size_t>(
         config.monitor_options.queue_capacity / batch, 16, 256);
-    sopts.max_pending_per_branch =
-        config.monitor_options.max_pending_per_branch;
-    sopts.perform_checks = config.monitor == MonitorMode::Full;
+    // Every ring full of full batches (SpscQueue rounds its usable slots
+    // up to a power of two minus one), plus one batch of headroom per ring
+    // for the batch a shard holds while filing it: the quota can never
+    // bind before the rings do.
+    const std::size_t ring_slots_plus_one =
+        std::bit_ceil(sopts.batch_queue_capacity + 1);
+    sopts.default_report_quota =
+        static_cast<std::uint64_t>(ring_slots_plus_one) * batch *
+        config.num_threads * config.monitor_shards;
     sopts.backoff = config.monitor_options.backoff;
     sopts.watchdog = config.monitor_options.watchdog;
-    sopts.validate_reports = config.monitor_options.validate_reports;
-    sopts.fault_hooks = config.monitor_options.fault_hooks;
-    sopts.sampling = config.monitor_options.sampling;
-    sharded = std::make_unique<runtime::ShardedMonitor>(config.num_threads,
-                                                        sopts);
-    sharded->start();
-    sink = sharded.get();
-  } else if (config.monitor != MonitorMode::Off) {
+    runtime::MonitorService service(sopts);
+    service.start();
+    ExecutionResult result = execute_in_session(program, config, service);
+    service.stop();
+    return result;
+  }
+
+  ExecutionResult result;
+  std::unique_ptr<runtime::Monitor> monitor;
+  if (config.monitor != MonitorMode::Off) {
     runtime::MonitorOptions mopts = config.monitor_options;
     mopts.perform_checks = config.monitor == MonitorMode::Full;
     monitor = std::make_unique<runtime::Monitor>(config.num_threads, mopts);
     monitor->start();
-    sink = monitor.get();
   }
 
-  run_with_sink(program, config, sink, result);
+  run_with_sink(program, config, monitor.get(), result);
 
   if (monitor != nullptr) {
     monitor->stop();
@@ -183,25 +174,6 @@ ExecutionResult execute(const CompiledProgram& program,
     result.monitor_stats = monitor->stats();
     result.detected = result.run.detected || !result.violations.empty();
     result.monitor_health = monitor->health();
-  } else if (sharded != nullptr) {
-    sharded->stop();
-    result.violations = sharded->violations();
-    result.monitor_stats = sharded->stats();
-    result.detected = result.run.detected || !result.violations.empty();
-    result.monitor_health = sharded->health();
-  } else if (tree != nullptr) {
-    tree->stop();
-    result.violations = tree->violations();
-    runtime::HierarchicalStats hstats = tree->stats();
-    result.monitor_stats.reports_processed = hstats.reports_processed;
-    result.monitor_stats.instances_checked = hstats.instances_checked;
-    result.monitor_stats.instances_skipped = hstats.instances_skipped;
-    result.monitor_stats.violations = hstats.violations;
-    result.monitor_stats.dropped_reports =
-        hstats.dropped_reports + hstats.summaries_dropped;
-    result.monitor_stats.hooks_fired = hstats.hooks_fired;
-    result.detected = result.run.detected || !result.violations.empty();
-    result.monitor_health = tree->health();
   }
   publish_execution(result, config);
   return result;

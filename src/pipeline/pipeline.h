@@ -14,10 +14,8 @@
 #include "analysis/similarity.h"
 #include "frontend/compiler.h"
 #include "instrument/instrument.h"
-#include "runtime/hierarchical_monitor.h"
 #include "runtime/monitor.h"
 #include "runtime/monitor_service.h"
-#include "runtime/sharded_monitor.h"
 #include "vm/machine.h"
 
 namespace bw::pipeline {
@@ -46,12 +44,10 @@ CompiledProgram protect_program(std::string_view source,
                                 const PipelineOptions& options = {});
 
 enum class MonitorMode {
-  Off,           // no monitor thread; bw.* instructions are ignored
-  DrainOnly,     // monitor drains queues but checks nothing (the paper's
-                 // 32-thread performance configuration)
-  Full,          // drain + check (normal operation)
-  Hierarchical,  // multi-level monitor tree (paper §VI future work):
-                 // leaf monitors per thread subgroup + a root merger
+  Off,        // no monitor thread; bw.* instructions are ignored
+  DrainOnly,  // monitor drains queues but checks nothing (the paper's
+              // 32-thread performance configuration)
+  Full,       // drain + check (normal operation)
 };
 
 struct ExecutionConfig {
@@ -65,15 +61,16 @@ struct ExecutionConfig {
   std::uint64_t instruction_budget = 0;
   bool stop_on_detection = true;
   runtime::MonitorOptions monitor_options;
-  /// Subgroups for MonitorMode::Hierarchical.
-  unsigned monitor_groups = 2;
   /// Checker shards for MonitorMode::Full / DrainOnly. 0 (default) keeps
-  /// the legacy single-consumer Monitor; >= 1 attaches a ShardedMonitor
-  /// with that many shards (1 = legacy topology over the batched wire).
-  /// monitor_options carries over: perform_checks follows the mode,
-  /// queue_capacity (reports) is translated into an equivalent number of
-  /// batches, and backoff/watchdog/validation/fault hooks apply as-is
-  /// (fault hooks fire per shard).
+  /// the legacy single-consumer Monitor; >= 1 runs the program as the only
+  /// session of a private runtime::MonitorService with that many shards
+  /// (1 = legacy topology over the batched wire). monitor_options carries
+  /// over: perform_checks follows the mode, queue_capacity (reports) is
+  /// translated into an equivalent number of batches, backoff/watchdog
+  /// configure the service, and validation/sampling/fault hooks configure
+  /// the session (fault hooks fire per shard unless shard_filter picks
+  /// one). The session's report quota defaults to the total ring capacity,
+  /// so only the rings ever apply backpressure.
   unsigned monitor_shards = 0;
   /// Reports per producer-side batch when monitor_shards >= 1 (clamped to
   /// [1, runtime::ReportBatch::kMax]). 1 = one ring push per report, the
@@ -83,16 +80,16 @@ struct ExecutionConfig {
   std::string parallel_entry = "slave";
   std::string init_function = "init";
   /// Barrier-aligned checkpoint/rollback (see vm/recovery.h). Only honored
-  /// when the attached monitor supports the recovery protocol (legacy
-  /// Monitor, ShardedMonitor and MonitorSession do; Hierarchical does not
-  /// yet) AND stop_on_detection is set — recovery is pointless if
-  /// detection cannot interrupt the run. execute() silently disables it
-  /// otherwise.
+  /// when a monitor is attached (the legacy Monitor and MonitorSession
+  /// both support the recovery protocol) AND stop_on_detection is set —
+  /// recovery is pointless if detection cannot interrupt the run.
+  /// execute() silently disables it otherwise.
   vm::RecoveryOptions recovery;
   /// Single-phase execution for the compositional campaign engine (see
   /// vm::PhasePlan). Mutually exclusive with recovery; inactive by default.
   vm::PhasePlan phase;
-  /// execute_in_session only: this run's queued-report quota (0 = the
+  /// Session runs only (execute_in_session, and execute() with
+  /// monitor_shards >= 1): this run's queued-report quota (0 = the
   /// service's default). monitor_options carries the rest of the session
   /// shape (validation, fault hooks, sampling, max_pending); monitor
   /// Full/DrainOnly maps onto the session's perform_checks.
@@ -121,16 +118,22 @@ struct ExecutionResult {
   runtime::AdmitError admit_error = runtime::AdmitError::None;
 };
 
+/// Run a compiled program under the monitor `config` selects: none
+/// (MonitorMode::Off), the legacy single-consumer Monitor
+/// (monitor_shards == 0), or a private one-session MonitorService
+/// (monitor_shards >= 1, delegating to execute_in_session).
 ExecutionResult execute(const CompiledProgram& program,
                         const ExecutionConfig& config);
 
 /// As execute(), but the monitor is a session admitted from (and torn
-/// down back into) a shared multi-tenant MonitorService instead of a
-/// monitor owned by this run. The service must be started; many
+/// down back into) a caller-owned multi-tenant MonitorService instead of
+/// a monitor owned by this run. The service must be started; many
 /// execute_in_session calls may run concurrently against one service.
-/// MonitorMode::Off/Hierarchical are not meaningful here and map to a
-/// checking session (Full). Admission failure is reported in
-/// ExecutionResult::admit_error without running the program.
+/// The service, not the config, fixes shards, batching, backoff and the
+/// watchdog; monitor_shards/monitor_batch are ignored here.
+/// MonitorMode::Off is not meaningful here and maps to a checking session
+/// (Full). Admission failure is reported in ExecutionResult::admit_error
+/// without running the program.
 ExecutionResult execute_in_session(const CompiledProgram& program,
                                    const ExecutionConfig& config,
                                    runtime::MonitorService& service);

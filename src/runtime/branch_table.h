@@ -5,11 +5,9 @@
 // bounded-pending eviction (subset checks are sound), and the
 // end-of-section finalize pass.
 //
-// Extracted from Monitor / ShardedMonitor (which carried byte-identical
-// copies) so that every owner of branch state — the legacy single
-// consumer, each checker shard, and each (session, shard) tenant slot of
-// the multi-tenant MonitorService — runs the SAME lifecycle on its own
-// partition of the key space. The monitor differential suite pins the
+// Every owner of branch state — the legacy single consumer and each
+// (session, shard) tenant slot of the MonitorService — runs the SAME
+// lifecycle on its own partition of the key space. The monitor differential suite pins the
 // verdict semantics; keying a table per tenant is what makes cross-tenant
 // verdict interference impossible by construction.
 //

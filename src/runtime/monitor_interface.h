@@ -1,7 +1,7 @@
 // Abstract interface between instrumented program threads and whichever
-// monitor implementation is attached (the flat Monitor of the paper's
-// implementation, or the HierarchicalMonitor of its Section VI future
-// work). The VM talks only to this.
+// monitor implementation is attached: the flat single-consumer Monitor of
+// the paper's implementation, or a MonitorSession of the sharded,
+// batched MonitorService. The VM talks only to this.
 #pragma once
 
 #include "runtime/report.h"
@@ -29,9 +29,9 @@ class BranchSink {
 
   /// Flush any client-side buffering for program thread `thread`. Called
   /// by the VM when the thread exits the parallel section (normally or
-  /// via a trap), so batching sinks (ShardedMonitor) never strand the
-  /// tail of a thread's reports in a half-full batch. Unbuffered sinks
-  /// (Monitor, HierarchicalMonitor) keep the default no-op.
+  /// via a trap), so batching sinks (MonitorSession) never strand the
+  /// tail of a thread's reports in a half-full batch. The unbuffered
+  /// Monitor keeps the default no-op.
   virtual void flush(std::uint32_t thread) { (void)thread; }
 
   /// Cheap cross-thread poll: has any check failed so far?

@@ -38,9 +38,10 @@ enum SessionCommand {
 /// by other threads.
 struct alignas(64) ProducerSlot {
   std::atomic<std::uint64_t> dropped{0};
-  /// Dekker-style teardown guard, as ShardedMonitor::ProducerSlot: a
-  /// producer call increments (seq_cst) then checks the session phase;
-  /// teardown latches the phase then waits for zero.
+  /// Dekker-style teardown guard: a producer call increments (seq_cst)
+  /// then checks the session phase; teardown latches the phase then
+  /// waits for zero, so the open batches are never mutated from two
+  /// threads.
   std::atomic<std::uint32_t> in_flight{0};
   std::vector<ReportBatch> open;  // one open batch per shard
   MonitorHealth last_health = MonitorHealth::Healthy;
@@ -248,8 +249,9 @@ struct MonitorService::Shard {
   void publish(Tenant& tenant, detail::SessionState& s);
 };
 
-/// Session-scoped twin of ShardedMonitor::apply_pop_hooks: indices count
-/// THIS session's reports popped by THIS shard, and every side effect
+/// Validation plus the consumer-side fault hooks. Indices count THIS
+/// session's reports popped by THIS shard (each shard is an independent
+/// consumer, narrowed to one by shard_filter), and every side effect
 /// (health, sampler, counters) lands on this session alone.
 bool MonitorService::Shard::apply_pop_hooks(Tenant& tenant,
                                             detail::SessionState& s,
@@ -419,11 +421,12 @@ void MonitorService::shard_run(Shard& shard) {
       const bool acked =
           s.shard_slots[shard.index].command_ack.load(
               std::memory_order_relaxed) >= seq;
-      if (s.phase.load(std::memory_order_acquire) != detail::kActive &&
-          acked) {
-        // Draining with no pending command (teardown owns the session
-        // until it posts the detach), or detach already executed here.
-        // Never resurrect a tenant slot for such a session.
+      if (acked &&
+          s.cmd_kind.load(std::memory_order_relaxed) == detail::kCmdDetach) {
+        // This shard already executed the session's detach, which freed
+        // its tenant slot: never resurrect one. A session that is still
+        // tearing down is drained like any other, so the residual batches
+        // close() flushes never wait on a ring nobody drains.
         continue;
       }
       auto [it, inserted] = shard.tenants.try_emplace(&s, &s);
@@ -666,9 +669,11 @@ void MonitorService::flush_batch(detail::SessionState& s,
   batch.count = 0;
 }
 
-/// As ShardedMonitor::give_up, but the watchdog runs against THIS
-/// session's progress counter on the refusing shard: a tenant frozen by
-/// its own stall fault trips only its own Failed.
+/// Batch-granular give-up: account every report the batch carried, then
+/// run the watchdog against THIS session's progress counter on the
+/// refusing shard. One wedged shard trips Failed exactly like the legacy
+/// single consumer, and a tenant frozen by its own stall fault trips only
+/// its own Failed.
 void MonitorService::give_up(detail::SessionState& s, std::uint32_t thread,
                              unsigned shard, std::uint32_t lost) {
   detail::ProducerSlot& slot = s.producers[thread];
@@ -1003,6 +1008,18 @@ const std::vector<Violation>& MonitorSession::violations() const {
   return state_->final_violations;
 }
 
-MonitorStats MonitorSession::stats() const { return state_->final_stats; }
+MonitorStats MonitorSession::stats() const {
+  // A producer call that raced close() counts its report as a drop after
+  // the detach merge ran; re-read the producer counters so it is not lost.
+  MonitorStats m = state_->final_stats;
+  if (m.dropped_per_thread.size() != state_->producers.size()) return m;
+  for (std::size_t t = 0; t < m.dropped_per_thread.size(); ++t) {
+    const std::uint64_t now =
+        state_->producers[t].dropped.load(std::memory_order_relaxed);
+    m.dropped_reports += now - m.dropped_per_thread[t];
+    m.dropped_per_thread[t] = now;
+  }
+  return m;
+}
 
 }  // namespace bw::runtime

@@ -1,19 +1,36 @@
-// Multi-tenant monitor service: many concurrent program instances
+// Sharded monitor service: one or many concurrent program instances
 // (sessions) sharing one long-lived pool of checker shards, with failure
-// domains that are per-session BY CONSTRUCTION.
+// domains that are per-session BY CONSTRUCTION. It is the scalability
+// successor to the single-consumer Monitor (paper Section III-B), which
+// Figures 6-7 show flat-lining as producers multiply: one thread drains
+// every queue and files every report into one table. pipeline::execute()
+// with monitor_shards >= 1 runs its program as the only session of a
+// private service; a long-lived service hosts many programs at once.
 //
-// The single-tenant backends (Monitor, ShardedMonitor) assume one
-// implicit session: one health cell, one sampling controller, one
-// watchdog, one table per shard. A service hosting many programs cannot:
-// the interesting failures at that scale are cross-tenant — one
-// misbehaving session exhausting shared queues, or one session's
-// injected fault degrading health for everyone. MonitorService keys
+// Two structural changes relative to the legacy Monitor, both invisible
+// to verdicts:
+//
+//   * Batching. Producers accumulate reports into small per-thread,
+//     per-shard batches and push ONE ring entry per batch instead of per
+//     report. Batches flush on size, on parallel-section exit
+//     (BranchSink::flush), on health transitions, and at session close.
+//   * Sharding. K checker shards each own the branch keys that hash to
+//     them. Routing happens on the producer, so every ring keeps exactly
+//     one producer and one consumer and the fabric stays lock-free.
+//
+// Verdict invariance: a (session, branch) pair maps wholly to one shard,
+// so the per-branch instance lifecycle is the legacy algorithm run on a
+// partition of the key space, and batching only changes *when* reports
+// cross the ring, never their per-producer order or content.
+// tests/monitor_differential_test.cpp checks this against a
+// single-threaded BranchTable replay over randomized kernels.
+//
+// A service hosting many programs must also contain cross-tenant
+// failures — one misbehaving session exhausting shared queues, or one
+// session's injected fault degrading health for everyone — so it keys
 // EVERYTHING a fault can touch by session:
 //
-//   * Routing. A report's shard is hash(session, ctx, static_id) % K, so
-//     a (session, branch) pair lives wholly in one shard and the
-//     per-branch lifecycle is the legacy algorithm run on a partition of
-//     the (session, key) space.
+//   * Routing. A report's shard is hash(session, ctx, static_id) % K.
 //   * State. Each (session, shard) pair owns a private BranchTable, its
 //     own SPSC rings (one per producer thread), a per-session sticky
 //     HealthCell, SamplingController, violation counter, and recovery
@@ -28,7 +45,7 @@
 //     checking. Per-report delay hooks likewise defer only their own
 //     tenant's next drain visit.
 //   * Capacity. Each session holds a quota on queued (in-ring) reports.
-//     A producer over quota runs the PR-1 backoff ladder generalized to
+//     A producer over quota runs the backoff ladder generalized to
 //     per-tenant backpressure — spin, then yield, then sample-down
 //     (SamplingController::note_pressure) and drop, degrading only its
 //     own session's health. Other tenants' rings and quotas are
@@ -37,12 +54,14 @@
 // Admission is explicit and bounded: admit() returns a typed AdmitError
 // when the session table is full (or the service is stopping), never a
 // silently-degraded session. Teardown (MonitorSession::close, or the
-// session handle's destructor) waits for the session's in-flight
-// producer calls to retire, flushes residual open batches, broadcasts a
-// detach command, and each shard drains that tenant's rings, finalizes
-// its table, publishes its per-shard result, and frees the tenant slot —
-// all while other sessions' producers keep sending (the ShardedMonitor
-// stop()-vs-flush Dekker guard, applied per session).
+// session handle's destructor) may race the session's own producers: it
+// latches the session, waits for in-flight producer calls to retire (a
+// Dekker guard), flushes residual open batches (shards keep draining the
+// session meanwhile), broadcasts a detach command, and each shard drains
+// that tenant's rings, finalizes its table, publishes its per-shard
+// result, and frees the tenant slot — all while other sessions'
+// producers keep sending. A producer call that
+// arrives after the latch is counted as a drop, never lost or raced.
 //
 // Lifetime contract: MonitorSession handles must not outlive the
 // MonitorService that admitted them. MonitorService::stop() (and the
@@ -51,6 +70,7 @@
 // readable.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -63,9 +83,16 @@
 #include "runtime/report.h"
 #include "runtime/resilience.h"
 #include "runtime/sampling.h"
-#include "runtime/sharded_monitor.h"  // ReportBatch wire format
 
 namespace bw::runtime {
+
+/// The unit that crosses a producer->shard ring: up to kMax reports, in
+/// the producer's send order. Fixed-size so ring slots need no heap.
+struct ReportBatch {
+  static constexpr std::size_t kMax = 64;
+  std::uint32_t count = 0;
+  std::array<BranchReport, kMax> reports;
+};
 
 using SessionId = std::uint32_t;
 
@@ -108,9 +135,9 @@ struct MonitorServiceOptions {
   std::size_t max_sessions = 64;
   /// Reports per producer-side batch; clamped to [1, ReportBatch::kMax].
   std::size_t batch_size = 16;
-  /// Ring capacity of each producer->shard queue, in batches. Smaller
-  /// than ShardedMonitor's default: rings are per session and the quota,
-  /// not the ring, is meant to be the binding capacity limit.
+  /// Ring capacity of each producer->shard queue, in batches. Rings are
+  /// per session and, by default, the quota rather than the ring is the
+  /// binding capacity limit.
   std::size_t batch_queue_capacity = 64;
   /// Default per-session queued-report quota (SessionOptions can
   /// override per session).
@@ -139,8 +166,8 @@ struct SessionState;
 class MonitorService;
 
 /// The per-tenant BranchSink handle returned by MonitorService::admit().
-/// Plugs into vm::RunOptions::monitor exactly like Monitor or
-/// ShardedMonitor; every call routes through the session's own state.
+/// Plugs into vm::RunOptions::monitor exactly like Monitor; every call
+/// routes through the session's own state.
 /// Producer methods (send/flush) follow the BranchSink threading
 /// contract; close() and the recovery calls are single-caller.
 class MonitorSession : public BranchSink {
@@ -175,6 +202,8 @@ class MonitorSession : public BranchSink {
   unsigned num_threads() const;
   /// Only valid after close() (shard results are merged at detach).
   const std::vector<Violation>& violations() const;
+  /// Only valid after close(). Producer drop counters are re-read on
+  /// every call, so a send() that raced close() still shows up here.
   MonitorStats stats() const;
 
  private:

@@ -15,9 +15,10 @@
 //     Failed: the watchdog found the monitor heartbeat stalled past its
 //     deadline; producers stop queueing entirely and the program runs on
 //     unprotected (availability over coverage).
-//   * WatchdogOptions — heartbeat deadline. Monitor/leaf/root threads bump
-//     a heartbeat counter each drain cycle; the producer slow path trips
-//     Failed when the heartbeat makes no progress for the whole deadline.
+//   * WatchdogOptions — heartbeat deadline. The Monitor thread bumps a
+//     heartbeat counter each drain cycle, and each MonitorService shard a
+//     per-session progress counter; the producer slow path trips Failed
+//     when that counter makes no progress for the whole deadline.
 //   * MonitorFaultHooks — consumer-side fault injection for the campaign's
 //     monitor-path fault models (FaultType::MonitorStall / QueueCorrupt /
 //     ReportDrop) and for the slow-consumer benchmark.
@@ -107,7 +108,8 @@ struct WatchdogOptions {
 /// campaign models faults in application branches.
 struct MonitorFaultHooks {
   /// After processing the Nth report, suspend the monitor thread until
-  /// stop() is requested (FaultType::MonitorStall).
+  /// stop() is requested — for a MonitorService session, freeze that
+  /// session's slice of the shard until close() (FaultType::MonitorStall).
   std::uint64_t stall_after_reports = 0;
   /// Flip `corrupt_bit` (mod 8*sizeof(BranchReport)) in the Nth popped
   /// report before processing it (FaultType::QueueCorrupt).
@@ -118,11 +120,11 @@ struct MonitorFaultHooks {
   /// Sleep this long after each processed report: a deterministic
   /// slow-consumer load for the resilience benchmark.
   std::uint64_t delay_ns_per_report = 0;
-  /// ShardedMonitor only: restrict the hooks above to the 0-based checker
-  /// shard with this index (kAllShards applies them to every shard, each
-  /// counting its own pops). Lets tests wedge ONE shard and prove its
-  /// siblings keep checking while health degrades. The flat Monitor and
-  /// the HierarchicalMonitor ignore this field.
+  /// MonitorService sessions only: restrict the hooks above to the
+  /// 0-based checker shard with this index (kAllShards applies them to
+  /// every shard, each counting its own pops). Lets tests wedge ONE shard
+  /// and prove its siblings keep checking while health degrades. The
+  /// single-consumer Monitor ignores this field.
   static constexpr std::uint32_t kAllShards = 0xffffffffu;
   std::uint32_t shard_filter = kAllShards;
 

@@ -362,7 +362,7 @@ class ThreadRunner {
           invoke(entry_index, {}, /*callsite_id=*/0);
         }
         // Parallel-section exit is a batch flush point: a batching monitor
-        // (ShardedMonitor) must not strand this thread's tail reports.
+        // (a MonitorSession) must not strand this thread's tail reports.
         if (monitor_ != nullptr) monitor_->flush(tid_);
         if (parallel_) m_.coordinator_.thread_finished(tid_);
         running = false;

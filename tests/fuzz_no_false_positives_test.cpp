@@ -6,9 +6,10 @@
 // runs under the full monitor.
 //
 // The suite alternates monitor backends per seed — even seeds run the
-// legacy single-consumer Monitor, odd seeds a ShardedMonitor whose shard
-// count and batch size also rotate with the seed — so the clean-run
-// guarantee covers both the legacy and the sharded/batched check paths.
+// legacy single-consumer Monitor, odd seeds a one-session MonitorService
+// whose shard count and batch size also rotate with the seed — so the
+// clean-run guarantee covers both the legacy and the sharded/batched
+// check paths.
 // The VM execution tier rotates on a different cadence (seed/2 parity:
 // interpreter vs direct-threaded, vm/dispatch.h), decorrelated from the
 // backend choice so all four backend x tier combinations appear; zero

@@ -1,31 +1,35 @@
-// Differential oracle for the sharded/batched monitor: every shard-count
-// x batch-size configuration must be VERDICT-EQUIVALENT to the legacy
-// single-consumer Monitor. The harness makes the comparison exact by
-// removing execution nondeterminism from the equation:
+// Differential oracle for the two monitor backends: the legacy
+// single-consumer Monitor and a one-session MonitorService (the engine
+// pipeline::execute() runs for monitor_shards >= 1) at every shard-count
+// x batch-size configuration must be VERDICT-EQUIVALENT to a reference
+// that is not a backend at all. The harness makes the comparison exact
+// by removing execution nondeterminism from the equation:
 //
 //   1. A randomized race-free BW-C kernel (tests/kernel_generator.h) runs
 //      once in the VM with a recording sink that captures each program
 //      thread's report stream verbatim.
-//   2. The SAME streams are replayed — deterministically, in round-robin
-//      producer order — into a legacy Monitor and into ShardedMonitor
-//      instances at K in {1,2,4} x batch in {1,8,64}.
-//   3. The canonicalized violation set (sorted, order-free) and the
-//      instance counters (checked / skipped / evicted / processed /
-//      dropped) must match the legacy verdict exactly. Producers use an
-//      unbounded backoff, so no replay drops a report (asserted) and the
-//      comparison does not depend on host load.
+//   2. The reference verdict replays those streams single-threaded, in
+//      round-robin producer order, straight into one runtime::BranchTable
+//      and then finalize()s it: no queues, no threads, no batching.
+//   3. The SAME streams are replayed in the same order into a legacy
+//      Monitor and into one-session MonitorService instances at K in
+//      {1,2,4} x batch in {1,8,64}. The canonicalized violation set
+//      (sorted, order-free) and the checked / skipped / evicted /
+//      processed counters must match the reference exactly. Producers use
+//      an unbounded backoff, so no replay drops a report (asserted on
+//      every side) and the comparison does not depend on host load.
 //
 // Each stream is compared twice: clean (the no-false-positive guarantee —
-// both backends must report nothing) and faulted, where deterministic
+// every side must report nothing) and faulted, where deterministic
 // stream-level mutations (sparse outcome flips on one thread, plus a
 // synthetic always-divergent instance) force a non-empty violation set
-// that both backends must agree on report-for-report.
+// that every backend must reproduce report-for-report.
 //
 // Why verdicts are partition-invariant — and hence why this must pass:
 // a branch key (ctx_hash, static_id) maps wholly to one shard, so the
-// per-branch instance lifecycle is the legacy algorithm run on a key
-// subspace; batching preserves per-producer report order and content.
-// See DESIGN.md "Sharded monitor".
+// per-branch instance lifecycle is the reference table's algorithm run on
+// a key subspace; batching preserves per-producer report order and
+// content. See DESIGN.md §4.2.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,8 +39,9 @@
 
 #include "kernel_generator.h"
 #include "pipeline/pipeline.h"
+#include "runtime/branch_table.h"
 #include "runtime/monitor.h"
-#include "runtime/sharded_monitor.h"
+#include "runtime/monitor_service.h"
 #include "test_support.h"
 #include "vm/machine.h"
 
@@ -76,65 +81,95 @@ Verdict canonicalize(const std::vector<runtime::Violation>& violations,
   return v;
 }
 
-/// Replay the captured streams in deterministic round-robin producer
-/// order. The replayer is a single thread, which is legal (each queue
-/// still has one pushing thread) and keeps the input identical per run.
-template <typename MonitorT>
-void replay(MonitorT& monitor,
-            const std::vector<std::vector<BranchReport>>& streams) {
-  monitor.start();
+using Streams = std::vector<std::vector<BranchReport>>;
+
+/// Feed the captured streams to `sink` in deterministic round-robin
+/// producer order. The replayer is a single thread, which is legal (each
+/// queue still has one pushing thread) and keeps the input identical per
+/// run.
+template <typename Sink>
+void replay(Sink& sink, const Streams& streams) {
   std::vector<std::size_t> cursor(streams.size(), 0);
   bool any = true;
   while (any) {
     any = false;
     for (std::size_t t = 0; t < streams.size(); ++t) {
       if (cursor[t] < streams[t].size()) {
-        monitor.send(streams[t][cursor[t]++]);
+        sink.send(streams[t][cursor[t]++]);
         any = true;
       }
     }
   }
-  monitor.stop();
 }
 
-// Both sides block on a full queue instead of dropping, so host load can
-// slow a replay down but never change what the monitor sees.
+/// The reference: the streams filed straight into one table.
+Verdict reference_verdict(const Streams& streams, unsigned num_threads) {
+  runtime::BranchTable table(num_threads,
+                             runtime::MonitorOptions{}.max_pending_per_branch);
+  struct TableSink {
+    runtime::BranchTable& table;
+    std::uint64_t processed = 0;
+    void send(const BranchReport& report) {
+      table.process(report, /*degraded=*/false);
+      ++processed;
+    }
+  } sink{table};
+  replay(sink, streams);
+  table.finalize(/*degraded=*/false);
+  runtime::MonitorStats stats;
+  stats.reports_processed = sink.processed;
+  stats.instances_checked = table.instances_checked();
+  stats.instances_skipped = table.instances_skipped();
+  stats.instances_evicted = table.instances_evicted();
+  return canonicalize(table.violations(), stats);
+}
+
+// Both backends block on a full queue instead of dropping, so host load
+// can slow a replay down but never change what the monitor sees.
 constexpr runtime::BackoffPolicy kLossless{.bounded = false};
 
-Verdict legacy_verdict(const std::vector<std::vector<BranchReport>>& streams,
-                       unsigned num_threads) {
+Verdict legacy_verdict(const Streams& streams, unsigned num_threads) {
   runtime::MonitorOptions options;
   options.backoff = kLossless;
   runtime::Monitor monitor(num_threads, options);
+  monitor.start();
   replay(monitor, streams);
+  monitor.stop();
   return canonicalize(monitor.violations(), monitor.stats());
 }
 
-Verdict sharded_verdict(const std::vector<std::vector<BranchReport>>& streams,
-                        unsigned num_threads, unsigned shards,
-                        std::size_t batch) {
-  runtime::ShardedMonitorOptions options;
+Verdict service_verdict(const Streams& streams, unsigned num_threads,
+                        unsigned shards, std::size_t batch) {
+  runtime::MonitorServiceOptions options;
   options.num_shards = shards;
   options.batch_size = batch;
+  options.max_sessions = 1;
   options.backoff = kLossless;
-  runtime::ShardedMonitor monitor(num_threads, options);
-  replay(monitor, streams);
-  return canonicalize(monitor.violations(), monitor.stats());
+  runtime::MonitorService service(options);
+  service.start();
+  runtime::SessionOptions session_options;
+  session_options.num_threads = num_threads;
+  runtime::MonitorService::Admission admission =
+      service.admit(session_options);
+  EXPECT_EQ(admission.error, runtime::AdmitError::None);
+  runtime::MonitorSession& session = *admission.session;
+  replay(session, streams);
+  session.close();
+  Verdict verdict = canonicalize(session.violations(), session.stats());
+  service.stop();
+  return verdict;
 }
 
-void expect_equivalent(const Verdict& legacy, const Verdict& sharded,
-                       unsigned shards, std::size_t batch) {
-  SCOPED_TRACE("shards=" + std::to_string(shards) +
-               " batch=" + std::to_string(batch));
-  EXPECT_EQ(legacy.dropped_reports, 0u);
-  EXPECT_EQ(sharded.dropped_reports, 0u);
-  EXPECT_EQ(legacy.violations, sharded.violations);
-  EXPECT_EQ(legacy.reports_processed, sharded.reports_processed);
-  EXPECT_EQ(legacy.instances_checked, sharded.instances_checked);
-  EXPECT_EQ(legacy.instances_skipped, sharded.instances_skipped);
-  EXPECT_EQ(legacy.instances_evicted, sharded.instances_evicted);
-  EXPECT_EQ(legacy.dropped_reports, sharded.dropped_reports);
-  EXPECT_EQ(legacy.reports_rejected, sharded.reports_rejected);
+void expect_equivalent(const Verdict& reference, const Verdict& backend,
+                       const std::string& label) {
+  SCOPED_TRACE(label);
+  EXPECT_EQ(backend.dropped_reports, 0u);
+  EXPECT_EQ(reference.violations, backend.violations);
+  EXPECT_EQ(reference.reports_processed, backend.reports_processed);
+  EXPECT_EQ(reference.instances_checked, backend.instances_checked);
+  EXPECT_EQ(reference.instances_skipped, backend.instances_skipped);
+  EXPECT_EQ(reference.instances_evicted, backend.instances_evicted);
+  EXPECT_EQ(reference.reports_rejected, backend.reports_rejected);
 }
 
 constexpr unsigned kThreads = 4;
@@ -146,8 +181,7 @@ constexpr std::size_t kBatchSizes[] = {1, 8, 64};
 /// only by the victim), and append one synthetic instance where the
 /// victim disagrees with everyone — guaranteeing the faulted comparison
 /// always exercises a NON-EMPTY violation set.
-std::vector<std::vector<BranchReport>> mutate_streams(
-    std::vector<std::vector<BranchReport>> streams, std::uint64_t seed) {
+Streams mutate_streams(Streams streams, std::uint64_t seed) {
   const std::uint32_t victim = static_cast<std::uint32_t>(seed % kThreads);
   std::size_t index = 0;
   for (BranchReport& report : streams[victim]) {
@@ -196,26 +230,30 @@ TEST_P(MonitorDifferential, ShardedVerdictsMatchLegacyOnRandomKernels) {
   ASSERT_GT(total_reports, 0u) << "kernel produced no reports";
 
   // Clean streams: the no-false-positive guarantee must hold on every
-  // backend, and all counters must agree with the legacy monitor.
-  Verdict legacy_clean = legacy_verdict(recorder.streams(), kThreads);
-  EXPECT_TRUE(legacy_clean.violations.empty());
-  EXPECT_EQ(legacy_clean.reports_processed, total_reports);
-
-  // Faulted streams: both backends must flag the same instances.
-  auto faulted = mutate_streams(recorder.streams(), seed);
-  Verdict legacy_faulted = legacy_verdict(faulted, kThreads);
-  EXPECT_FALSE(legacy_faulted.violations.empty())
+  // side. Faulted streams: every side must flag the same instances.
+  const Streams& clean = recorder.streams();
+  const Streams faulted = mutate_streams(clean, seed);
+  const Verdict reference_clean = reference_verdict(clean, kThreads);
+  const Verdict reference_faulted = reference_verdict(faulted, kThreads);
+  EXPECT_TRUE(reference_clean.violations.empty());
+  EXPECT_EQ(reference_clean.reports_processed, total_reports);
+  EXPECT_FALSE(reference_faulted.violations.empty())
       << "mutation failed to produce any violation";
 
+  expect_equivalent(reference_clean, legacy_verdict(clean, kThreads),
+                    "legacy, clean");
+  expect_equivalent(reference_faulted, legacy_verdict(faulted, kThreads),
+                    "legacy, faulted");
   for (unsigned shards : kShardCounts) {
     for (std::size_t batch : kBatchSizes) {
-      expect_equivalent(legacy_clean,
-                        sharded_verdict(recorder.streams(), kThreads, shards,
-                                        batch),
-                        shards, batch);
-      expect_equivalent(legacy_faulted,
-                        sharded_verdict(faulted, kThreads, shards, batch),
-                        shards, batch);
+      const std::string label = "service shards=" + std::to_string(shards) +
+                                " batch=" + std::to_string(batch);
+      expect_equivalent(reference_clean,
+                        service_verdict(clean, kThreads, shards, batch),
+                        label + ", clean");
+      expect_equivalent(reference_faulted,
+                        service_verdict(faulted, kThreads, shards, batch),
+                        label + ", faulted");
     }
   }
 }

@@ -1,22 +1,26 @@
-// Concurrency stress for the sharded, batched monitor, designed to run
-// under ThreadSanitizer (reproduce.sh --tsan): N real producer threads x
-// K checker shards with RANDOMIZED batch flush timing, under clean
-// conditions and under the MonitorStall / ReportDrop fault hooks. Every
-// scenario sends only consistent observations, so the invariant pinned
-// throughout is false_alarms == 0 — no interleaving, stall, or drop may
-// fabricate a violation — while producers must always terminate (bounded
-// backoff) and health must degrade exactly like the legacy monitor.
+// Concurrency stress for the sharded, batched MonitorService, designed to
+// run under ThreadSanitizer (reproduce.sh --tsan): N real producer
+// threads x K checker shards with RANDOMIZED batch flush timing, under
+// clean conditions and under the MonitorStall / ReportDrop fault hooks.
+// The first group drives one session per service — the topology
+// pipeline::execute() builds for monitor_shards >= 1 — and the second
+// many concurrent sessions. Every scenario but the last sends only
+// consistent observations, so the invariant pinned throughout is
+// false_alarms == 0 — no interleaving, stall, or drop may fabricate a
+// violation — while producers must always terminate (bounded backoff) and
+// health must degrade exactly like the legacy monitor.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <tuple>
 #include <vector>
 
 #include "runtime/monitor_service.h"
-#include "runtime/sharded_monitor.h"
 #include "support/prng.h"
 
 namespace {
@@ -51,10 +55,8 @@ BranchReport consistent_report(std::uint32_t thread, std::uint32_t branch,
 /// Drive `threads` producers through `monitor`, each sending the same
 /// consistent schedule of `branches x iters` reports in its own order,
 /// flushing at randomized points (seeded per thread, so TSan sees many
-/// distinct interleavings across runs of the suite). Works against any
-/// BranchSink-shaped backend (ShardedMonitor, MonitorSession).
-template <typename Sink>
-void run_producers(Sink& monitor, unsigned threads,
+/// distinct interleavings across runs of the suite).
+void run_producers(BranchSink& monitor, unsigned threads,
                    std::uint32_t branches, std::uint64_t iters,
                    std::uint64_t seed, bool with_conditions = true) {
   std::vector<std::thread> producers;
@@ -75,20 +77,44 @@ void run_producers(Sink& monitor, unsigned threads,
   for (auto& p : producers) p.join();
 }
 
-TEST(ShardedMonitorStress, CleanRunManyShardsRandomFlushNoFalseAlarms) {
-  for (unsigned shards : {1u, 2u, 4u}) {
-    ShardedMonitorOptions options;
-    options.num_shards = shards;
-    options.batch_size = 16;
-    ShardedMonitor monitor(4, options);
-    monitor.start();
-    run_producers(monitor, 4, /*branches=*/8, /*iters=*/500, shards);
-    monitor.stop();
+/// A service hosting exactly one session. Members are destroyed in
+/// reverse order, so the session handle never outlives its service.
+struct OneSession {
+  OneSession(unsigned threads, const MonitorServiceOptions& options,
+             SessionOptions session_options = {})
+      : service(options) {
+    service.start();
+    session_options.num_threads = threads;
+    MonitorService::Admission admission = service.admit(session_options);
+    EXPECT_EQ(admission.error, AdmitError::None);
+    session = std::move(admission.session);
+  }
+  MonitorService service;
+  std::unique_ptr<MonitorSession> session;
+};
 
-    MonitorStats stats = monitor.stats();
-    EXPECT_TRUE(monitor.violations().empty()) << "shards=" << shards;
+/// The service shape pipeline::execute() derives for monitor_shards >= 1
+/// at its default queue_capacity: one session, 256-batch rings.
+MonitorServiceOptions shard_options(unsigned shards, std::size_t batch) {
+  MonitorServiceOptions options;
+  options.num_shards = shards;
+  options.batch_size = batch;
+  options.max_sessions = 1;
+  options.batch_queue_capacity = 256;
+  return options;
+}
+
+TEST(MonitorServiceStress, CleanRunManyShardsRandomFlushNoFalseAlarms) {
+  for (unsigned shards : {1u, 2u, 4u}) {
+    OneSession one(4, shard_options(shards, 16));
+    MonitorSession& session = *one.session;
+    run_producers(session, 4, /*branches=*/8, /*iters=*/500, shards);
+    session.close();
+
+    MonitorStats stats = session.stats();
+    EXPECT_TRUE(session.violations().empty()) << "shards=" << shards;
     EXPECT_EQ(stats.violations, 0u);  // false_alarms == 0
-    EXPECT_EQ(monitor.health(), MonitorHealth::Healthy);
+    EXPECT_EQ(session.health(), MonitorHealth::Healthy);
     EXPECT_EQ(stats.dropped_reports, 0u);
     EXPECT_EQ(stats.reports_processed, 4u * 8u * 500u);
     // Branches 3 and 7 send condition data only, so the 6 outcome
@@ -98,45 +124,41 @@ TEST(ShardedMonitorStress, CleanRunManyShardsRandomFlushNoFalseAlarms) {
   }
 }
 
-TEST(ShardedMonitorStress, ValidationOnCleanRunRejectsNothing) {
-  ShardedMonitorOptions options;
-  options.num_shards = 4;
-  options.batch_size = 8;
-  options.validate_reports = true;
-  ShardedMonitor monitor(4, options);
-  monitor.start();
-  run_producers(monitor, 4, /*branches=*/6, /*iters=*/300, 99);
-  monitor.stop();
-  MonitorStats stats = monitor.stats();
-  EXPECT_TRUE(monitor.violations().empty());
+TEST(MonitorServiceStress, ValidationOnCleanRunRejectsNothing) {
+  SessionOptions session_options;
+  session_options.validate_reports = true;
+  OneSession one(4, shard_options(4, 8), session_options);
+  MonitorSession& session = *one.session;
+  run_producers(session, 4, /*branches=*/6, /*iters=*/300, 99);
+  session.close();
+  MonitorStats stats = session.stats();
+  EXPECT_TRUE(session.violations().empty());
   EXPECT_EQ(stats.reports_rejected, 0u);
-  EXPECT_EQ(monitor.health(), MonitorHealth::Healthy);
+  EXPECT_EQ(session.health(), MonitorHealth::Healthy);
 }
 
-// The tentpole resilience claim: a single wedged shard degrades health
-// exactly like the old single monitor — producers never deadlock, no
-// false alarm appears — while sibling shards keep draining their own
-// key ranges.
-TEST(ShardedMonitorStress, SingleStalledShardDegradesWithoutFalseAlarms) {
-  ShardedMonitorOptions options;
-  options.num_shards = 4;
-  options.batch_size = 8;
+// A single wedged shard degrades health exactly like the legacy single
+// monitor — producers never deadlock, no false alarm appears — while
+// sibling shards keep draining their own key ranges.
+TEST(MonitorServiceStress, SingleStalledShardDegradesWithoutFalseAlarms) {
+  MonitorServiceOptions options = shard_options(4, 8);
   options.batch_queue_capacity = 16;  // small rings so the stall bites
   options.backoff.spins = 8;
   options.backoff.yields = 32;
   options.watchdog.stall_timeout_ns = 10'000'000'000ULL;  // stay Degraded
-  options.fault_hooks.stall_after_reports = 1;
-  options.fault_hooks.shard_filter = 2;  // wedge shard 2 only
-  ShardedMonitor monitor(4, options);
-  monitor.start();
-  run_producers(monitor, 4, /*branches=*/16, /*iters=*/400, 7,
+  SessionOptions session_options;
+  session_options.fault_hooks.stall_after_reports = 1;
+  session_options.fault_hooks.shard_filter = 2;  // wedge shard 2 only
+  OneSession one(4, options, session_options);
+  MonitorSession& session = *one.session;
+  run_producers(session, 4, /*branches=*/16, /*iters=*/400, 7,
                 /*with_conditions=*/false);
-  monitor.stop();
+  session.close();
 
-  MonitorStats stats = monitor.stats();
-  EXPECT_TRUE(monitor.violations().empty());  // false_alarms == 0
+  MonitorStats stats = session.stats();
+  EXPECT_TRUE(session.violations().empty());  // false_alarms == 0
   EXPECT_EQ(stats.violations, 0u);
-  EXPECT_NE(monitor.health(), MonitorHealth::Healthy);
+  EXPECT_NE(session.health(), MonitorHealth::Healthy);
   EXPECT_GT(stats.dropped_reports, 0u);
   EXPECT_EQ(stats.hooks_fired, 1u);  // exactly one shard stalled
   // Siblings kept checking: far more reports were processed than the one
@@ -144,50 +166,47 @@ TEST(ShardedMonitorStress, SingleStalledShardDegradesWithoutFalseAlarms) {
   EXPECT_GT(stats.reports_processed, 1u);
 }
 
-TEST(ShardedMonitorStress, AllShardsStalledWatchdogTripsFailed) {
-  ShardedMonitorOptions options;
-  options.num_shards = 2;
-  options.batch_size = 4;
+TEST(MonitorServiceStress, AllShardsStalledWatchdogTripsFailed) {
+  MonitorServiceOptions options = shard_options(2, 4);
   options.batch_queue_capacity = 16;
   options.backoff.spins = 8;
   options.backoff.yields = 16;
   options.watchdog.stall_timeout_ns = 1'000'000;  // 1 ms
-  options.fault_hooks.stall_after_reports = 1;
-  ShardedMonitor monitor(2, options);
-  monitor.start();
+  SessionOptions session_options;
+  session_options.fault_hooks.stall_after_reports = 1;
+  OneSession one(2, options, session_options);
+  MonitorSession& session = *one.session;
   bool failed = false;
   for (std::uint64_t i = 0; i < 1'000'000 && !failed; ++i) {
-    monitor.send(consistent_report(0, 0, i));
-    monitor.flush(0);
-    failed = monitor.health() == MonitorHealth::Failed;
+    session.send(consistent_report(0, 0, i));
+    session.flush(0);
+    failed = session.health() == MonitorHealth::Failed;
   }
   EXPECT_TRUE(failed);
   // Post-Failed sends are cheap counted no-ops, as on the legacy monitor.
   for (int i = 0; i < 100; ++i) {
-    monitor.send(consistent_report(1, 1, static_cast<std::uint64_t>(i)));
+    session.send(consistent_report(1, 1, static_cast<std::uint64_t>(i)));
   }
-  monitor.stop();
-  MonitorStats stats = monitor.stats();
-  EXPECT_EQ(monitor.health(), MonitorHealth::Failed);
+  session.close();
+  MonitorStats stats = session.stats();
+  EXPECT_EQ(session.health(), MonitorHealth::Failed);
   EXPECT_GE(stats.dropped_per_thread[1], 100u);
-  EXPECT_TRUE(monitor.violations().empty());
+  EXPECT_TRUE(session.violations().empty());
 }
 
-TEST(ShardedMonitorStress, ReportDropFaultDegradesWithoutFalseAlarms) {
-  ShardedMonitorOptions options;
-  options.num_shards = 2;
-  options.batch_size = 8;
-  options.fault_hooks.drop_report_index = 5;  // each shard drops its 5th
-  ShardedMonitor monitor(4, options);
-  monitor.start();
-  run_producers(monitor, 4, /*branches=*/8, /*iters=*/200, 31,
+TEST(MonitorServiceStress, ReportDropFaultDegradesWithoutFalseAlarms) {
+  SessionOptions session_options;
+  session_options.fault_hooks.drop_report_index = 5;  // each shard's 5th
+  OneSession one(4, shard_options(2, 8), session_options);
+  MonitorSession& session = *one.session;
+  run_producers(session, 4, /*branches=*/8, /*iters=*/200, 31,
                 /*with_conditions=*/false);
-  monitor.stop();
+  session.close();
 
-  MonitorStats stats = monitor.stats();
-  EXPECT_TRUE(monitor.violations().empty());  // false_alarms == 0
+  MonitorStats stats = session.stats();
+  EXPECT_TRUE(session.violations().empty());  // false_alarms == 0
   EXPECT_EQ(stats.violations, 0u);
-  EXPECT_EQ(monitor.health(), MonitorHealth::Degraded);
+  EXPECT_EQ(session.health(), MonitorHealth::Degraded);
   EXPECT_EQ(stats.hooks_fired, 2u);
   EXPECT_EQ(stats.dropped_reports, 2u);
   // Each dropped outcome leaves its instance one observation short: the
@@ -195,69 +214,120 @@ TEST(ShardedMonitorStress, ReportDropFaultDegradesWithoutFalseAlarms) {
   EXPECT_GE(stats.instances_skipped, 1u);
 }
 
-TEST(ShardedMonitorStress, StopFlushesResidualOpenBatches) {
-  // Send fewer reports than one batch and never flush explicitly: stop()
-  // must push the residue before signalling the shards to exit, so no
-  // report is stranded producer-side.
-  ShardedMonitorOptions options;
-  options.num_shards = 2;
-  options.batch_size = 64;
-  ShardedMonitor monitor(2, options);
-  monitor.start();
+TEST(MonitorServiceStress, CloseFlushesResidualOpenBatches) {
+  // Send fewer reports than one batch and never flush explicitly: close()
+  // must push the residue before detaching the shards, so no report is
+  // stranded producer-side.
+  OneSession one(2, shard_options(2, 64));
+  MonitorSession& session = *one.session;
   for (unsigned t = 0; t < 2; ++t) {
     for (std::uint32_t b = 0; b < 4; ++b) {
-      monitor.send(consistent_report(t, b, 0, /*with_conditions=*/false));
+      session.send(consistent_report(t, b, 0, /*with_conditions=*/false));
     }
   }
-  monitor.stop();
-  MonitorStats stats = monitor.stats();
+  session.close();
+  MonitorStats stats = session.stats();
   EXPECT_EQ(stats.reports_processed, 8u);
   EXPECT_EQ(stats.instances_checked, 4u);
-  EXPECT_TRUE(monitor.violations().empty());
+  EXPECT_TRUE(session.violations().empty());
 }
 
-// Regression for the stop()-vs-flush race: stop() used to assume
+// close() flushes residual open batches before it broadcasts the detach,
+// so a shard must keep draining a session that is tearing down: here the
+// one-slot ring is full and the shard is deferring its next visit (delay
+// hook) when close() flushes the last, partial batch. If the shard
+// skipped closing sessions, that flush would spin out its whole backoff
+// budget and drop the batch.
+TEST(MonitorServiceStress, CloseFlushIntoAFullRingWaitsForTheShard) {
+  MonitorServiceOptions options = shard_options(1, 2);
+  options.batch_queue_capacity = 1;
+  options.backoff.yields = 1u << 22;  // far longer than the 20 ms deferral
+  SessionOptions session_options;
+  session_options.fault_hooks.delay_ns_per_report = 10'000'000;  // 10 ms
+  OneSession one(1, options, session_options);
+  MonitorSession& session = *one.session;
+  auto send = [&](std::uint64_t iter) {
+    session.send(consistent_report(0, 0, iter, /*with_conditions=*/false));
+  };
+  send(0);
+  send(1);  // batch 1 pushed; draining it defers the shard's next visit
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  send(2);
+  send(3);  // batch 2 fills the one-slot ring
+  send(4);  // left open for close() to flush
+  session.close();
+  MonitorStats stats = session.stats();
+  EXPECT_EQ(stats.dropped_reports, 0u);
+  EXPECT_EQ(stats.reports_processed, 5u);
+  EXPECT_EQ(session.health(), MonitorHealth::Healthy);
+}
+
+// Regression for the stop-vs-flush race: teardown used to assume
 // producers had quiesced, so a concurrent flush could touch the open
-// batches stop() was draining. Now stop() latches, Dekker-waits for
-// in-flight producer calls, and only then flushes residues; producer
+// batches it was draining. Now close() latches the session, Dekker-waits
+// for in-flight producer calls, and only then flushes residues; producer
 // calls arriving after the latch become counted drops. Producers here
-// keep sending/flushing THROUGH the stop with no handshake at all; every
+// keep sending/flushing THROUGH the close with no handshake at all; every
 // report must end up processed or counted dropped, never lost or raced.
-TEST(ShardedMonitorStress, StopWhileProducersStillFlushing) {
+TEST(MonitorServiceStress, CloseWhileProducersStillFlushing) {
   constexpr unsigned kThreads = 4;
   constexpr std::uint64_t kReports = 20'000;
-  ShardedMonitorOptions options;
-  options.num_shards = 2;
-  options.batch_size = 8;
-  ShardedMonitor monitor(kThreads, options);
-  monitor.start();
+  OneSession one(kThreads, shard_options(2, 8));
+  MonitorSession& session = *one.session;
 
   std::atomic<std::uint32_t> started{0};
   std::vector<std::thread> producers;
   for (unsigned t = 0; t < kThreads; ++t) {
-    producers.emplace_back([&monitor, &started, t] {
+    producers.emplace_back([&session, &started, t] {
       bw::support::SplitMixRng rng(t * 31 + 5);
       started.fetch_add(1);
       for (std::uint64_t i = 0; i < kReports; ++i) {
-        monitor.send(
+        session.send(
             consistent_report(t, static_cast<std::uint32_t>(i % 8), i,
                               /*with_conditions=*/false));
-        if (rng.next_below(32) == 0) monitor.flush(t);
+        if (rng.next_below(32) == 0) session.flush(t);
       }
-      monitor.flush(t);
+      session.flush(t);
     });
   }
   while (started.load() != kThreads) std::this_thread::yield();
-  monitor.stop();  // races against the active senders by design
+  session.close();  // races against the active senders by design
   for (auto& p : producers) p.join();
 
-  MonitorStats stats = monitor.stats();
-  EXPECT_TRUE(monitor.violations().empty());  // false_alarms == 0
+  MonitorStats stats = session.stats();
+  EXPECT_TRUE(session.violations().empty());  // false_alarms == 0
   EXPECT_EQ(stats.violations, 0u);
   // Conservation: every sent report was either processed or counted as a
   // drop somewhere — nothing vanished in the race window.
   EXPECT_EQ(stats.reports_processed + stats.dropped_reports,
             kThreads * kReports);
+}
+
+TEST(MonitorServiceStress, RealViolationIsStillDetectedUnderConcurrency) {
+  // Not a false-alarm case: thread 2 genuinely deviates on one instance.
+  // Detection must survive sharding, batching, and concurrent producers.
+  OneSession one(4, shard_options(4, 8));
+  MonitorSession& session = *one.session;
+  std::vector<std::thread> producers;
+  for (unsigned t = 0; t < 4; ++t) {
+    producers.emplace_back([&session, t] {
+      for (std::uint64_t i = 0; i < 300; ++i) {
+        for (std::uint32_t b = 0; b < 4; ++b) {
+          BranchReport r =
+              consistent_report(t, b, i, /*with_conditions=*/false);
+          if (b == 1 && i == 137 && t == 2) r.outcome = !r.outcome;
+          session.send(r);
+        }
+      }
+      session.flush(t);
+    });
+  }
+  for (auto& p : producers) p.join();
+  session.close();
+  ASSERT_EQ(session.violations().size(), 1u);
+  EXPECT_EQ(session.violations()[0].suspect_thread, 2u);
+  EXPECT_EQ(session.violations()[0].static_id, 2u);  // branch b=1
+  EXPECT_TRUE(session.violation_detected());
 }
 
 // ---------------------------------------------------------------------------
@@ -437,36 +507,6 @@ TEST(MonitorServiceStress, NoisyNeighborLeavesVerdictsByteIdentical) {
   EXPECT_EQ(got_stats.dropped_reports, 0u);
   EXPECT_EQ(got_stats.reports_throttled, 0u);
   service.stop();
-}
-
-TEST(ShardedMonitorStress, RealViolationIsStillDetectedUnderConcurrency) {
-  // Not a false-alarm case: thread 2 genuinely deviates on one instance.
-  // Detection must survive sharding, batching, and concurrent producers.
-  ShardedMonitorOptions options;
-  options.num_shards = 4;
-  options.batch_size = 8;
-  ShardedMonitor monitor(4, options);
-  monitor.start();
-  std::vector<std::thread> producers;
-  for (unsigned t = 0; t < 4; ++t) {
-    producers.emplace_back([&monitor, t] {
-      for (std::uint64_t i = 0; i < 300; ++i) {
-        for (std::uint32_t b = 0; b < 4; ++b) {
-          BranchReport r =
-              consistent_report(t, b, i, /*with_conditions=*/false);
-          if (b == 1 && i == 137 && t == 2) r.outcome = !r.outcome;
-          monitor.send(r);
-        }
-      }
-      monitor.flush(t);
-    });
-  }
-  for (auto& p : producers) p.join();
-  monitor.stop();
-  ASSERT_EQ(monitor.violations().size(), 1u);
-  EXPECT_EQ(monitor.violations()[0].suspect_thread, 2u);
-  EXPECT_EQ(monitor.violations()[0].static_id, 2u);  // branch b=1
-  EXPECT_TRUE(monitor.violation_detected());
 }
 
 }  // namespace

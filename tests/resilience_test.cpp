@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "pipeline/pipeline.h"
-#include "runtime/hierarchical_monitor.h"
 #include "runtime/monitor.h"
 
 namespace {
@@ -301,67 +300,6 @@ TEST(Resilience, ConcurrentProducersSurviveStalledMonitor) {
   EXPECT_GT(stats.dropped_reports, 0u);
   EXPECT_NE(monitor.health(), MonitorHealth::Healthy);
   EXPECT_TRUE(monitor.violations().empty());
-}
-
-// --- Hierarchical monitor ----------------------------------------------------
-
-TEST(Resilience, HierarchicalStalledLeafProducersReturn) {
-  HierarchicalMonitorOptions options;
-  options.num_groups = 2;
-  options.queue_capacity = 32;
-  options.backoff.spins = 8;
-  options.backoff.yields = 32;
-  options.watchdog.stall_timeout_ns = 10'000'000'000ULL;
-  options.fault_hooks.stall_after_reports = 1;  // each leaf stalls
-  HierarchicalMonitor monitor(4, options);
-  monitor.start();
-  for (std::uint64_t i = 0; i < 2'000; ++i) {
-    for (unsigned t = 0; t < 4; ++t) {
-      monitor.send(report(t, 1, CheckCode::SharedOutcome, true, i));
-    }
-  }
-  monitor.stop();
-  HierarchicalStats stats = monitor.stats();
-  EXPECT_GT(stats.dropped_reports, 0u);
-  EXPECT_GT(stats.hooks_fired, 0u);
-  EXPECT_NE(monitor.health(), MonitorHealth::Healthy);
-  EXPECT_TRUE(monitor.violations().empty());
-}
-
-TEST(Resilience, HierarchicalWatchdogTripsFailed) {
-  HierarchicalMonitorOptions options;
-  options.num_groups = 2;
-  options.queue_capacity = 32;
-  options.backoff.spins = 8;
-  options.backoff.yields = 16;
-  options.watchdog.stall_timeout_ns = 1'000'000;  // 1 ms
-  options.fault_hooks.stall_after_reports = 1;
-  HierarchicalMonitor monitor(4, options);
-  monitor.start();
-  bool failed = false;
-  for (std::uint64_t i = 0; i < 1'000'000 && !failed; ++i) {
-    monitor.send(report(0, 1, CheckCode::SharedOutcome, true, i));
-    failed = monitor.health() == MonitorHealth::Failed;
-  }
-  EXPECT_TRUE(failed);
-  monitor.stop();
-  EXPECT_EQ(monitor.health(), MonitorHealth::Failed);
-}
-
-TEST(Resilience, HierarchicalCleanRunStaysHealthy) {
-  HierarchicalMonitorOptions options;
-  options.num_groups = 2;
-  HierarchicalMonitor monitor(4, options);
-  monitor.start();
-  for (unsigned t = 0; t < 4; ++t) {
-    monitor.send(report(t, 1, CheckCode::SharedOutcome, true));
-  }
-  monitor.stop();
-  EXPECT_EQ(monitor.health(), MonitorHealth::Healthy);
-  HierarchicalStats stats = monitor.stats();
-  EXPECT_EQ(stats.dropped_reports, 0u);
-  EXPECT_EQ(stats.summaries_dropped, 0u);
-  EXPECT_EQ(stats.instances_skipped, 0u);
 }
 
 // --- End to end through the pipeline ----------------------------------------

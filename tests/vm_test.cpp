@@ -229,22 +229,27 @@ entry:
 }
 
 TEST(VmSpmd, LostUnlockIsHang) {
-  // Thread 0 exits while holding the lock; others starve -> deterministic
-  // deadlock verdict.
+  // Thread 0 takes the lock before the barrier and exits still holding
+  // it; every other thread only asks for the lock after the barrier, so
+  // on every schedule they starve -> deterministic deadlock verdict.
   vm::RunResult r = run_ir(R"(
 global @sink : i64
 
 func @slave() -> void {
 entry:
   %t = tid
+  %c = icmp eq %t, 0
+  cond_br %c, owner, waiter
+owner:
   lock_acquire 1
   store %t, @sink
-  %c = icmp eq %t, 0
-  cond_br %c, leave, clean
-clean:
-  lock_release 1
+  barrier
   ret
-leave:
+waiter:
+  barrier
+  lock_acquire 1
+  store %t, @sink
+  lock_release 1
   ret
 }
 )",
