@@ -1,9 +1,6 @@
 #include "runtime/monitor.h"
 
-#include <cstring>
-
 #include "support/diagnostics.h"
-#include "support/prng.h"
 #include "support/telemetry/telemetry.h"
 
 namespace bw::runtime {
@@ -43,34 +40,17 @@ void Monitor::stop() {
   if (thread_.joinable()) thread_.join();
 }
 
-/// Bounded-backoff give-up: account the drop and degrade, then consult the
-/// watchdog — if the heartbeat has made no progress for the whole deadline
-/// the monitor thread is presumed dead and health trips Failed, after
-/// which send() stops queueing entirely.
+/// Bounded-backoff give-up: count the drop, degrade, and ask the watchdog
+/// whether the heartbeat has been frozen for the whole deadline — if so
+/// the monitor thread is presumed dead and send() stops queueing.
 void Monitor::give_up(std::uint32_t thread) {
   ProducerSlot& slot = producers_[thread];
   slot.dropped.fetch_add(1, std::memory_order_relaxed);
   telemetry::counter_add(telemetry::Counter::ReportsDropped);
-  if (health_.raise(MonitorHealth::Degraded)) {
-    sampler_.note_health_transition();
-  }
-  if (!options_.watchdog.enabled) return;
-  const std::uint64_t beat = heartbeat_.load(std::memory_order_relaxed);
-  const auto now = std::chrono::steady_clock::now();
-  if (beat != slot.last_heartbeat) {
-    slot.last_heartbeat = beat;
-    slot.stall_since = now;
-    return;
-  }
-  const auto stalled = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                           now - slot.stall_since)
-                           .count();
-  if (stalled >= 0 &&
-      static_cast<std::uint64_t>(stalled) >=
-          options_.watchdog.stall_timeout_ns) {
-    if (health_.raise(MonitorHealth::Failed)) {
-      sampler_.note_health_transition();
-    }
+  raise_health(health_, sampler_, MonitorHealth::Degraded);
+  if (slot.stall.expired(heartbeat_.load(std::memory_order_relaxed),
+                         options_.watchdog)) {
+    raise_health(health_, sampler_, MonitorHealth::Failed);
   }
 }
 
@@ -108,20 +88,14 @@ void Monitor::send(const BranchReport& report) {
                           /*shard=*/0);
   sampler_.note_pressure();
   const BackoffPolicy& policy = options_.backoff;
-  for (std::uint32_t i = 0; i < policy.spins; ++i) {
-    if (queue.try_push(*payload)) return;
-  }
-  std::uint32_t yielded = 0;
-  while (!policy.bounded || yielded < policy.yields) {
-    std::this_thread::yield();
-    if (queue.try_push(*payload)) return;
-    ++yielded;
-    // Another producer's watchdog may have declared the monitor dead while
-    // we were waiting; don't keep paying backoff for a corpse.
-    if (policy.bounded && (yielded & 63) == 0 &&
-        health_.get() == MonitorHealth::Failed) {
-      break;
-    }
+  // Another producer's watchdog may declare the monitor dead while we
+  // wait; don't keep paying backoff for a corpse.
+  if (run_backoff(
+          policy, [&] { return queue.try_push(*payload); },
+          [&] {
+            return policy.bounded && health_.get() == MonitorHealth::Failed;
+          })) {
+    return;
   }
   give_up(report.thread);
 }
@@ -140,9 +114,7 @@ void Monitor::run() {
       int burst = 256;  // bounded burst keeps round-robin fair
       while (burst-- > 0 && queue->try_pop(report)) {
         drained_any = true;
-        if (!apply_pop_hooks(report)) continue;
-        ++stats_.reports_processed;
-        process(report);
+        drain_popped(report);
       }
     }
     if (!drained_any) {
@@ -152,9 +124,7 @@ void Monitor::run() {
         for (auto& queue : queues_) {
           while (queue->try_pop(report)) {
             residue = true;
-            if (!apply_pop_hooks(report)) continue;
-            ++stats_.reports_processed;
-            process(report);
+            drain_popped(report);
           }
         }
         if (!residue) break;
@@ -187,27 +157,12 @@ void Monitor::run_pending_command() {
     // Mid-run residual check: drain fully, then run the end-of-section
     // pass without stopping the monitor (the section may retry).
     for (auto& queue : queues_) {
-      while (queue->try_pop(report)) {
-        if (!apply_pop_hooks(report)) continue;
-        ++stats_.reports_processed;
-        process(report);
-      }
+      while (queue->try_pop(report)) drain_popped(report);
     }
     finalize_all();
   }
   command_.store(kCommandNone, std::memory_order_release);
   commands_done_.fetch_add(1, std::memory_order_release);
-}
-
-/// How long a recovery caller waits for the monitor thread before giving
-/// up: twice the watchdog stall budget (the monitor is considered dead
-/// past one budget) plus scheduling slack. With the watchdog disabled we
-/// substitute its default stall notion rather than waiting forever.
-std::uint64_t Monitor::command_deadline_ns() const {
-  const std::uint64_t stall = options_.watchdog.enabled
-                                  ? options_.watchdog.stall_timeout_ns
-                                  : 250'000'000ull;
-  return stall * 2 + 50'000'000ull;
 }
 
 /// Post a command for the monitor thread and wait (bounded) for its
@@ -225,8 +180,9 @@ bool Monitor::post_command(int command) {
                                         std::memory_order_acq_rel)) {
     return false;  // another command in flight (single-leader contract)
   }
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::nanoseconds(command_deadline_ns());
+  const auto deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::nanoseconds(command_deadline_ns(options_.watchdog));
   while (commands_done_.load(std::memory_order_acquire) == done_before) {
     if (health_.get() == MonitorHealth::Failed ||
         std::chrono::steady_clock::now() >= deadline) {
@@ -248,8 +204,9 @@ bool Monitor::post_command(int command) {
 bool Monitor::quiesce() {
   if (!started_.load(std::memory_order_acquire)) return true;
   if (stopping_.load(std::memory_order_acquire)) return false;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::nanoseconds(command_deadline_ns());
+  const auto deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::nanoseconds(command_deadline_ns(options_.watchdog));
   bool seen_empty = false;
   std::uint64_t empty_beat = 0;
   while (true) {
@@ -281,73 +238,28 @@ bool Monitor::finalize_section() { return post_command(kCommandFinalize); }
 
 bool Monitor::reset_epoch() { return post_command(kCommandReset); }
 
-/// Runs validation and the consumer-side fault hooks against a freshly
-/// popped report. Returns false when the report must be discarded.
-bool Monitor::apply_pop_hooks(BranchReport& report) {
-  ++reports_popped_;
+/// Screens one popped report (resilience.h) and files the survivors. The
+/// single consumer's reaction to the stall hook is to suspend itself: no
+/// heartbeat bumps, no draining, until stop() is requested, so producers
+/// must survive on the backoff/watchdog policy alone.
+void Monitor::drain_popped(BranchReport& report) {
   const MonitorFaultHooks& hooks = options_.fault_hooks;
-
-  if (hooks.drop_report_index != 0 &&
-      reports_popped_ == hooks.drop_report_index) {
-    ++stats_.hooks_fired;
-    ++stats_.dropped_reports;
-    if (health_.raise(MonitorHealth::Degraded)) {
-      sampler_.note_health_transition();
-    }
-    return false;
-  }
-  if (hooks.corrupt_report_index != 0 &&
-      reports_popped_ == hooks.corrupt_report_index) {
-    ++stats_.hooks_fired;
-    unsigned bit = hooks.corrupt_bit % (8 * sizeof(BranchReport));
-    unsigned char bytes[sizeof(BranchReport)];
-    std::memcpy(bytes, &report, sizeof(BranchReport));
-    bytes[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
-    std::memcpy(&report, bytes, sizeof(BranchReport));
-  }
-  if (options_.validate_reports && !report_intact(report)) {
-    // Corrupted while queued: discard rather than check garbage against
-    // clean threads, and degrade so the missing observation is treated as
-    // unverifiable instead of a subset to be checked.
-    ++stats_.reports_rejected;
-    ++stats_.dropped_reports;
-    if (health_.raise(MonitorHealth::Degraded)) {
-      sampler_.note_health_transition();
-    }
-    sampler_.note_anomaly();
-    return false;
-  }
+  const PopVerdict verdict =
+      screen_popped(report, hooks, /*hooks_apply=*/true,
+                    options_.validate_reports, num_threads_, pops_, health_,
+                    sampler_);
+  if (verdict == PopVerdict::Discard) return;
   if (hooks.delay_ns_per_report != 0) {
     std::this_thread::sleep_for(
         std::chrono::nanoseconds(hooks.delay_ns_per_report));
   }
-  if (hooks.stall_after_reports != 0 &&
-      reports_popped_ == hooks.stall_after_reports) {
-    ++stats_.hooks_fired;
-    // Suspend mid-run (after processing this report's predecessors): no
-    // heartbeat bumps, no draining, until stop() is requested. Producers
-    // must survive on the backoff/watchdog policy alone.
+  if (verdict == PopVerdict::Stall) {
     while (!stopping_.load(std::memory_order_acquire)) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }
-  // A thread id corrupted out of range would index out of bounds below;
-  // reject it even without checksums (costs one compare).
-  if (report.thread >= num_threads_) {
-    ++stats_.reports_rejected;
-    ++stats_.dropped_reports;
-    if (health_.raise(MonitorHealth::Degraded)) {
-      sampler_.note_health_transition();
-    }
-    sampler_.note_anomaly();
-    return false;
-  }
-  return true;
-}
-
-void Monitor::process(const BranchReport& report) {
-  if (!options_.perform_checks) return;  // drain-only mode
-  table_.process(report, degraded());
+  ++stats_.reports_processed;
+  if (options_.perform_checks) table_.process(report, degraded());
 }
 
 void Monitor::finalize_all() {
@@ -362,19 +274,10 @@ MonitorStats Monitor::stats() const {
   merged.instances_evicted = table_.instances_evicted();
   merged.instances_skipped += table_.instances_skipped();
   merged.violations = table_.violations().size();
-  merged.dropped_per_thread.assign(num_threads_, 0);
-  for (unsigned t = 0; t < num_threads_; ++t) {
-    std::uint64_t dropped =
-        producers_[t].dropped.load(std::memory_order_relaxed);
-    merged.dropped_per_thread[t] = dropped;
-    merged.dropped_reports += dropped;
-  }
-  const SamplingStats sampling = sampler_.stats();
-  merged.reports_sampled_out = sampling.sampled_out;
-  merged.sampling_degrades = sampling.degrades;
-  merged.sampling_snap_backs = sampling.snap_backs;
-  merged.sampling_rate_final = sampling.final_rate;
-  merged.sampling_rate_peak = sampling.peak_rate;
+  merged.dropped_reports += pops_.dropped;
+  merged.reports_rejected += pops_.rejected;
+  merged.hooks_fired += pops_.hooks_fired;
+  fold_producer_stats(merged, sampler_, producers_);
   return merged;
 }
 

@@ -82,15 +82,37 @@ struct MonitorStats {
   std::uint32_t sampling_rate_final = 1;
   std::uint32_t sampling_rate_peak = 1;
   /// Multi-tenant backpressure (MonitorService sessions only; always zero
-  /// for the single-tenant backends). Reports discarded because the
-  /// tenant was over its queued-report quota, the number of distinct
-  /// over-quota episodes, and the high-water mark of queued reports.
+  /// for the legacy Monitor). Reports discarded because the tenant was
+  /// over its queued-report quota, the number of distinct over-quota
+  /// episodes, and the high-water mark of queued reports.
   std::uint64_t reports_throttled = 0;
   std::uint64_t throttle_events = 0;
   std::uint64_t quota_peak = 0;
   /// Producer give-up drops, indexed by program thread id.
   std::vector<std::uint64_t> dropped_per_thread;
 };
+
+/// Folds a sampler's stats and each producer slot's give-up counter
+/// (`.dropped`) into `m`. Drops are folded as the change since the last
+/// fold, so a merged snapshot can be folded again to pick up a send that
+/// raced MonitorSession::close().
+template <typename ProducerSlots>
+void fold_producer_stats(MonitorStats& m, const SamplingController& sampler,
+                         const ProducerSlots& producers) {
+  m.dropped_per_thread.resize(producers.size(), 0);
+  for (std::size_t t = 0; t < producers.size(); ++t) {
+    const std::uint64_t dropped =
+        producers[t].dropped.load(std::memory_order_relaxed);
+    m.dropped_reports += dropped - m.dropped_per_thread[t];
+    m.dropped_per_thread[t] = dropped;
+  }
+  const SamplingStats sampling = sampler.stats();
+  m.reports_sampled_out = sampling.sampled_out;
+  m.sampling_degrades = sampling.degrades;
+  m.sampling_snap_backs = sampling.snap_backs;
+  m.sampling_rate_final = sampling.final_rate;
+  m.sampling_rate_peak = sampling.peak_rate;
+}
 
 class Monitor : public BranchSink {
  public:
@@ -153,8 +175,7 @@ class Monitor : public BranchSink {
   /// accounting never bounces another producer's line.
   struct alignas(64) ProducerSlot {
     std::atomic<std::uint64_t> dropped{0};  // written by owner, read by stats
-    std::uint64_t last_heartbeat = ~std::uint64_t{0};
-    std::chrono::steady_clock::time_point stall_since{};
+    StallClock stall;                        // against heartbeat_
   };
 
   enum Command { kCommandNone = 0, kCommandReset = 1, kCommandFinalize = 2 };
@@ -162,10 +183,8 @@ class Monitor : public BranchSink {
   void run();
   void run_pending_command();
   bool post_command(int command);  // false: timeout / Failed / stopping
-  std::uint64_t command_deadline_ns() const;
-  bool apply_pop_hooks(BranchReport& report);  // false: discard the report
+  void drain_popped(BranchReport& report);
   void give_up(std::uint32_t thread);
-  void process(const BranchReport& report);
   void finalize_all();
   bool degraded() const { return health_.get() != MonitorHealth::Healthy; }
 
@@ -176,7 +195,7 @@ class Monitor : public BranchSink {
   // The shared per-branch state machine (branch_table.h); the monitor
   // thread is the only mutator, no locking needed.
   BranchTable table_;
-  std::uint64_t reports_popped_ = 0;  // hook index base (includes drops)
+  PopCounters pops_;
 
   std::thread thread_;
   std::atomic<bool> stopping_{false};

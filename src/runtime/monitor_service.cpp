@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <unordered_map>
 
 #include "runtime/branch_table.h"
@@ -48,10 +47,9 @@ struct alignas(64) ProducerSlot {
   /// Edge-detector for throttle episodes (one event per entry into the
   /// over-quota regime, not per dropped batch).
   bool throttling = false;
-  // Per-shard watchdog state, run against this SESSION's progress
-  // counter on that shard (a frozen tenant fails only its own session).
-  std::vector<std::uint64_t> last_progress;
-  std::vector<std::chrono::steady_clock::time_point> stall_since;
+  /// Per-shard watchdog, run against this SESSION's progress counter on
+  /// that shard (a frozen tenant fails only its own session).
+  std::vector<StallClock> stall;
 };
 
 /// Per-(session, shard) shared cells: the shard bumps progress on every
@@ -71,10 +69,8 @@ struct ShardResult {
   std::uint64_t instances_checked = 0;
   std::uint64_t instances_evicted = 0;
   std::uint64_t instances_skipped = 0;
-  std::uint64_t dropped_reports = 0;
-  std::uint64_t reports_rejected = 0;
   std::uint64_t reports_rolled_back = 0;
-  std::uint64_t hooks_fired = 0;
+  PopCounters pops;
 };
 
 /// Everything a session owns. Shared (via shared_ptr) between the
@@ -102,8 +98,7 @@ struct SessionState {
     }
     for (ProducerSlot& slot : producers) {
       slot.open.resize(num_shards_);
-      slot.last_progress.assign(num_shards_, ~std::uint64_t{0});
-      slot.stall_since.assign(num_shards_, {});
+      slot.stall.resize(num_shards_);
     }
   }
 
@@ -170,29 +165,17 @@ void merge_session_results(detail::SessionState& s) {
     m.instances_checked += r.instances_checked;
     m.instances_evicted += r.instances_evicted;
     m.instances_skipped += r.instances_skipped;
-    m.dropped_reports += r.dropped_reports;
-    m.reports_rejected += r.reports_rejected;
+    m.dropped_reports += r.pops.dropped;
+    m.reports_rejected += r.pops.rejected;
     m.reports_rolled_back += r.reports_rolled_back;
-    m.hooks_fired += r.hooks_fired;
+    m.hooks_fired += r.pops.hooks_fired;
   }
   m.violations = s.final_violations.size();
   m.reports_rolled_back += s.producer_reports_rolled_back;
-  m.dropped_per_thread.assign(s.options.num_threads, 0);
-  for (unsigned t = 0; t < s.options.num_threads; ++t) {
-    const std::uint64_t dropped =
-        s.producers[t].dropped.load(std::memory_order_relaxed);
-    m.dropped_per_thread[t] = dropped;
-    m.dropped_reports += dropped;
-  }
   m.reports_throttled = s.reports_throttled.load(std::memory_order_relaxed);
   m.throttle_events = s.throttle_events.load(std::memory_order_relaxed);
   m.quota_peak = s.quota_peak.load(std::memory_order_relaxed);
-  const SamplingStats sampling = s.sampler.stats();
-  m.reports_sampled_out = sampling.sampled_out;
-  m.sampling_degrades = sampling.degrades;
-  m.sampling_snap_backs = sampling.snap_backs;
-  m.sampling_rate_final = sampling.final_rate;
-  m.sampling_rate_peak = sampling.peak_rate;
+  fold_producer_stats(m, s.sampler, s.producers);
   s.final_stats = std::move(m);
 }
 
@@ -219,12 +202,9 @@ struct MonitorService::Shard {
                   s->sampler.note_violation();
                 }) {}
     BranchTable table;
-    std::uint64_t reports_popped = 0;  // session-scoped fault-hook index
+    PopCounters pops;  // indices count this session's pops on this shard
     std::uint64_t reports_processed = 0;
-    std::uint64_t dropped_reports = 0;
-    std::uint64_t reports_rejected = 0;
     std::uint64_t reports_rolled_back = 0;
-    std::uint64_t hooks_fired = 0;
     std::uint64_t command_seen = 0;
     /// A session-scoped MonitorStall wedges only this tenant: the shard
     /// stops draining it and stops bumping its progress counter, so only
@@ -240,8 +220,6 @@ struct MonitorService::Shard {
     return s.health.get() != MonitorHealth::Healthy;
   }
 
-  bool apply_pop_hooks(Tenant& tenant, detail::SessionState& s,
-                       BranchReport& report);
   void drain_batch(Tenant& tenant, detail::SessionState& s,
                    ReportBatch& batch);
   void drain_rings(Tenant& tenant, detail::SessionState& s, bool discard);
@@ -249,89 +227,40 @@ struct MonitorService::Shard {
   void publish(Tenant& tenant, detail::SessionState& s);
 };
 
-/// Validation plus the consumer-side fault hooks. Indices count THIS
+/// Screens (resilience.h) and files one batch. Hook indices count THIS
 /// session's reports popped by THIS shard (each shard is an independent
 /// consumer, narrowed to one by shard_filter), and every side effect
-/// (health, sampler, counters) lands on this session alone.
-bool MonitorService::Shard::apply_pop_hooks(Tenant& tenant,
-                                            detail::SessionState& s,
-                                            BranchReport& report) {
-  ++tenant.reports_popped;
+/// lands on this session alone. A shard's reaction to the stall hook is to
+/// freeze this tenant, never the shared shard thread.
+void MonitorService::Shard::drain_batch(Tenant& tenant,
+                                        detail::SessionState& s,
+                                        ReportBatch& batch) {
   const MonitorFaultHooks& hooks = s.options.fault_hooks;
   const bool hooks_apply =
       hooks.shard_filter == MonitorFaultHooks::kAllShards ||
       hooks.shard_filter == index;
-
-  if (hooks_apply && hooks.drop_report_index != 0 &&
-      tenant.reports_popped == hooks.drop_report_index) {
-    ++tenant.hooks_fired;
-    ++tenant.dropped_reports;
-    if (s.health.raise(MonitorHealth::Degraded)) {
-      s.sampler.note_health_transition();
-    }
-    return false;
-  }
-  if (hooks_apply && hooks.corrupt_report_index != 0 &&
-      tenant.reports_popped == hooks.corrupt_report_index) {
-    ++tenant.hooks_fired;
-    unsigned bit = hooks.corrupt_bit % (8 * sizeof(BranchReport));
-    unsigned char bytes[sizeof(BranchReport)];
-    std::memcpy(bytes, &report, sizeof(BranchReport));
-    bytes[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
-    std::memcpy(&report, bytes, sizeof(BranchReport));
-  }
-  if (s.options.validate_reports && !report_intact(report)) {
-    ++tenant.reports_rejected;
-    ++tenant.dropped_reports;
-    if (s.health.raise(MonitorHealth::Degraded)) {
-      s.sampler.note_health_transition();
-    }
-    s.sampler.note_anomaly();
-    return false;
-  }
-  if (hooks_apply && hooks.stall_after_reports != 0 &&
-      tenant.reports_popped == hooks.stall_after_reports) {
-    ++tenant.hooks_fired;
-    tenant.stalled = true;  // takes effect at the next drain visit
-  }
-  if (report.thread >= s.options.num_threads) {
-    ++tenant.reports_rejected;
-    ++tenant.dropped_reports;
-    if (s.health.raise(MonitorHealth::Degraded)) {
-      s.sampler.note_health_transition();
-    }
-    s.sampler.note_anomaly();
-    return false;
-  }
-  return true;
-}
-
-void MonitorService::Shard::drain_batch(Tenant& tenant,
-                                        detail::SessionState& s,
-                                        ReportBatch& batch) {
   for (std::uint32_t i = 0; i < batch.count; ++i) {
     if (tenant.stalled) {
       // The stall hook fired on an earlier report (possibly mid-batch,
       // possibly during a detach drain): nothing past it is ever
       // processed, no matter which code path is popping. The remainder
       // surfaces as this session's drops, under its own degraded health.
-      tenant.dropped_reports += batch.count - i;
-      if (s.health.raise(MonitorHealth::Degraded)) {
-        s.sampler.note_health_transition();
-      }
+      tenant.pops.dropped += batch.count - i;
+      raise_health(s.health, s.sampler, MonitorHealth::Degraded);
       return;
     }
     BranchReport& report = batch.reports[i];
-    if (!apply_pop_hooks(tenant, s, report)) continue;
+    const PopVerdict verdict = screen_popped(
+        report, hooks, hooks_apply, s.options.validate_reports,
+        s.options.num_threads, tenant.pops, s.health, s.sampler);
+    if (verdict == PopVerdict::Discard) continue;
+    if (verdict == PopVerdict::Stall) tenant.stalled = true;
     ++tenant.reports_processed;
     if (s.options.perform_checks) {
       tenant.table.process(report, tenant_degraded(s));
     }
   }
-  const MonitorFaultHooks& hooks = s.options.fault_hooks;
-  if (hooks.delay_ns_per_report != 0 &&
-      (hooks.shard_filter == MonitorFaultHooks::kAllShards ||
-       hooks.shard_filter == index)) {
+  if (hooks_apply && hooks.delay_ns_per_report != 0) {
     tenant.resume_at =
         std::chrono::steady_clock::now() +
         std::chrono::nanoseconds(hooks.delay_ns_per_report * batch.count);
@@ -346,7 +275,7 @@ void MonitorService::Shard::drain_rings(Tenant& tenant,
     SpscQueue<ReportBatch>& ring = *s.rings[t][index];
     while (ring.try_pop(batch)) {
       if (discard) {
-        tenant.dropped_reports += batch.count;
+        tenant.pops.dropped += batch.count;
       } else {
         drain_batch(tenant, s, batch);
       }
@@ -380,8 +309,8 @@ void MonitorService::Shard::run_command(Tenant& tenant,
     // may also first fire DURING this drain — drain_batch then discards
     // the remainder — so the health raise comes after the drain.
     drain_rings(tenant, s, /*discard=*/tenant.stalled);
-    if (tenant.stalled && s.health.raise(MonitorHealth::Degraded)) {
-      s.sampler.note_health_transition();
+    if (tenant.stalled) {
+      raise_health(s.health, s.sampler, MonitorHealth::Degraded);
     }
     tenant.table.finalize(tenant_degraded(s));
     publish(tenant, s);
@@ -396,10 +325,8 @@ void MonitorService::Shard::publish(Tenant& tenant,
   r.instances_checked = tenant.table.instances_checked();
   r.instances_evicted = tenant.table.instances_evicted();
   r.instances_skipped = tenant.table.instances_skipped();
-  r.dropped_reports = tenant.dropped_reports;
-  r.reports_rejected = tenant.reports_rejected;
   r.reports_rolled_back = tenant.reports_rolled_back;
-  r.hooks_fired = tenant.hooks_fired;
+  r.pops = tenant.pops;
 }
 
 void MonitorService::shard_run(Shard& shard) {
@@ -551,14 +478,12 @@ void MonitorService::flush_open(detail::SessionState& s,
   }
 }
 
-/// The per-tenant quota gate, running the generalized backpressure
-/// ladder: claim (CAS), spin, yield, and finally report failure — the
-/// caller then samples down and drops. Only this session's producers
-/// ever wait here; the quota counter is session-private.
+/// The per-tenant quota gate: claim (CAS), then the backoff ladder, which
+/// here also stops once the session leaves kActive. On failure the caller
+/// samples down and drops. Only this session's producers ever wait here;
+/// the quota counter is session-private.
 bool MonitorService::acquire_quota(detail::SessionState& s,
-                                   std::uint32_t thread,
                                    std::uint32_t count) {
-  (void)thread;
   auto try_claim = [&]() -> bool {
     std::uint64_t cur = s.queued_reports.load(std::memory_order_relaxed);
     while (cur + count <= s.quota) {
@@ -577,23 +502,10 @@ bool MonitorService::acquire_quota(detail::SessionState& s,
     return false;
   };
   if (try_claim()) return true;
-  const BackoffPolicy& policy = options_.backoff;
-  for (std::uint32_t i = 0; i < policy.spins; ++i) {
-    if (try_claim()) return true;
-  }
-  std::uint32_t yielded = 0;
-  while (!policy.bounded || yielded < policy.yields) {
-    std::this_thread::yield();
-    if (try_claim()) return true;
-    ++yielded;
-    if ((yielded & 63) == 0) {
-      if (s.health.get() == MonitorHealth::Failed) return false;
-      if (s.phase.load(std::memory_order_acquire) != detail::kActive) {
-        return false;
-      }
-    }
-  }
-  return false;
+  return run_backoff(options_.backoff, try_claim, [&] {
+    return s.health.get() == MonitorHealth::Failed ||
+           s.phase.load(std::memory_order_acquire) != detail::kActive;
+  });
 }
 
 void MonitorService::flush_batch(detail::SessionState& s,
@@ -607,7 +519,7 @@ void MonitorService::flush_batch(detail::SessionState& s,
     batch.count = 0;
     return;
   }
-  if (!acquire_quota(s, thread, count)) {
+  if (!acquire_quota(s, count)) {
     // Over quota after the full ladder: the final rungs — sample down,
     // degrade, drop. All side effects are session-local; a noisy tenant
     // throttles itself while its neighbors keep full checking.
@@ -622,55 +534,36 @@ void MonitorService::flush_batch(detail::SessionState& s,
                             telemetry::Phase::MonitorCheck, s.id, thread,
                             count);
     s.sampler.note_pressure();
-    if (s.health.raise(MonitorHealth::Degraded)) {
-      s.sampler.note_health_transition();
-    }
+    raise_health(s.health, s.sampler, MonitorHealth::Degraded);
     batch.count = 0;
     return;
   }
   slot.throttling = false;
   SpscQueue<ReportBatch>& queue = *s.rings[thread][shard];
-  if (queue.try_push(batch)) {
+  auto try_push = [&] { return queue.try_push(batch); };
+  bool pushed = try_push();
+  if (!pushed) {
+    telemetry::counter_add(telemetry::Counter::QueueFullEvents);
+    telemetry::record_event(telemetry::EventKind::QueueHighWater,
+                            telemetry::Phase::MonitorCheck, thread, shard);
+    s.sampler.note_pressure();
+    const BackoffPolicy& policy = options_.backoff;
+    pushed = run_backoff(policy, try_push, [&] {
+      return policy.bounded && s.health.get() == MonitorHealth::Failed;
+    });
+  }
+  if (pushed) {
     telemetry::counter_add(telemetry::Counter::BatchesFlushed);
     telemetry::histogram_record(telemetry::Histogram::BatchFill, count);
-    batch.count = 0;
-    return;
+  } else {
+    s.queued_reports.fetch_sub(count, std::memory_order_release);
+    give_up(s, thread, shard, count);
   }
-  telemetry::counter_add(telemetry::Counter::QueueFullEvents);
-  telemetry::record_event(telemetry::EventKind::QueueHighWater,
-                          telemetry::Phase::MonitorCheck, thread, shard);
-  s.sampler.note_pressure();
-  const BackoffPolicy& policy = options_.backoff;
-  for (std::uint32_t i = 0; i < policy.spins; ++i) {
-    if (queue.try_push(batch)) {
-      telemetry::counter_add(telemetry::Counter::BatchesFlushed);
-      telemetry::histogram_record(telemetry::Histogram::BatchFill, count);
-      batch.count = 0;
-      return;
-    }
-  }
-  std::uint32_t yielded = 0;
-  while (!policy.bounded || yielded < policy.yields) {
-    std::this_thread::yield();
-    if (queue.try_push(batch)) {
-      telemetry::counter_add(telemetry::Counter::BatchesFlushed);
-      telemetry::histogram_record(telemetry::Histogram::BatchFill, count);
-      batch.count = 0;
-      return;
-    }
-    ++yielded;
-    if (policy.bounded && (yielded & 63) == 0 &&
-        s.health.get() == MonitorHealth::Failed) {
-      break;
-    }
-  }
-  s.queued_reports.fetch_sub(count, std::memory_order_release);
-  give_up(s, thread, shard, count);
   batch.count = 0;
 }
 
-/// Batch-granular give-up: account every report the batch carried, then
-/// run the watchdog against THIS session's progress counter on the
+/// Batch-granular give-up: count every report the batch carried, degrade,
+/// and ask the watchdog about THIS session's progress counter on the
 /// refusing shard. One wedged shard trips Failed exactly like the legacy
 /// single consumer, and a tenant frozen by its own stall fault trips only
 /// its own Failed.
@@ -679,40 +572,17 @@ void MonitorService::give_up(detail::SessionState& s, std::uint32_t thread,
   detail::ProducerSlot& slot = s.producers[thread];
   slot.dropped.fetch_add(lost, std::memory_order_relaxed);
   telemetry::counter_add(telemetry::Counter::ReportsDropped, lost);
-  if (s.health.raise(MonitorHealth::Degraded)) {
-    s.sampler.note_health_transition();
-  }
-  if (!options_.watchdog.enabled) return;
-  const std::uint64_t beat =
-      s.shard_slots[shard].progress.load(std::memory_order_relaxed);
-  const auto now = std::chrono::steady_clock::now();
-  if (beat != slot.last_progress[shard]) {
-    slot.last_progress[shard] = beat;
-    slot.stall_since[shard] = now;
-    return;
-  }
-  const auto stalled = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                           now - slot.stall_since[shard])
-                           .count();
-  if (stalled >= 0 &&
-      static_cast<std::uint64_t>(stalled) >=
-          options_.watchdog.stall_timeout_ns) {
-    if (s.health.raise(MonitorHealth::Failed)) {
-      s.sampler.note_health_transition();
-    }
+  raise_health(s.health, s.sampler, MonitorHealth::Degraded);
+  if (slot.stall[shard].expired(
+          s.shard_slots[shard].progress.load(std::memory_order_relaxed),
+          options_.watchdog)) {
+    raise_health(s.health, s.sampler, MonitorHealth::Failed);
   }
 }
 
 // ---------------------------------------------------------------------------
 // Session lifecycle and recovery commands.
 // ---------------------------------------------------------------------------
-
-std::uint64_t MonitorService::command_deadline_ns() const {
-  const std::uint64_t stall = options_.watchdog.enabled
-                                  ? options_.watchdog.stall_timeout_ns
-                                  : 250'000'000ull;
-  return stall * 2 + 50'000'000ull;
-}
 
 bool MonitorService::post_session_command(detail::SessionState& s,
                                           int command) {
@@ -725,8 +595,9 @@ bool MonitorService::post_session_command(detail::SessionState& s,
   s.cmd_kind.store(command, std::memory_order_relaxed);
   const std::uint64_t seq =
       s.cmd_seq.fetch_add(1, std::memory_order_release) + 1;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::nanoseconds(command_deadline_ns());
+  const auto deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::nanoseconds(command_deadline_ns(options_.watchdog));
   for (unsigned k = 0; k < num_shards_; ++k) {
     while (s.shard_slots[k].command_ack.load(std::memory_order_acquire) <
            seq) {
@@ -746,8 +617,9 @@ bool MonitorService::session_quiesce(detail::SessionState& s) {
   // queued_reports is decremented only AFTER a batch is fully filed, so
   // zero means every pushed report of this session has been processed.
   // A tenant frozen by its own stall fault never drains -> deadline.
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::nanoseconds(command_deadline_ns());
+  const auto deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::nanoseconds(command_deadline_ns(options_.watchdog));
   while (s.queued_reports.load(std::memory_order_acquire) != 0) {
     if (s.health.get() == MonitorHealth::Failed) return false;
     if (std::chrono::steady_clock::now() >= deadline) return false;
@@ -800,8 +672,9 @@ void MonitorService::teardown(
   s.cmd_kind.store(detail::kCmdDetach, std::memory_order_relaxed);
   const std::uint64_t seq =
       s.cmd_seq.fetch_add(1, std::memory_order_release) + 1;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::nanoseconds(command_deadline_ns());
+  const auto deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::nanoseconds(command_deadline_ns(options_.watchdog));
   std::vector<bool> acked(num_shards_, false);
   bool all_acked = true;
   for (unsigned k = 0; k < num_shards_; ++k) {
@@ -1010,15 +883,10 @@ const std::vector<Violation>& MonitorSession::violations() const {
 
 MonitorStats MonitorSession::stats() const {
   // A producer call that raced close() counts its report as a drop after
-  // the detach merge ran; re-read the producer counters so it is not lost.
+  // the detach merge ran; fold the producer counters again so it is not
+  // lost.
   MonitorStats m = state_->final_stats;
-  if (m.dropped_per_thread.size() != state_->producers.size()) return m;
-  for (std::size_t t = 0; t < m.dropped_per_thread.size(); ++t) {
-    const std::uint64_t now =
-        state_->producers[t].dropped.load(std::memory_order_relaxed);
-    m.dropped_reports += now - m.dropped_per_thread[t];
-    m.dropped_per_thread[t] = now;
-  }
+  fold_producer_stats(m, state_->sampler, state_->producers);
   return m;
 }
 

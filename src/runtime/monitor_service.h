@@ -256,15 +256,13 @@ class MonitorService {
   void flush_open(detail::SessionState& s, std::uint32_t thread);
   void flush_batch(detail::SessionState& s, std::uint32_t thread,
                    unsigned shard);
-  bool acquire_quota(detail::SessionState& s, std::uint32_t thread,
-                     std::uint32_t count);
+  bool acquire_quota(detail::SessionState& s, std::uint32_t count);
   void give_up(detail::SessionState& s, std::uint32_t thread, unsigned shard,
                std::uint32_t lost);
   bool post_session_command(detail::SessionState& s, int command);
   bool session_quiesce(detail::SessionState& s);
   bool session_reset_epoch(detail::SessionState& s);
   void teardown(const std::shared_ptr<detail::SessionState>& state);
-  std::uint64_t command_deadline_ns() const;
 
   void shard_run(Shard& shard);
 

@@ -22,11 +22,29 @@
 //   * MonitorFaultHooks — consumer-side fault injection for the campaign's
 //     monitor-path fault models (FaultType::MonitorStall / QueueCorrupt /
 //     ReportDrop) and for the slow-consumer benchmark.
+//
+// Each decision of that policy is defined once, below, and both backends
+// (the legacy Monitor and every MonitorService shard) call it; they differ
+// only in topology and in how they react to a stalled consumer:
+//
+//   * raise_health()        — the one health edge: raise, and on a won
+//                             transition snap the sampler back.
+//   * run_backoff()         — the one spin -> yield ladder (ring pushes
+//                             and the service's quota gate).
+//   * StallClock            — the watchdog a producer's give-up consults.
+//   * command_deadline_ns() — how long a recovery caller waits.
+//   * screen_popped()       — the consumer's pop screen: drop, corrupt,
+//                             checksum, thread range, stall, in that order.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstring>
+#include <thread>
 
+#include "runtime/report.h"
+#include "runtime/sampling.h"
 #include "support/telemetry/telemetry.h"
 
 namespace bw::runtime {
@@ -107,9 +125,10 @@ struct WatchdogOptions {
 /// These model faults in the detection path itself, mirroring how the
 /// campaign models faults in application branches.
 struct MonitorFaultHooks {
-  /// After processing the Nth report, suspend the monitor thread until
-  /// stop() is requested — for a MonitorService session, freeze that
-  /// session's slice of the shard until close() (FaultType::MonitorStall).
+  /// When the Nth popped report passes the screen, suspend the monitor
+  /// thread until stop() is requested — for a MonitorService session,
+  /// freeze that session's slice of the shard until close()
+  /// (FaultType::MonitorStall). The report itself is still processed.
   std::uint64_t stall_after_reports = 0;
   /// Flip `corrupt_bit` (mod 8*sizeof(BranchReport)) in the Nth popped
   /// report before processing it (FaultType::QueueCorrupt).
@@ -133,5 +152,133 @@ struct MonitorFaultHooks {
            drop_report_index != 0 || delay_ns_per_report != 0;
   }
 };
+
+/// The only caller of SamplingController::note_health_transition(): raise
+/// `health` and, on the edge this call won, snap the sampler back to full
+/// checking.
+inline void raise_health(HealthCell& health, SamplingController& sampler,
+                         MonitorHealth to) {
+  if (health.raise(to)) sampler.note_health_transition();
+}
+
+/// The spin -> yield ladder behind every full ring and the quota gate.
+/// Retries `try_once()` `spins` times, then once after each yield, and
+/// polls `stop_early()` every 64 yields. Returns whether `try_once()`
+/// succeeded; false means the caller gives up. An unbounded policy
+/// retries until success or `stop_early()`.
+template <typename TryOnce, typename StopEarly>
+inline bool run_backoff(const BackoffPolicy& policy, TryOnce&& try_once,
+                        StopEarly&& stop_early) {
+  for (std::uint32_t i = 0; i < policy.spins; ++i) {
+    if (try_once()) return true;
+  }
+  std::uint32_t yielded = 0;
+  while (!policy.bounded || yielded < policy.yields) {
+    std::this_thread::yield();
+    if (try_once()) return true;
+    ++yielded;
+    if ((yielded & 63) == 0 && stop_early()) return false;
+  }
+  return false;
+}
+
+/// One producer's watchdog against one consumer's beat counter (the
+/// Monitor heartbeat, or a session's progress counter on one shard). Read
+/// only from the give-up slow path, so successful sends never touch a
+/// clock.
+class StallClock {
+ public:
+  /// True once `beat` has not moved for the whole stall deadline; always
+  /// false with the watchdog disabled.
+  bool expired(std::uint64_t beat, const WatchdogOptions& watchdog) {
+    if (!watchdog.enabled) return false;
+    const auto now = std::chrono::steady_clock::now();
+    if (beat != last_beat_) {
+      last_beat_ = beat;
+      since_ = now;
+      return false;
+    }
+    const auto stalled =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(now - since_)
+            .count();
+    return stalled >= 0 &&
+           static_cast<std::uint64_t>(stalled) >= watchdog.stall_timeout_ns;
+  }
+
+ private:
+  std::uint64_t last_beat_ = ~std::uint64_t{0};
+  std::chrono::steady_clock::time_point since_{};
+};
+
+/// How long a recovery caller waits for the consumer before giving up:
+/// twice the watchdog stall budget (the consumer is considered dead past
+/// one budget) plus scheduling slack. With the watchdog disabled the
+/// default stall budget stands in rather than waiting forever.
+inline std::uint64_t command_deadline_ns(const WatchdogOptions& watchdog) {
+  const std::uint64_t stall = watchdog.enabled
+                                  ? watchdog.stall_timeout_ns
+                                  : WatchdogOptions{}.stall_timeout_ns;
+  return stall * 2 + 50'000'000ull;
+}
+
+/// Consumer-owned counters of the pop screen.
+struct PopCounters {
+  std::uint64_t popped = 0;  // fault-hook index base (includes drops)
+  std::uint64_t dropped = 0;
+  std::uint64_t rejected = 0;
+  std::uint64_t hooks_fired = 0;
+};
+
+enum class PopVerdict : std::uint8_t {
+  Keep,     // process the report
+  Discard,  // dropped or rejected; counted, health degraded
+  Stall,    // the stall hook fired: react, then process the report
+};
+
+/// Screens a freshly popped report: the drop and corrupt hooks, checksum
+/// validation, the thread-range check and the stall hook, in that order.
+/// `hooks_apply` gates the fault hooks (a MonitorService shard outside
+/// `shard_filter` passes false); validation and the range check always
+/// run. Every side effect lands on the caller's counters, health and
+/// sampler.
+inline PopVerdict screen_popped(BranchReport& report,
+                                const MonitorFaultHooks& hooks,
+                                bool hooks_apply, bool validate,
+                                unsigned num_threads, PopCounters& counters,
+                                HealthCell& health,
+                                SamplingController& sampler) {
+  const std::uint64_t index = ++counters.popped;  // 1-based: 0 never fires
+  if (hooks_apply && hooks.drop_report_index == index) {
+    ++counters.hooks_fired;
+    ++counters.dropped;
+    raise_health(health, sampler, MonitorHealth::Degraded);
+    return PopVerdict::Discard;
+  }
+  if (hooks_apply && hooks.corrupt_report_index == index) {
+    ++counters.hooks_fired;
+    const unsigned bit = hooks.corrupt_bit % (8 * sizeof(BranchReport));
+    unsigned char bytes[sizeof(BranchReport)];
+    std::memcpy(bytes, &report, sizeof(BranchReport));
+    bytes[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+    std::memcpy(&report, bytes, sizeof(BranchReport));
+  }
+  // A report corrupted while queued is discarded rather than checked as
+  // garbage against clean threads, and a thread id corrupted out of range
+  // would index out of bounds (rejected even without checksums). Both
+  // degrade, so the missing observation is treated as unverifiable
+  // instead of a subset to be checked.
+  if ((validate && !report_intact(report)) || report.thread >= num_threads) {
+    ++counters.rejected;
+    ++counters.dropped;
+    raise_health(health, sampler, MonitorHealth::Degraded);
+    sampler.note_anomaly();
+    return PopVerdict::Discard;
+  }
+  if (hooks_apply && hooks.stall_after_reports == index) {
+    ++counters.hooks_fired;
+    return PopVerdict::Stall;
+  }
+  return PopVerdict::Keep;
+}
 
 }  // namespace bw::runtime

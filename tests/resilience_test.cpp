@@ -2,15 +2,21 @@
 // sticky Healthy -> Degraded -> Failed health machine, the heartbeat
 // watchdog, degraded-mode unverifiable-instance skipping, checksum
 // rejection of corrupted reports, and end-to-end liveness of a protected
-// program whose monitor thread is artificially stalled.
+// program whose monitor thread is artificially stalled. The SharedResilience
+// cases run the one policy of resilience.h on both backends: the legacy
+// Monitor and a one-session MonitorService.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <memory>
+#include <ostream>
 #include <thread>
 #include <vector>
 
 #include "pipeline/pipeline.h"
 #include "runtime/monitor.h"
+#include "runtime/monitor_service.h"
 
 namespace {
 
@@ -54,6 +60,81 @@ bool wait_for_health(const BranchSink& sink, MonitorHealth at_least,
   return false;
 }
 
+enum class Backend { Monitor, Service };
+
+std::ostream& operator<<(std::ostream& os, Backend backend) {
+  return os << (backend == Backend::Monitor ? "Monitor" : "Service");
+}
+
+/// One scenario on either backend: the legacy Monitor, or the only
+/// session of a MonitorService with one shard and batch 1 whose rings,
+/// backoff and watchdog come from the same MonitorOptions. finish() ends
+/// the run: stop() on the Monitor, close() on the session.
+class Backed {
+ public:
+  Backed(Backend backend, unsigned num_threads,
+         const MonitorOptions& options) {
+    if (backend == Backend::Monitor) {
+      monitor_ = std::make_unique<Monitor>(num_threads, options);
+      monitor_->start();
+      return;
+    }
+    MonitorServiceOptions service_options;
+    service_options.num_shards = 1;
+    service_options.batch_size = 1;
+    service_options.max_sessions = 1;
+    // The ring budget pipeline::execute() derives at batch 1 (bounded,
+    // since a ring slot holds a whole ReportBatch).
+    service_options.batch_queue_capacity =
+        std::clamp<std::size_t>(options.queue_capacity, 16, 256);
+    // Never binds: the rings apply the backpressure, as in the Monitor.
+    service_options.default_report_quota = std::uint64_t{1} << 40;
+    service_options.backoff = options.backoff;
+    service_options.watchdog = options.watchdog;
+    service_ = std::make_unique<MonitorService>(service_options);
+    service_->start();
+    SessionOptions session_options;
+    session_options.num_threads = num_threads;
+    session_options.perform_checks = options.perform_checks;
+    session_options.validate_reports = options.validate_reports;
+    session_options.max_pending_per_branch = options.max_pending_per_branch;
+    session_options.fault_hooks = options.fault_hooks;
+    session_options.sampling = options.sampling;
+    session_ = service_->admit(session_options).session;
+    EXPECT_NE(session_, nullptr);
+  }
+
+  BranchSink& sink() {
+    return monitor_ ? static_cast<BranchSink&>(*monitor_) : *session_;
+  }
+  void send(const BranchReport& r) { sink().send(r); }
+  MonitorHealth health() { return sink().health(); }
+  void finish() {
+    if (monitor_) {
+      monitor_->stop();
+    } else {
+      session_->close();
+    }
+  }
+  MonitorStats stats() const {
+    return monitor_ ? monitor_->stats() : session_->stats();
+  }
+  const std::vector<Violation>& violations() const {
+    return monitor_ ? monitor_->violations() : session_->violations();
+  }
+
+ private:
+  std::unique_ptr<Monitor> monitor_;
+  std::unique_ptr<MonitorService> service_;  // outlives session_
+  std::unique_ptr<MonitorSession> session_;
+};
+
+class SharedResilience : public ::testing::TestWithParam<Backend> {};
+
+INSTANTIATE_TEST_SUITE_P(Backends, SharedResilience,
+                         ::testing::Values(Backend::Monitor,
+                                           Backend::Service));
+
 TEST(Resilience, HealthToStringCoversAllStates) {
   EXPECT_STREQ(to_string(MonitorHealth::Healthy), "healthy");
   EXPECT_STREQ(to_string(MonitorHealth::Degraded), "degraded");
@@ -91,124 +172,118 @@ TEST(Resilience, CleanRunStaysHealthyWithNoDrops) {
 
 // The headline guarantee: a stalled monitor must not deadlock producers.
 // The seed implementation spun forever here.
-TEST(Resilience, StalledMonitorProducerReturnsAndDropsAreCounted) {
+TEST_P(SharedResilience, StalledMonitorProducerReturnsAndDropsAreCounted) {
   MonitorOptions options = tight_options();
   options.fault_hooks.stall_after_reports = 1;
-  Monitor monitor(2, options);
-  monitor.start();
+  Backed run(GetParam(), 2, options);
   // 5000 reports against a 32-slot ring with a stalled consumer: without
   // the bounded backoff this loop would never terminate.
   for (std::uint64_t i = 0; i < 5'000; ++i) {
-    monitor.send(report(0, 1, CheckCode::SharedOutcome, true, i));
+    run.send(report(0, 1, CheckCode::SharedOutcome, true, i));
   }
-  monitor.stop();
-  MonitorStats stats = monitor.stats();
+  run.finish();
+  MonitorStats stats = run.stats();
   EXPECT_GT(stats.dropped_reports, 0u);
   EXPECT_GT(stats.dropped_per_thread[0], 0u);
   EXPECT_EQ(stats.dropped_per_thread[1], 0u);
-  EXPECT_NE(monitor.health(), MonitorHealth::Healthy);
-  EXPECT_TRUE(monitor.violations().empty());
+  EXPECT_NE(run.health(), MonitorHealth::Healthy);
+  EXPECT_TRUE(run.violations().empty());
   EXPECT_EQ(stats.hooks_fired, 1u);
 }
 
-TEST(Resilience, WatchdogTripsFailedAndSendsBecomeNoops) {
+TEST_P(SharedResilience, WatchdogTripsFailedAndSendsBecomeNoops) {
   MonitorOptions options = tight_options();
   options.fault_hooks.stall_after_reports = 1;
   options.watchdog.stall_timeout_ns = 1'000'000;  // 1 ms
-  Monitor monitor(2, options);
-  monitor.start();
+  Backed run(GetParam(), 2, options);
   // Keep sending until repeated give-ups against a frozen heartbeat trip
   // the watchdog. Bounded: each send() returns after its backoff budget.
   bool failed = false;
   for (std::uint64_t i = 0; i < 1'000'000 && !failed; ++i) {
-    monitor.send(report(0, 1, CheckCode::SharedOutcome, true, i));
-    failed = monitor.health() == MonitorHealth::Failed;
+    run.send(report(0, 1, CheckCode::SharedOutcome, true, i));
+    failed = run.health() == MonitorHealth::Failed;
   }
   EXPECT_TRUE(failed);
   // Post-Failed sends are counted, cheap no-ops: thread 1 queued nothing
   // before the failure, so every one of its sends lands in its drop
-  // counter. (stats() itself is read only after stop() — the aggregate
+  // counter. (stats() itself is read only after finish() — the aggregate
   // counters are consumer-owned.)
   for (int i = 0; i < 100; ++i) {
-    monitor.send(report(1, 2, CheckCode::SharedOutcome, true));
+    run.send(report(1, 2, CheckCode::SharedOutcome, true));
   }
-  monitor.stop();
-  MonitorStats stats = monitor.stats();
+  run.finish();
+  MonitorStats stats = run.stats();
   EXPECT_EQ(stats.dropped_per_thread[1], 100u);
-  EXPECT_EQ(monitor.health(), MonitorHealth::Failed);
+  EXPECT_EQ(run.health(), MonitorHealth::Failed);
 }
 
-TEST(Resilience, WatchdogCanBeDisabled) {
+TEST_P(SharedResilience, WatchdogCanBeDisabled) {
   MonitorOptions options = tight_options();
   options.fault_hooks.stall_after_reports = 1;
   options.watchdog.enabled = false;
-  Monitor monitor(1, options);
-  monitor.start();
+  Backed run(GetParam(), 1, options);
   for (std::uint64_t i = 0; i < 2'000; ++i) {
-    monitor.send(report(0, 1, CheckCode::SharedOutcome, true, i));
+    run.send(report(0, 1, CheckCode::SharedOutcome, true, i));
   }
   // Without the watchdog the monitor degrades but never fails.
-  EXPECT_EQ(monitor.health(), MonitorHealth::Degraded);
-  monitor.stop();
+  EXPECT_EQ(run.health(), MonitorHealth::Degraded);
+  run.finish();
 }
 
-TEST(Resilience, DegradedSkipsUnverifiableIncompleteInstances) {
+TEST_P(SharedResilience, DegradedSkipsUnverifiableIncompleteInstances) {
   MonitorOptions options;
   options.fault_hooks.drop_report_index = 1;  // first popped report is lost
-  Monitor monitor(4, options);
-  monitor.start();
-  monitor.send(report(0, 99, CheckCode::SharedOutcome, true));  // sacrificed
-  ASSERT_TRUE(wait_for_health(monitor, MonitorHealth::Degraded));
+  Backed run(GetParam(), 4, options);
+  run.send(report(0, 99, CheckCode::SharedOutcome, true));  // sacrificed
+  ASSERT_TRUE(wait_for_health(run.sink(), MonitorHealth::Degraded));
   // An incomplete, divergent instance: in a healthy monitor the finalize
   // path would flag this subset (see Monitor.FinalizeChecksIncomplete-
   // Instances); degraded, it is unverifiable — the divergence could be an
   // artifact of the lost report.
-  monitor.send(report(0, 9, CheckCode::SharedOutcome, true));
-  monitor.send(report(3, 9, CheckCode::SharedOutcome, false));
-  monitor.stop();
-  EXPECT_TRUE(monitor.violations().empty());
-  MonitorStats stats = monitor.stats();
+  run.send(report(0, 9, CheckCode::SharedOutcome, true));
+  run.send(report(3, 9, CheckCode::SharedOutcome, false));
+  run.finish();
+  EXPECT_TRUE(run.violations().empty());
+  MonitorStats stats = run.stats();
   EXPECT_EQ(stats.dropped_reports, 1u);
   EXPECT_GE(stats.instances_skipped, 1u);
-  EXPECT_EQ(monitor.health(), MonitorHealth::Degraded);
+  EXPECT_EQ(run.health(), MonitorHealth::Degraded);
   EXPECT_EQ(stats.hooks_fired, 1u);
 }
 
-TEST(Resilience, DegradedStillChecksCompleteInstances) {
+TEST_P(SharedResilience, DegradedStillChecksCompleteInstances) {
   MonitorOptions options;
   options.fault_hooks.drop_report_index = 1;
-  Monitor monitor(4, options);
-  monitor.start();
-  monitor.send(report(0, 99, CheckCode::SharedOutcome, true));  // sacrificed
-  ASSERT_TRUE(wait_for_health(monitor, MonitorHealth::Degraded));
+  Backed run(GetParam(), 4, options);
+  run.send(report(0, 99, CheckCode::SharedOutcome, true));  // sacrificed
+  ASSERT_TRUE(wait_for_health(run.sink(), MonitorHealth::Degraded));
   // All four threads report, one deviates: a complete instance carries no
   // ambiguity, so detection must still fire while degraded.
   for (unsigned t = 0; t < 4; ++t) {
-    monitor.send(report(t, 5, CheckCode::SharedOutcome, t != 2));
+    run.send(report(t, 5, CheckCode::SharedOutcome, t != 2));
   }
-  monitor.stop();
-  ASSERT_EQ(monitor.violations().size(), 1u);
-  EXPECT_EQ(monitor.violations()[0].suspect_thread, 2u);
+  run.finish();
+  ASSERT_EQ(run.violations().size(), 1u);
+  EXPECT_EQ(run.violations()[0].suspect_thread, 2u);
 }
 
-TEST(Resilience, ChecksumRejectsCorruptedReport) {
+TEST_P(SharedResilience, ChecksumRejectsCorruptedReport) {
   MonitorOptions options;
   options.validate_reports = true;
   options.fault_hooks.corrupt_report_index = 2;
   options.fault_hooks.corrupt_bit = 3;  // lands in static_id
-  Monitor monitor(2, options);
-  monitor.start();
-  monitor.send(report(0, 1, CheckCode::SharedOutcome, true));
-  monitor.send(report(1, 1, CheckCode::SharedOutcome, true));
-  monitor.stop();
-  MonitorStats stats = monitor.stats();
+  Backed run(GetParam(), 2, options);
+  run.send(report(0, 1, CheckCode::SharedOutcome, true));
+  run.send(report(1, 1, CheckCode::SharedOutcome, true));
+  run.finish();
+  MonitorStats stats = run.stats();
   EXPECT_EQ(stats.reports_rejected, 1u);
   EXPECT_EQ(stats.hooks_fired, 1u);
-  EXPECT_TRUE(monitor.violations().empty());
-  EXPECT_EQ(monitor.health(), MonitorHealth::Degraded);
+  EXPECT_TRUE(run.violations().empty());
+  EXPECT_EQ(run.health(), MonitorHealth::Degraded);
 }
 
-TEST(Resilience, ChecksumCatchesOutcomeBitFlips) {
+TEST_P(SharedResilience, ChecksumCatchesOutcomeBitFlips) {
   // Flip the outcome byte of a queued report: without validation this
   // fabricates a divergence on a clean program; with it the report is
   // discarded and the instance becomes unverifiable instead.
@@ -217,50 +292,47 @@ TEST(Resilience, ChecksumCatchesOutcomeBitFlips) {
   options.fault_hooks.corrupt_report_index = 3;
   options.fault_hooks.corrupt_bit =
       static_cast<unsigned>(offsetof(BranchReport, outcome) * 8);
-  Monitor monitor(4, options);
-  monitor.start();
+  Backed run(GetParam(), 4, options);
   for (unsigned t = 0; t < 4; ++t) {
-    monitor.send(report(t, 1, CheckCode::SharedOutcome, true));
+    run.send(report(t, 1, CheckCode::SharedOutcome, true));
   }
-  monitor.stop();
-  MonitorStats stats = monitor.stats();
+  run.finish();
+  MonitorStats stats = run.stats();
   EXPECT_EQ(stats.reports_rejected, 1u);
-  EXPECT_TRUE(monitor.violations().empty());
+  EXPECT_TRUE(run.violations().empty());
 }
 
-TEST(Resilience, ValidationPassesCleanReports) {
+TEST_P(SharedResilience, ValidationPassesCleanReports) {
   MonitorOptions options;
   options.validate_reports = true;
-  Monitor monitor(4, options);
-  monitor.start();
+  Backed run(GetParam(), 4, options);
   for (unsigned t = 0; t < 4; ++t) {
-    monitor.send(report(t, 1, CheckCode::SharedOutcome, t != 0));
+    run.send(report(t, 1, CheckCode::SharedOutcome, t != 0));
   }
-  monitor.stop();
-  MonitorStats stats = monitor.stats();
+  run.finish();
+  MonitorStats stats = run.stats();
   EXPECT_EQ(stats.reports_rejected, 0u);
   EXPECT_EQ(stats.instances_checked, 1u);
-  EXPECT_EQ(monitor.health(), MonitorHealth::Healthy);
+  EXPECT_EQ(run.health(), MonitorHealth::Healthy);
   // Validation must not mask real violations.
-  ASSERT_EQ(monitor.violations().size(), 1u);
-  EXPECT_EQ(monitor.violations()[0].suspect_thread, 0u);
+  ASSERT_EQ(run.violations().size(), 1u);
+  EXPECT_EQ(run.violations()[0].suspect_thread, 0u);
 }
 
-TEST(Resilience, OutOfRangeThreadIdIsRejectedNotIndexed) {
+TEST_P(SharedResilience, OutOfRangeThreadIdIsRejectedNotIndexed) {
   // Even without checksums, a thread id corrupted out of range must be
   // discarded rather than used as a table index.
   MonitorOptions options;
   options.fault_hooks.corrupt_report_index = 1;
   options.fault_hooks.corrupt_bit =
       static_cast<unsigned>(offsetof(BranchReport, thread) * 8 + 7);
-  Monitor monitor(2, options);
-  monitor.start();
-  monitor.send(report(0, 1, CheckCode::SharedOutcome, true));
-  monitor.send(report(1, 1, CheckCode::SharedOutcome, true));
-  monitor.stop();
-  MonitorStats stats = monitor.stats();
+  Backed run(GetParam(), 2, options);
+  run.send(report(0, 1, CheckCode::SharedOutcome, true));
+  run.send(report(1, 1, CheckCode::SharedOutcome, true));
+  run.finish();
+  MonitorStats stats = run.stats();
   EXPECT_EQ(stats.reports_rejected, 1u);
-  EXPECT_TRUE(monitor.violations().empty());
+  EXPECT_TRUE(run.violations().empty());
 }
 
 TEST(Resilience, UnboundedLegacyPolicyStillDrainsNormally) {
