@@ -7,8 +7,6 @@
 //  A3  divergence-aware phi/select demotion (our soundness refinement) —
 //      turning it OFF must surface would-be false positives on clean runs.
 //  A4  the six-level nesting cutoff — raytrace coverage vs cutoff depth.
-//  A5  sending condition data for `shared` branches (our extension) —
-//      effect on condition-fault coverage.
 //
 //   usage: bw_ablations [injections]
 #include <cstdio>
@@ -161,23 +159,6 @@ int main(int argc, char** argv) {
                 dedup.instrument_stats.instrumented_branches,
                 dedup.instrument_stats.skipped_dedup,
                 100.0 * plain_cov.coverage(), 100.0 * dedup_cov.coverage());
-  }
-
-  // --- A5: condition data for shared branches --------------------------------
-  std::printf("\nA5: value checks on shared branches (extension; "
-              "condition faults)\n");
-  for (const char* name : {"fft", "radix", "ocean_contig"}) {
-    const benchmarks::Benchmark* bench = benchmarks::find_benchmark(name);
-    pipeline::PipelineOptions off;
-    pipeline::PipelineOptions on;
-    on.instrumentation.send_cond_for_shared = true;
-    fault::CampaignResult plain = coverage_with(
-        bench->source, injections, fault::FaultType::BranchCondition, off);
-    fault::CampaignResult extended = coverage_with(
-        bench->source, injections, fault::FaultType::BranchCondition, on);
-    std::printf("  %-16s outcome-only: %5.1f%%   +value check: %5.1f%%\n",
-                name, 100.0 * plain.coverage(),
-                100.0 * extended.coverage());
   }
   return 0;
 }

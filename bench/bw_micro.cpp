@@ -101,12 +101,7 @@ void BM_BranchTableProcess(benchmark::State& state) {
       r.check = check;
       r.static_id = static_cast<std::uint32_t>(1 + instance % 8);
       r.iter_hash = instance / 8;
-      if (check == runtime::CheckCode::PartialValue) {
-        r.kind = runtime::ReportKind::Condition;
-        r.value = instance % 2;
-        order.push_back(r);
-      }
-      r.kind = runtime::ReportKind::Outcome;
+      if (check == runtime::CheckCode::PartialValue) r.value = instance % 2;
       r.outcome = check == runtime::CheckCode::ThreadIdMonotone ? t < 2
                   : check == runtime::CheckCode::ThreadIdEq     ? t == 1
                                                                 : true;

@@ -207,13 +207,9 @@ class Instrumenter {
       BasicBlock* bb = branch->parent();
       std::uint32_t imm = encode_imm(info.static_id, info.check);
 
-      // sendBranchCondition before the branch (partial checks; optionally
-      // shared checks when the value-comparison extension is on).
-      bool send_cond =
-          info.check == CheckKind::PartialValue ||
-          (options_.send_cond_for_shared &&
-           info.check == CheckKind::SharedOutcome);
-      if (send_cond) {
+      // sendBranchCondition before the branch (partial checks): latches
+      // the condition data for the edge report below.
+      if (info.check == CheckKind::PartialValue) {
         auto cond = std::make_unique<Instruction>(Opcode::BwSendCond,
                                                   Type::Void);
         cond->set_imm(imm);

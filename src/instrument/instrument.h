@@ -6,8 +6,12 @@
 //    (edges are split when shared) — reporting from the *edge* rather than
 //    before the branch is what lets a flipped branch be caught, exactly as
 //    the paper's sendBranchAddr calls inside the taken/not-taken arms.
+//    It is the only report a branch instance sends per thread.
 //  * PartialValue checks additionally get a bw.send_cond before the branch
-//    carrying the condition data (paper's sendBranchCondition).
+//    (the paper's sendBranchCondition). It sends nothing: the VM hashes the
+//    condition data there and latches it, and the edge report carries it.
+//    Capturing it before the branch matters, because a condition fault
+//    corrupts the operand inside cond_br, after this point.
 //  * Every loop in the parallel section gets iteration tracking
 //    (bw.loop_enter / bw.loop_iter / bw.loop_exit) so the monitor can key
 //    branch instances by outer-loop iteration numbers.
@@ -25,10 +29,6 @@ namespace bw::instrument {
 struct InstrumentOptions {
   /// The paper's six-level loop-nesting cutoff.
   unsigned max_nesting_depth = 6;
-  /// Extension (off = paper-faithful): also send condition data for
-  /// `shared` branches so the monitor can compare the values themselves,
-  /// catching corruptions that do not flip this branch. Ablation bench.
-  bool send_cond_for_shared = false;
   /// The paper's Section VI overhead optimization: when several branches
   /// test the same condition value, checking the first (dominating) one
   /// suffices for data faults — later ones are skipped. Trades away

@@ -53,9 +53,10 @@ enum class Opcode {
   Sqrt, Sin, Cos, FAbs, Floor,
   // BLOCKWATCH instrumentation, inserted by the instrumentation pass and
   // forwarded by the VM to the runtime monitor. imm() = static branch id
-  // (send*) or loop id (loop tracking).
-  BwSendCond,     // op0: condition value, sent before the branch
-  BwSendOutcome,  // flag(): TAKEN/NOTTAKEN, sent on the chosen edge
+  // in the low 24 bits and check code (0-3) above them (send*), or loop id
+  // (loop tracking).
+  BwSendCond,     // condition data, latched before the branch
+  BwSendOutcome,  // flag(): TAKEN/NOTTAKEN (+ latched data), sent on the edge
   BwLoopEnter,    // push iteration counter for loop imm()
   BwLoopIter,     // increment innermost iteration counter (loop header)
   BwLoopExit,     // pop iteration counter

@@ -148,6 +148,16 @@ class Verifier {
     }
   }
 
+  /// The monitor has checkers for check codes 0-3 only (runtime::CheckCode);
+  /// a send with any other code would be filed but never checked.
+  void check_code(const Function& func, const BasicBlock& bb,
+                  const Instruction& inst) {
+    const std::uint32_t code = inst.imm() >> 24;
+    if (code <= 3) return;
+    check(false, func, bb, inst,
+          ("check code " + std::to_string(code) + " is not 0-3").c_str());
+  }
+
   void verify_types(const Function& func, const BasicBlock& bb,
                     const Instruction& inst) {
     auto op_type = [&](std::size_t i) { return inst.operand(i)->type(); };
@@ -255,6 +265,9 @@ class Verifier {
                     op_type(1) == Type::I64,
                 func, bb, inst, "atomic_add expects (ptr, i64)");
           break;
+        case Opcode::BwSendOutcome:
+          check_code(func, bb, inst);
+          [[fallthrough]];
         case Opcode::Tid:
         case Opcode::NumThreads:
         case Opcode::Barrier:
@@ -262,7 +275,6 @@ class Verifier {
         case Opcode::BwLoopEnter:
         case Opcode::BwLoopIter:
         case Opcode::BwLoopExit:
-        case Opcode::BwSendOutcome:
           check(inst.num_operands() == 0, func, bb, inst,
                 "expects no operands");
           break;
@@ -273,6 +285,7 @@ class Verifier {
           }
           check(ok, func, bb, inst,
                 "bw.send_cond expects one or two scalar operands");
+          check_code(func, bb, inst);
           break;
         }
         case Opcode::Phi:

@@ -202,10 +202,9 @@ void BranchTable::process(const BranchReport& report, bool degraded) {
     evict_oldest(branch, s, degraded);
   }
   ThreadObservation& obs = observations(s)[report.thread];
-  if (report.kind == ReportKind::Condition) {
+  if (report.check == CheckCode::PartialValue) {
     obs.has_value = true;
     obs.value = report.value;
-    return;
   }
   Slot& inst = slot(s);
   if (!obs.has_outcome) ++inst.outcomes_reported;

@@ -16,26 +16,8 @@ constexpr std::size_t kStackEntries = 64;
 using Observations = std::span<const ThreadObservation>;
 
 /// All reporting threads must agree on the outcome. Suspect: the minority
-/// thread if the minority is a single thread. When condition data was also
-/// sent (the send_cond_for_shared extension), the values themselves must
-/// agree too — catching corruptions that do not flip this branch.
+/// thread if the minority is a single thread.
 std::optional<std::uint32_t> check_shared(Observations obs) {
-  bool have_reference = false;
-  std::uint64_t reference = 0;
-  std::uint32_t reference_thread = 0;
-  for (const ThreadObservation& o : obs) {
-    if (!o.has_value) continue;
-    if (!have_reference) {
-      have_reference = true;
-      reference = o.value;
-      reference_thread = o.thread;
-    } else if (o.value != reference) {
-      // Two threads disagree on a value that is statically identical;
-      // blame the later reporter (arbitrary but stable).
-      return o.thread != reference_thread ? o.thread : kNoSuspect;
-    }
-  }
-
   int taken = 0;
   int not_taken = 0;
   for (const ThreadObservation& o : obs) {

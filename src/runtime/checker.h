@@ -17,8 +17,9 @@ struct ThreadObservation {
   std::uint32_t thread = 0;
   bool has_outcome = false;
   bool outcome = false;
+  /// Set from PartialValue reports, which carry the condition data.
   bool has_value = false;
-  std::uint64_t value = 0;  // condition data (PartialValue checks)
+  std::uint64_t value = 0;
 };
 
 /// Check one completed (or finalized) instance. Observations may cover only

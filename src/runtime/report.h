@@ -1,7 +1,8 @@
 // The wire format between instrumented program threads and the monitor:
-// the C++ equivalent of the paper's sendBranchCondition / sendBranchAddr
-// payloads (static branch id, thread id, call-site context, outer-loop
-// iteration numbers, and either condition data or the branch outcome).
+// the C++ equivalent of the paper's sendBranchAddr payload (static branch
+// id, thread id, call-site context, outer-loop iteration numbers, the
+// branch outcome) with the paper's sendBranchCondition data folded in.
+// Each thread sends exactly one report per branch instance, from the edge.
 #pragma once
 
 #include <cstdint>
@@ -18,9 +19,11 @@ enum class CheckCode : std::uint8_t {
   PartialValue = 3,
 };
 
+/// Only Outcome reports are produced: the condition data of a partial
+/// check travels in the Outcome report's `value`. Condition is unused.
 enum class ReportKind : std::uint8_t {
-  Condition = 0,  // sendBranchCondition: `value` holds the condition data
-  Outcome = 1,    // sendBranchAddr: `outcome` holds TAKEN/NOTTAKEN
+  Condition = 0,
+  Outcome = 1,
 };
 
 struct BranchReport {
@@ -28,10 +31,12 @@ struct BranchReport {
   std::uint32_t thread = 0;
   std::uint64_t ctx_hash = 0;   // call-site context (paper: call stack ids)
   std::uint64_t iter_hash = 0;  // outer-loop iteration vector
-  std::uint64_t value = 0;      // condition data (Condition reports)
+  /// Hash of the condition data latched before the branch (PartialValue
+  /// checks; 0 otherwise).
+  std::uint64_t value = 0;
   ReportKind kind = ReportKind::Outcome;
   CheckCode check = CheckCode::SharedOutcome;
-  bool outcome = false;  // taken? (Outcome reports)
+  bool outcome = false;  // taken?
   /// Integrity word sealed by the producer when the monitor runs with
   /// `validate_reports`; lets the consumer discard reports corrupted while
   /// queued (the campaign's QueueCorrupt fault model) instead of checking

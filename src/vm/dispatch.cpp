@@ -913,14 +913,13 @@ RtValue ThreadRunner::call_threaded(std::uint32_t func_index,
   }
   // --- BLOCKWATCH instrumentation ------------------------------------------
   BW_CASE(BwSendCond) {
-    BW_SYNC();  // monitor send may block on backpressure
     if (monitor_ != nullptr) {
       std::uint64_t h = 0x6a09e667f3bcc909ULL;
       for (std::uint32_t k = 0; k < t->b; ++k) {
         h = support::hash_combine(
             h, static_cast<std::uint64_t>(S[pool[t->a + k]].i));
       }
-      send_condition_hashed(t->imm, h);
+      latch_condition_hashed(t->imm, h);
     }
     BW_NEXT();
   }

@@ -894,31 +894,40 @@ class ThreadRunner {
 
   // --- Monitor client ----------------------------------------------------------
 
-  void send_condition(const DInst& d, const RtValue* regs) {
-    runtime::BranchReport report = base_report(d.imm);
-    report.kind = runtime::ReportKind::Condition;
+  /// sendBranchCondition: hash the condition data before the branch and
+  /// latch it for the edge report. It must be captured here, not re-read
+  /// on the edge: a CondBit fault corrupts the operand inside cond_br.
+  void latch_condition(const DInst& d, const RtValue* regs) {
     std::uint64_t h = 0x6a09e667f3bcc909ULL;
     for (const DOperand& op : d.ops) {
       h = support::hash_combine(h, raw(op, regs));
     }
-    report.value = h;
-    monitor_->send(report);
+    latch_condition_hashed(d.imm, h);
   }
 
   /// Threaded-tier variant: the operand hash is computed by the caller
   /// over pre-resolved slots (identical inputs — raw() of a constant slot
   /// equals raw() of the immediate operand it was materialized from).
-  void send_condition_hashed(std::uint32_t imm, std::uint64_t hash) {
-    runtime::BranchReport report = base_report(imm);
-    report.kind = runtime::ReportKind::Condition;
-    report.value = hash;
-    monitor_->send(report);
+  void latch_condition_hashed(std::uint32_t imm, std::uint64_t hash) {
+    latched_imm_ = imm;
+    latched_hash_ = hash;
   }
 
+  /// sendBranchAddr: the one report per branch instance. The latch spans
+  /// only cond_br and the edge's phi moves, so it always belongs to this
+  /// instance; a PartialValue edge without its own site's latch has
+  /// nothing to group by and sends nothing (sound: checks hold on
+  /// subsets).
   void send_outcome(std::uint32_t imm, bool outcome_flag) {
     runtime::BranchReport report = base_report(imm);
-    report.kind = runtime::ReportKind::Outcome;
     report.outcome = outcome_flag;
+    const bool latched = latched_imm_ == imm;
+    latched_imm_ = 0;
+    if (latched) {
+      report.value = latched_hash_;
+    } else if (report.check == runtime::CheckCode::PartialValue) {
+      return;
+    }
     monitor_->send(report);
   }
 
@@ -951,6 +960,10 @@ class ThreadRunner {
   std::uint64_t instructions_ = 0;
   std::uint64_t branches_ = 0;
   std::uint64_t barriers_crossed_ = 0;
+  /// Condition data latched by bw.send_cond for the next edge report of
+  /// the same site (imm 0 = none; a PartialValue imm is never 0).
+  std::uint32_t latched_imm_ = 0;
+  std::uint64_t latched_hash_ = 0;
   /// Race-oracle context: barrier phase counter, held-lock bitmask, and a
   /// count of held locks whose ids share the collapsed high mask bit.
   std::uint64_t epoch_ = 0;

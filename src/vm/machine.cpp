@@ -339,7 +339,7 @@ RtValue ThreadRunner::call(std::uint32_t func_index,
         break;
       // --- BLOCKWATCH instrumentation ------------------------------------------------
       case ir::Opcode::BwSendCond: {
-        if (monitor_ != nullptr) send_condition(d, regs.data());
+        if (monitor_ != nullptr) latch_condition(d, regs.data());
         break;
       }
       case ir::Opcode::BwSendOutcome: {

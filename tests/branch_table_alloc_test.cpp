@@ -52,12 +52,7 @@ std::vector<BranchReport> clean_stream(CheckCode check) {
       const std::uint64_t instance = t == 0 ? i : i - lead;
       r.static_id = static_cast<std::uint32_t>(1 + instance % 8);
       r.iter_hash = instance / 8;
-      if (check == CheckCode::PartialValue) {
-        r.kind = ReportKind::Condition;
-        r.value = 7;
-        order.push_back(r);
-      }
-      r.kind = ReportKind::Outcome;
+      if (check == CheckCode::PartialValue) r.value = 7;
       r.outcome = check == CheckCode::ThreadIdMonotone ? t < 2 : t == 1;
       if (check == CheckCode::SharedOutcome ||
           check == CheckCode::PartialValue) {

@@ -29,7 +29,6 @@ namespace {
 using namespace bw;
 using runtime::BranchReport;
 using runtime::CheckCode;
-using runtime::ReportKind;
 using runtime::ThreadObservation;
 
 using ViolationTuple = std::tuple<std::uint32_t, std::uint64_t,
@@ -71,10 +70,9 @@ class OracleTable {
       maybe_evict(key1, r.iter_hash, degraded);
     }
     ThreadObservation& obs = inst.observations[r.thread];
-    if (r.kind == ReportKind::Condition) {
+    if (r.check == CheckCode::PartialValue) {
       obs.has_value = true;
       obs.value = r.value;
-      return;
     }
     if (!obs.has_outcome) ++inst.outcomes;
     obs.has_outcome = true;
@@ -198,7 +196,8 @@ std::vector<BranchReport> shuffle_interleave(const Streams& streams,
 
 /// Synthetic streams: a handful of branch keys over every CheckCode, most
 /// threads reaching most instances, legal outcome patterns with sparse
-/// flips, and now and then a repeated outcome report.
+/// flips, now and then a repeated report, and partial values that are
+/// sometimes unique to their thread (a group of one, which never fires).
 Streams synthetic_streams(unsigned threads, support::SplitMixRng& rng) {
   Streams streams(threads);
   const unsigned keys = 1 + static_cast<unsigned>(rng.next_below(6));
@@ -218,12 +217,9 @@ Streams synthetic_streams(unsigned threads, support::SplitMixRng& rng) {
         r.iter_hash = i;
         r.thread = t;
         r.check = check;
-        if (check == CheckCode::PartialValue && rng.next_below(5) != 0) {
-          r.kind = ReportKind::Condition;
-          r.value = t % 3;
-          streams[t].push_back(r);
+        if (check == CheckCode::PartialValue) {
+          r.value = rng.next_below(5) != 0 ? t % 3 : 1000 + t;
         }
-        r.kind = ReportKind::Outcome;
         r.outcome = check == CheckCode::ThreadIdMonotone ? t < boundary
                     : check == CheckCode::ThreadIdEq     ? t == boundary
                     : check == CheckCode::PartialValue   ? t % 3 == 1
@@ -302,7 +298,7 @@ TEST_P(BranchTableKernelOracle, KernelStreamsMatchTheTwoLevelModel) {
   Streams faulted = recorder.streams();
   std::size_t index = 0;
   for (BranchReport& r : faulted[seed % kThreads]) {
-    if (r.kind == ReportKind::Outcome && index++ % 31 == 7) {
+    if (index++ % 31 == 7) {
       r.outcome = !r.outcome;
     }
   }

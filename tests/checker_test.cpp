@@ -50,19 +50,6 @@ TEST(CheckerShared, SubsetsAreChecked) {
                               outcomes({-1, -1, 1, -1})));  // one reporter
 }
 
-TEST(CheckerShared, ValueMismatchDetected) {
-  auto obs = outcomes({1, 1, 1});
-  for (auto& o : obs) {
-    o.has_value = true;
-    o.value = 42;
-  }
-  EXPECT_FALSE(check_instance(CheckCode::SharedOutcome, obs));
-  obs[1].value = 43;  // corrupted condition data, same outcome
-  auto suspect = check_instance(CheckCode::SharedOutcome, obs);
-  ASSERT_TRUE(suspect.has_value());
-  EXPECT_EQ(*suspect, 1u);
-}
-
 // --- ThreadIdEq -----------------------------------------------------------------
 
 TEST(CheckerThreadIdEq, OneTakerOrNonePasses) {

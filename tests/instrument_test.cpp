@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <tuple>
 
 #include "benchmarks/registry.h"
 #include "instrument/instrument.h"
@@ -10,6 +11,7 @@
 #include "ir/verifier.h"
 #include "pipeline/pipeline.h"
 #include "test_support.h"
+#include "vm/machine.h"
 
 namespace {
 
@@ -35,7 +37,7 @@ func slave() {
 )BWC");
   EXPECT_EQ(program.instrument_stats.instrumented_branches, 1);
   EXPECT_EQ(count_opcode(*program.module, ir::Opcode::BwSendOutcome), 2);
-  // Shared check: no condition data by default.
+  // Shared check: no condition data.
   EXPECT_EQ(count_opcode(*program.module, ir::Opcode::BwSendCond), 0);
   EXPECT_TRUE(ir::verify_module(*program.module).empty());
 }
@@ -50,20 +52,6 @@ func slave() {
 )BWC");
   EXPECT_EQ(count_opcode(*program.module, ir::Opcode::BwSendCond), 1);
   EXPECT_EQ(count_opcode(*program.module, ir::Opcode::BwSendOutcome), 2);
-}
-
-TEST(Instrument, SharedValueExtensionAddsCondSends) {
-  pipeline::PipelineOptions options;
-  options.instrumentation.send_cond_for_shared = true;
-  pipeline::CompiledProgram program = pipeline::protect_program(R"BWC(
-global int n = 4;
-global int out[8];
-func slave() {
-  if (n > 0) { out[0] = 1; }
-}
-)BWC",
-                                                                options);
-  EXPECT_EQ(count_opcode(*program.module, ir::Opcode::BwSendCond), 1);
 }
 
 TEST(Instrument, LoopTrackingTripletsArePlaced) {
@@ -285,6 +273,47 @@ func slave() {
     }
   }
   EXPECT_TRUE(found);
+}
+
+// The report census over every registry kernel: each checked branch
+// instance costs one report per thread, sent from the edge, and partial
+// reports carry the condition data latched before the branch.
+TEST(Instrument, EveryKernelSendsOneReportPerThreadPerInstance) {
+  using runtime::CheckCode;
+  std::size_t partial_reports = 0;
+  for (const benchmarks::Benchmark& bench : benchmarks::all_benchmarks()) {
+    pipeline::CompiledProgram program =
+        pipeline::protect_program(bench.source);
+    for (unsigned threads : {2u, 4u}) {
+      SCOPED_TRACE(bench.name + " threads=" + std::to_string(threads));
+      test::RecorderSink recorder(threads);
+      vm::RunOptions options;
+      options.num_threads = threads;
+      options.monitor = &recorder;
+      options.stop_on_detection = false;
+      ASSERT_TRUE(vm::run_program(*program.module, options).ok);
+      std::set<std::tuple<std::uint64_t, std::uint32_t, std::uint64_t,
+                          std::uint32_t>>
+          seen;
+      for (const auto& stream : recorder.streams()) {
+        for (const runtime::BranchReport& r : stream) {
+          ASSERT_EQ(r.kind, runtime::ReportKind::Outcome);
+          ASSERT_TRUE(
+              seen.emplace(r.ctx_hash, r.static_id, r.iter_hash, r.thread)
+                  .second)
+              << "second report for static_id " << r.static_id;
+          if (r.check == CheckCode::PartialValue) {
+            ++partial_reports;
+            // The operand hash is never 0; a missing latch would be.
+            ASSERT_NE(r.value, 0u) << "static_id " << r.static_id;
+          } else {
+            ASSERT_EQ(r.value, 0u) << "static_id " << r.static_id;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(partial_reports, 0u);
 }
 
 }  // namespace

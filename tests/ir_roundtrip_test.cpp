@@ -185,4 +185,26 @@ entry:
   EXPECT_EQ(call->type(), ir::Type::I64);  // refined after resolution
 }
 
+TEST(IrParser, VerifierRejectsUnknownCheckCode) {
+  // 67108869 = check code 4 << 24 | static id 5. It parses, but the
+  // monitor has no check for code 4, so the instance would never be
+  // checked.
+  auto module = ir::parse_module(R"(module "m"
+func @slave() -> void {
+entry:
+  %c = icmp gt 1, 0
+  cond_br %c, a, b
+a:
+  bw.send_outcome 67108869, taken
+  br b
+b:
+  ret
+}
+)");
+  const std::vector<std::string> errors = ir::verify_module(*module);
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors[0],
+            "@slave: check code 4 is not 0-3 (bw.send_outcome in 'a')");
+}
+
 }  // namespace

@@ -29,9 +29,8 @@ using namespace bw::runtime;
 
 /// A consistent report: every thread derives the same outcome/value from
 /// (branch, iteration), so a correct monitor never flags. When
-/// `with_conditions` is set, every fourth branch sends PartialValue
-/// condition data instead of an outcome (condition-only instances are
-/// stored but never completed, mirroring real instrumentation streams).
+/// `with_conditions` is set, every fourth branch is a PartialValue check
+/// whose report carries condition data.
 BranchReport consistent_report(std::uint32_t thread, std::uint32_t branch,
                                std::uint64_t iter,
                                bool with_conditions = true) {
@@ -40,15 +39,12 @@ BranchReport consistent_report(std::uint32_t thread, std::uint32_t branch,
   r.static_id = 1 + branch;
   r.ctx_hash = 0xc0ffee00ULL + branch;
   r.iter_hash = iter;
-  if (with_conditions && branch % 4 == 3) {
-    r.kind = ReportKind::Condition;
-    r.check = CheckCode::PartialValue;
+  r.check = with_conditions && branch % 4 == 3 ? CheckCode::PartialValue
+                                                : CheckCode::SharedOutcome;
+  if (r.check == CheckCode::PartialValue) {
     r.value = branch * 1315423911ULL + iter;
-  } else {
-    r.kind = ReportKind::Outcome;
-    r.check = CheckCode::SharedOutcome;
-    r.outcome = ((branch ^ iter) & 1) != 0;
   }
+  r.outcome = ((branch ^ iter) & 1) != 0;
   return r;
 }
 
@@ -117,9 +113,9 @@ TEST(MonitorServiceStress, CleanRunManyShardsRandomFlushNoFalseAlarms) {
     EXPECT_EQ(session.health(), MonitorHealth::Healthy);
     EXPECT_EQ(stats.dropped_reports, 0u);
     EXPECT_EQ(stats.reports_processed, 4u * 8u * 500u);
-    // Branches 3 and 7 send condition data only, so the 6 outcome
-    // branches produce the complete instances the eager path checks.
-    EXPECT_EQ(stats.instances_checked, 6u * 500u);
+    // One report per thread per instance: all 8 branches (partial ones
+    // included) complete every instance on the eager path.
+    EXPECT_EQ(stats.instances_checked, 8u * 500u);
     EXPECT_EQ(stats.instances_skipped, 0u);
   }
 }

@@ -102,20 +102,17 @@ TEST(Monitor, MixingIterationsWouldBeViolation) {
   EXPECT_EQ(monitor.violations().size(), 1u);
 }
 
-TEST(Monitor, PartialChecksUseConditionReports) {
+TEST(Monitor, PartialChecksReadTheValueOnOutcomeReports) {
   Monitor monitor(2);
   monitor.start();
-  auto cond = [&](unsigned t, std::uint64_t value) {
-    BranchReport r = report(t, 6, CheckCode::PartialValue, false);
-    r.kind = ReportKind::Condition;
+  auto partial = [&](unsigned t, std::uint64_t value, bool outcome) {
+    BranchReport r = report(t, 6, CheckCode::PartialValue, outcome);
     r.value = value;
     monitor.send(r);
   };
   // Same condition value, different outcomes: violation.
-  cond(0, 42);
-  cond(1, 42);
-  monitor.send(report(0, 6, CheckCode::PartialValue, true));
-  monitor.send(report(1, 6, CheckCode::PartialValue, false));
+  partial(0, 42, true);
+  partial(1, 42, false);
   monitor.stop();
   EXPECT_EQ(monitor.violations().size(), 1u);
 }

@@ -125,4 +125,47 @@ TEST(Pipeline, CompileErrorsPropagate) {
                support::CompileError);
 }
 
+// A condition fault corrupts the operand inside cond_br, after bw.send_cond
+// hashed the clean one. The edge report must carry that pre-branch value:
+// then the victim stays in its peers' value group with the other outcome
+// and is caught. Re-reading the corrupted operand on the edge would put it
+// in a group of its own, which can never fire.
+TEST(Pipeline, ConditionFaultIsCheckedAgainstThePreBranchValue) {
+  pipeline::CompiledProgram program = pipeline::protect_program(R"BWC(
+global int gp[64];
+global int out[64];
+func slave() {
+  if (gp[tid()] > 0) { out[tid()] = 1; }
+}
+)BWC");
+  std::uint32_t partial_site = 0;
+  for (const analysis::BranchInfo& info : program.analysis.branches) {
+    if (info.check == analysis::CheckKind::PartialValue) {
+      partial_site = info.static_id;
+    }
+  }
+  ASSERT_NE(partial_site, 0u);
+  for (vm::ExecTier tier : {vm::ExecTier::Interpreter,
+                            vm::ExecTier::Threaded}) {
+    SCOPED_TRACE(vm::to_string(tier));
+    pipeline::ExecutionConfig config;
+    config.num_threads = 4;
+    config.exec_tier = tier;
+    config.stop_on_detection = false;
+    // Every gp[t] is 0: one value group of four, all not taken. Bit 3
+    // turns thread 2's operand into 8, so its branch is taken.
+    config.fault.active = true;
+    config.fault.thread = 2;
+    config.fault.target_branch = 1;
+    config.fault.mode = vm::FaultPlan::Mode::CondBit;
+    config.fault.bit = 3;
+    pipeline::ExecutionResult result = pipeline::execute(program, config);
+    EXPECT_TRUE(result.run.fault_applied);
+    ASSERT_EQ(result.violations.size(), 1u);
+    EXPECT_EQ(result.violations[0].static_id, partial_site);
+    EXPECT_EQ(result.violations[0].check, runtime::CheckCode::PartialValue);
+    EXPECT_EQ(result.violations[0].suspect_thread, 2u);
+  }
+}
+
 }  // namespace
