@@ -5,7 +5,8 @@
 #   ./reproduce.sh          full build + tests + benches
 #   ./reproduce.sh --tsan   additionally rebuild under ThreadSanitizer and
 #                           run the concurrent runtime tests (queue,
-#                           monitors, resilience, recovery) in build-tsan/
+#                           monitors, resilience, recovery, campaign
+#                           worker pool) in build-tsan/
 #   ./reproduce.sh --asan   additionally rebuild under AddressSanitizer and
 #                           run the full test suite in build-asan/ (the
 #                           checkpoint/restore paths copy frames, heaps and
@@ -145,8 +146,8 @@ if [ "$run_tsan" = 1 ]; then
     ctest --test-dir build-tsan --output-on-failure -L stress
     echo "===== TSan recovery lane (quiesce/reset/rollback rendezvous) ====="
     ctest --test-dir build-tsan --output-on-failure -L recovery
-    echo "===== TSan campaign lane (parallel engine determinism) ====="
-    ctest --test-dir build-tsan --output-on-failure -L campaign
+    echo "===== TSan campaign + compositional lanes (shared worker pool) ====="
+    ctest --test-dir build-tsan --output-on-failure -L 'campaign|compositional'
     echo "===== TSan sampling lane (adaptive rate ladder under races) ====="
     ctest --test-dir build-tsan --output-on-failure -L sampling
     echo "===== TSan multitenant lane (session isolation proofs) ====="

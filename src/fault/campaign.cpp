@@ -1,13 +1,8 @@
 #include "fault/campaign.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <cstring>
-#include <mutex>
-#include <thread>
 
-#include "fault/checkpoint.h"
+#include "fault/engine.h"
 #include "support/diagnostics.h"
 #include "support/prng.h"
 #include "support/telemetry/telemetry.h"
@@ -231,13 +226,12 @@ telemetry::FaultOutcomeCode to_outcome_code(Verdict verdict) {
   return OC::NotActivated;
 }
 
-/// Fold one classified injection into the registry: a per-outcome counter
-/// plus a FaultOutcome event (a0 = outcome, a1 = faulted thread — 0 for
-/// monitor-path faults, where the fault lands on the consumer side —
-/// a2 = dynamic target index).
+}  // namespace
+
 void record_outcome(Verdict verdict, unsigned thread, std::uint64_t target) {
   if (!telemetry::enabled()) return;
   using telemetry::Counter;
+  telemetry::counter_add(Counter::FaultInjected);
   Counter counter = Counter::kCount;
   switch (verdict) {
     case Verdict::NotActivated: break;  // FaultInjected - FaultActivated
@@ -249,11 +243,64 @@ void record_outcome(Verdict verdict, unsigned thread, std::uint64_t target) {
     case Verdict::Sdc: counter = Counter::FaultSdc; break;
     case Verdict::FalseAlarm: counter = Counter::FaultFalseAlarm; break;
   }
-  if (counter != Counter::kCount) telemetry::counter_add(counter);
+  if (counter != Counter::kCount) {
+    telemetry::counter_add(Counter::FaultActivated);
+    telemetry::counter_add(counter);
+  }
   telemetry::record_event(
       telemetry::EventKind::FaultOutcome, telemetry::Phase::Other,
       static_cast<std::uint64_t>(to_outcome_code(verdict)), thread, target);
 }
+
+pipeline::ExecutionConfig fault_run_config(const CampaignOptions& options,
+                                           std::uint64_t budget) {
+  pipeline::ExecutionConfig config;
+  config.num_threads = options.num_threads;
+  config.exec_tier = options.exec_tier;
+  config.monitor = options.protect ? pipeline::MonitorMode::Full
+                                   : pipeline::MonitorMode::Off;
+  config.instruction_budget = budget;
+  config.monitor_options.sampling = options.monitor.sampling;
+  config.recovery = options.recovery;
+  return config;
+}
+
+Verdict classify_application_fault(const pipeline::ExecutionResult& run,
+                                   bool protect, const std::string& output,
+                                   const std::string& golden_output) {
+  // Classification precedence mirrors the paper's procedure: recovery
+  // first (the run both detected and corrected), then detection, then
+  // crash/hang (caught by other means), then the output comparison
+  // against the golden result.
+  if (protect && run.recovered) {
+    // Rolled back, replayed, and STILL diverged: the restore is unsound.
+    // Counted as sdc (the partition tells the truth); the caller flags it
+    // separately so tests can require zero.
+    return output == golden_output ? Verdict::Recovered : Verdict::Sdc;
+  }
+  if (protect && run.detected) return Verdict::Detected;
+  if (run.run.crash) return Verdict::Crashed;
+  if (run.run.hang) return Verdict::Hung;
+  return output == golden_output ? Verdict::Benign : Verdict::Sdc;
+}
+
+CampaignCheckpoint resume_checkpoint(const CampaignOptions& options) {
+  CampaignCheckpoint cp;
+  if (options.resume_file.empty()) return cp;
+  std::string error;
+  if (!load_checkpoint(options.resume_file, cp, &error)) {
+    throw support::CompileError("campaign resume: " + error);
+  }
+  if (!cp.matches(options)) {
+    throw support::CompileError(
+        "campaign resume: checkpoint '" + options.resume_file +
+        "' was written by a different campaign (seed/type/plan/threads/"
+        "protect/sampling/flips mismatch)");
+  }
+  return cp;
+}
+
+namespace {
 
 /// One injection run against the application (the paper's BranchFlip /
 /// BranchCondition models), classified into the paper's taxonomy.
@@ -268,18 +315,12 @@ Verdict run_application_fault(const pipeline::CompiledProgram& program,
   std::uint64_t branches = golden.branches_per_thread[thread];
   if (branches == 0) {
     // Fault lands in a thread that runs no branches: never activated.
-    telemetry::counter_add(telemetry::Counter::FaultInjected);
     record_outcome(Verdict::NotActivated, thread, 0);
     return Verdict::NotActivated;
   }
   std::uint64_t target = 1 + rng.next_below(branches);
 
-  pipeline::ExecutionConfig config;
-  config.num_threads = options.num_threads;
-  config.exec_tier = options.exec_tier;
-  config.monitor = options.protect ? pipeline::MonitorMode::Full
-                                   : pipeline::MonitorMode::Off;
-  config.instruction_budget = budget;
+  pipeline::ExecutionConfig config = fault_run_config(options, budget);
   config.fault.active = true;
   config.fault.thread = thread;
   config.fault.target_branch = target;
@@ -291,47 +332,19 @@ Verdict run_application_fault(const pipeline::CompiledProgram& program,
   config.fault.bit = static_cast<unsigned>(rng.next_below(64));
   config.fault.targeted = options.type == FaultType::TargetedFlip;
   config.fault.targeted_flips = options.targeted_flips;
-  config.monitor_options.sampling = options.monitor.sampling;
-  config.recovery = options.recovery;
 
   pipeline::ExecutionResult run = pipeline::execute(program, config);
-  telemetry::counter_add(telemetry::Counter::FaultInjected);
   outcome.rollbacks = run.recovery.rollbacks;
   outcome.checkpoints = run.recovery.checkpoints_taken;
   outcome.restore_ns = run.recovery.restore_ns;
   outcome.checkpoint_ns = run.recovery.checkpoint_ns;
   outcome.retry_exhausted = run.recovery.retries_exhausted;
-  if (!run.run.fault_applied) {
-    record_outcome(Verdict::NotActivated, thread, target);
-    return Verdict::NotActivated;
-  }
-  telemetry::counter_add(telemetry::Counter::FaultActivated);
-
-  // Classification precedence mirrors the paper's procedure: recovery
-  // first (the run both detected and corrected), then detection, then
-  // crash/hang (caught by other means), then the output comparison
-  // against the golden result.
-  Verdict verdict;
-  if (options.protect && run.recovered) {
-    if (run.run.output == golden.output) {
-      verdict = Verdict::Recovered;
-    } else {
-      // Rolled back, replayed, and STILL diverged: the restore is
-      // unsound. Counted as sdc (the partition tells the truth) and
-      // flagged separately so tests can require zero.
-      verdict = Verdict::Sdc;
-      outcome.recovered_mismatch = true;
-    }
-  } else if (options.protect && run.detected) {
-    verdict = Verdict::Detected;
-  } else if (run.run.crash) {
-    verdict = Verdict::Crashed;
-  } else if (run.run.hang) {
-    verdict = Verdict::Hung;
-  } else if (run.run.output == golden.output) {
-    verdict = Verdict::Benign;
-  } else {
-    verdict = Verdict::Sdc;
+  Verdict verdict = Verdict::NotActivated;
+  if (run.run.fault_applied) {
+    verdict = classify_application_fault(run, options.protect,
+                                         run.run.output, golden.output);
+    outcome.recovered_mismatch =
+        options.protect && run.recovered && verdict == Verdict::Sdc;
   }
   record_outcome(verdict, thread, target);
   return verdict;
@@ -375,12 +388,10 @@ Verdict run_monitor_fault(const pipeline::CompiledProgram& program,
   }
 
   pipeline::ExecutionResult run = pipeline::execute(program, config);
-  telemetry::counter_add(telemetry::Counter::FaultInjected);
   if (run.monitor_stats.hooks_fired == 0) {
     record_outcome(Verdict::NotActivated, 0, target);
     return Verdict::NotActivated;  // never activated
   }
-  telemetry::counter_add(telemetry::Counter::FaultActivated);
 
   outcome.degraded = run.monitor_health == runtime::MonitorHealth::Degraded;
   outcome.failed = run.monitor_health == runtime::MonitorHealth::Failed;
@@ -410,113 +421,6 @@ Verdict run_monitor_fault(const pipeline::CompiledProgram& program,
   return verdict;
 }
 
-std::uint64_t now_ns(std::chrono::steady_clock::time_point since) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - since)
-          .count());
-}
-
-/// Shared state of one campaign's worker pool. Workers claim plan indices
-/// from an atomic cursor, run injections lock-free, and only take the
-/// mutex to publish a finished outcome (and occasionally serialize a
-/// checkpoint — rare by construction, checkpoint_every completions apart).
-struct CampaignEngine {
-  const pipeline::CompiledProgram& program;
-  const CampaignOptions& options;
-  const GoldenRun& golden;
-  const std::uint64_t budget;
-  const bool monitor_fault;
-
-  std::atomic<int> next{0};
-  std::atomic<bool> halted{false};
-
-  std::mutex mutex;
-  std::vector<InjectionOutcome> outcomes;  // slot i owned by injection i
-  std::vector<char> done;
-  int completed = 0;          // includes resumed outcomes
-  int since_checkpoint = 0;   // completions since the last serialization
-  std::uint64_t busy_ns = 0;  // summed across workers (utilization gauge)
-
-  CampaignEngine(const pipeline::CompiledProgram& p,
-                 const CampaignOptions& o, const GoldenRun& g,
-                 std::uint64_t b)
-      : program(p), options(o), golden(g), budget(b),
-        monitor_fault(is_monitor_fault(o.type)),
-        outcomes(static_cast<std::size_t>(std::max(o.injections, 0))),
-        done(static_cast<std::size_t>(std::max(o.injections, 0)), 0) {}
-
-  // Serialize every completed outcome (caller holds the mutex).
-  void write_checkpoint_locked() {
-    if (options.checkpoint_file.empty()) return;
-    CampaignCheckpoint cp;
-    cp.seed = options.seed;
-    cp.type = options.type;
-    cp.injections = options.injections;
-    cp.num_threads = options.num_threads;
-    cp.protect = options.protect;
-    cp.sampling_enabled = options.monitor.sampling.enabled;
-    cp.sampling_forced_rate = options.monitor.sampling.forced_rate;
-    cp.sampling_max_rate = options.monitor.sampling.max_rate;
-    cp.targeted_flips = options.targeted_flips;
-    for (int i = 0; i < options.injections; ++i) {
-      if (done[static_cast<std::size_t>(i)]) {
-        cp.completed.push_back(outcomes[static_cast<std::size_t>(i)]);
-      }
-    }
-    int cursor = 0;
-    while (cursor < options.injections &&
-           done[static_cast<std::size_t>(cursor)]) {
-      ++cursor;
-    }
-    cp.cursor = cursor;
-    save_checkpoint(options.checkpoint_file, cp);
-    since_checkpoint = 0;
-  }
-
-  void worker(unsigned worker_id) {
-    const auto epoch = std::chrono::steady_clock::now();
-    std::uint64_t my_busy = 0;
-    for (;;) {
-      if (halted.load(std::memory_order_relaxed)) break;
-      int i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= options.injections) break;
-      if (done[static_cast<std::size_t>(i)]) continue;  // resumed slot
-
-      const std::uint64_t start = now_ns(epoch);
-      InjectionOutcome outcome;
-      outcome.index = static_cast<std::uint32_t>(i);
-      support::SplitMixRng rng(injection_seed(options.seed,
-                                              outcome.index));
-      outcome.verdict =
-          monitor_fault
-              ? run_monitor_fault(program, options, golden, budget, rng,
-                                  outcome)
-              : run_application_fault(program, options, golden, budget, rng,
-                                      outcome);
-      outcome.wall_ns = now_ns(epoch) - start;
-      my_busy += outcome.wall_ns;
-      telemetry::record_event(telemetry::EventKind::CampaignInjection,
-                              telemetry::Phase::Other, outcome.index,
-                              static_cast<std::uint64_t>(outcome.verdict),
-                              worker_id);
-
-      std::lock_guard<std::mutex> lock(mutex);
-      outcomes[static_cast<std::size_t>(i)] = outcome;
-      done[static_cast<std::size_t>(i)] = 1;
-      ++completed;
-      if (options.halt_after > 0 && completed >= options.halt_after) {
-        halted.store(true, std::memory_order_relaxed);
-      }
-      if (++since_checkpoint >= std::max(options.checkpoint_every, 1)) {
-        write_checkpoint_locked();
-      }
-    }
-    std::lock_guard<std::mutex> lock(mutex);
-    busy_ns += my_busy;
-  }
-};
-
 }  // namespace
 
 CampaignResult run_campaign(std::string_view source,
@@ -540,72 +444,77 @@ CampaignResult run_campaign(std::string_view source,
                              ? options.instruction_budget
                              : auto_instruction_budget(golden);
 
-  unsigned workers = options.campaign_workers != 0
-                         ? options.campaign_workers
-                         : std::max(1u, std::thread::hardware_concurrency());
-  workers = std::clamp<unsigned>(
-      workers, 1, static_cast<unsigned>(std::max(options.injections, 1)));
-
-  CampaignEngine engine(program, options, golden, budget);
+  // Slot i is owned by injection i; `done` marks the completed set.
+  const std::size_t plan = static_cast<std::size_t>(options.injections);
+  std::vector<InjectionOutcome> outcomes(plan);
+  std::vector<char> done(plan, 0);
 
   // Resume: replay completed outcomes into their plan slots. Their
   // telemetry was emitted by the run that produced them; replays only
   // fold into the result.
-  if (!options.resume_file.empty()) {
-    CampaignCheckpoint cp;
-    std::string error;
-    if (!load_checkpoint(options.resume_file, cp, &error)) {
-      throw support::CompileError("campaign resume: " + error);
-    }
-    if (!cp.matches(options)) {
-      throw support::CompileError(
-          "campaign resume: checkpoint '" + options.resume_file +
-          "' was written by a different campaign (seed/type/plan/threads/"
-          "protect/sampling/flips mismatch)");
-    }
-    for (const InjectionOutcome& o : cp.completed) {
-      std::size_t slot = o.index;
-      if (slot >= engine.done.size() || engine.done[slot]) continue;
-      engine.outcomes[slot] = o;
-      engine.done[slot] = 1;
-      ++engine.completed;
-    }
+  int resumed = 0;
+  for (const InjectionOutcome& o : resume_checkpoint(options).completed) {
+    if (o.index >= plan || done[o.index]) continue;
+    outcomes[o.index] = o;
+    done[o.index] = 1;
+    ++resumed;
   }
-  const int resumed = engine.completed;
+  std::vector<std::uint32_t> pending;
+  for (std::uint32_t i = 0; i < plan; ++i) {
+    if (!done[i]) pending.push_back(i);
+  }
 
-  telemetry::gauge_set(telemetry::Gauge::CampaignWorkers, workers);
-  const auto campaign_start = std::chrono::steady_clock::now();
-  if (workers == 1) {
-    engine.worker(0);  // serial engine: same code path, no pool
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) {
-      pool.emplace_back([&engine, w] { engine.worker(w); });
-    }
-    for (std::thread& t : pool) t.join();
+  PoolControl control{.workers = options.campaign_workers,
+                      .halt_after = options.halt_after,
+                      .completed = resumed,
+                      .checkpoint_every = options.checkpoint_every};
+  if (!options.checkpoint_file.empty()) {
+    // Serialize every completed outcome plus the plan cursor.
+    control.checkpoint = [&] {
+      CampaignCheckpoint cp = checkpoint_identity(options);
+      for (std::size_t i = 0; i < plan; ++i) {
+        if (done[i]) cp.completed.push_back(outcomes[i]);
+      }
+      while (static_cast<std::size_t>(cp.cursor) < plan && done[cp.cursor]) {
+        ++cp.cursor;
+      }
+      save_checkpoint(options.checkpoint_file, cp);
+    };
   }
-  const std::uint64_t campaign_ns = now_ns(campaign_start);
-
-  // All workers joined: the engine is single-threaded again from here.
-  if (!options.checkpoint_file.empty()) engine.write_checkpoint_locked();
-  if (campaign_ns > 0 && workers > 0) {
-    telemetry::gauge_set(
-        telemetry::Gauge::CampaignWorkerUtilPct,
-        std::min<std::uint64_t>(
-            100, 100 * engine.busy_ns / (campaign_ns * workers)));
-  }
+  const unsigned workers = run_pool(
+      pending.size(), control,
+      [&](std::size_t task, unsigned) {
+        InjectionOutcome outcome;
+        outcome.index = pending[task];
+        support::SplitMixRng rng(injection_seed(options.seed, outcome.index));
+        outcome.verdict =
+            monitor_fault
+                ? run_monitor_fault(program, options, golden, budget, rng,
+                                    outcome)
+                : run_application_fault(program, options, golden, budget,
+                                        rng, outcome);
+        return outcome;
+      },
+      [&](std::size_t, InjectionOutcome&& outcome, std::uint64_t wall_ns,
+          unsigned worker) {
+        outcome.wall_ns = wall_ns;
+        telemetry::record_event(telemetry::EventKind::CampaignInjection,
+                                telemetry::Phase::Other, outcome.index,
+                                static_cast<std::uint64_t>(outcome.verdict),
+                                worker);
+        outcomes[outcome.index] = outcome;
+        done[outcome.index] = 1;
+      });
 
   // Deterministic fold: outcomes enter the result in plan order, never in
   // completion order, so any worker count produces identical bytes.
   CampaignResult result;
   result.workers = workers;
   result.resumed = resumed;
-  for (int i = 0; i < options.injections; ++i) {
-    if (!engine.done[static_cast<std::size_t>(i)]) continue;
-    const InjectionOutcome& o = engine.outcomes[static_cast<std::size_t>(i)];
-    accumulate(result, o);
-    result.verdicts.push_back(o.verdict);
+  for (std::size_t i = 0; i < plan; ++i) {
+    if (!done[i]) continue;
+    accumulate(result, outcomes[i]);
+    result.verdicts.push_back(outcomes[i].verdict);
   }
   result.interrupted = result.injected < options.injections;
   if (result.injected > 0) {
@@ -619,52 +528,24 @@ CleanRunResult run_clean_campaign(const pipeline::CompiledProgram& program,
                                   const pipeline::ExecutionConfig& config,
                                   int runs, unsigned workers) {
   telemetry::SpanScope span(telemetry::Phase::Other, "fault.clean_campaign");
-  if (workers == 0) {
-    workers = std::max(1u, std::thread::hardware_concurrency());
-  }
-  workers = std::clamp<unsigned>(workers, 1,
-                                 static_cast<unsigned>(std::max(runs, 1)));
-
   CleanRunResult total;
-  std::atomic<int> next{0};
-  std::mutex mutex;
-  auto worker = [&] {
-    CleanRunResult shard;
-    for (;;) {
-      int i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= runs) break;
-      pipeline::ExecutionResult result = pipeline::execute(program, config);
-      ++shard.runs;
-      if (!result.run.ok) ++shard.failures;
-      shard.violations += static_cast<int>(result.violations.size());
-      if (result.monitor_health == runtime::MonitorHealth::Degraded) {
-        ++shard.degraded;
-      } else if (result.monitor_health == runtime::MonitorHealth::Failed) {
-        ++shard.failed_health;
-      }
-      shard.reports += result.monitor_stats.reports_processed;
-      shard.checks += result.monitor_stats.instances_checked;
-      shard.dropped += result.monitor_stats.dropped_reports;
-    }
-    std::lock_guard<std::mutex> lock(mutex);
-    total.runs += shard.runs;
-    total.failures += shard.failures;
-    total.violations += shard.violations;
-    total.degraded += shard.degraded;
-    total.failed_health += shard.failed_health;
-    total.reports += shard.reports;
-    total.checks += shard.checks;
-    total.dropped += shard.dropped;
-  };
-
-  if (workers == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
+  run_pool(
+      static_cast<std::size_t>(std::max(runs, 0)), PoolControl{.workers = workers},
+      [&](std::size_t, unsigned) { return pipeline::execute(program, config); },
+      [&](std::size_t, pipeline::ExecutionResult&& result, std::uint64_t,
+          unsigned) {
+        ++total.runs;
+        if (!result.run.ok) ++total.failures;
+        total.violations += static_cast<int>(result.violations.size());
+        if (result.monitor_health == runtime::MonitorHealth::Degraded) {
+          ++total.degraded;
+        } else if (result.monitor_health == runtime::MonitorHealth::Failed) {
+          ++total.failed_health;
+        }
+        total.reports += result.monitor_stats.reports_processed;
+        total.checks += result.monitor_stats.instances_checked;
+        total.dropped += result.monitor_stats.dropped_reports;
+      });
   return total;
 }
 

@@ -22,6 +22,12 @@
 // tests/campaign_parallel_test.cpp). Long campaigns can checkpoint
 // completed injections to a file and resume after an interruption; see
 // CampaignCheckpoint in fault/checkpoint.h.
+//
+// run_campaign, run_compositional_campaign (fault/compositional.h) and
+// run_clean_campaign run on one engine core (fault/engine.h): one worker
+// pool, checkpoint identity, resume loader, fault-run configuration and
+// application-fault verdict ladder. Monitor-path faults keep their own
+// ladder (hang first; FalseAlarm exists only there).
 #pragma once
 
 #include <cstdint>
@@ -159,7 +165,8 @@ struct CampaignOptions {
   /// their recorded outcomes; only the remainder executes.
   std::string resume_file;
   /// Test hook simulating a mid-campaign kill: stop dispatching new
-  /// injections once this many have completed (0 = run to completion).
+  /// injections once this many have completed, resumed ones included
+  /// (0 = run to completion).
   /// The result is marked interrupted and the checkpoint file (if any)
   /// holds everything needed to resume.
   int halt_after = 0;

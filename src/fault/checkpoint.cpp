@@ -4,8 +4,11 @@
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string_view>
+
+#include "fault/engine.h"
 
 namespace bw::fault {
 
@@ -48,15 +51,28 @@ bool fail(std::string* error, const std::string& why) {
 
 }  // namespace
 
+CampaignCheckpoint checkpoint_identity(const CampaignOptions& options) {
+  CampaignCheckpoint cp;
+  cp.seed = options.seed;
+  cp.type = options.type;
+  cp.injections = options.injections;
+  cp.num_threads = options.num_threads;
+  cp.protect = options.protect;
+  cp.sampling_enabled = options.monitor.sampling.enabled;
+  cp.sampling_forced_rate = options.monitor.sampling.forced_rate;
+  cp.sampling_max_rate = options.monitor.sampling.max_rate;
+  cp.targeted_flips = options.targeted_flips;
+  return cp;
+}
+
 bool CampaignCheckpoint::matches(const CampaignOptions& options) const {
-  const runtime::SamplingOptions& sampling = options.monitor.sampling;
-  return seed == options.seed && type == options.type &&
-         injections == options.injections &&
-         num_threads == options.num_threads && protect == options.protect &&
-         sampling_enabled == sampling.enabled &&
-         sampling_forced_rate == sampling.forced_rate &&
-         sampling_max_rate == sampling.max_rate &&
-         targeted_flips == options.targeted_flips;
+  const CampaignCheckpoint id = checkpoint_identity(options);
+  return seed == id.seed && type == id.type && injections == id.injections &&
+         num_threads == id.num_threads && protect == id.protect &&
+         sampling_enabled == id.sampling_enabled &&
+         sampling_forced_rate == id.sampling_forced_rate &&
+         sampling_max_rate == id.sampling_max_rate &&
+         targeted_flips == id.targeted_flips;
 }
 
 std::string CampaignCheckpoint::to_text() const {
@@ -136,6 +152,8 @@ bool CampaignCheckpoint::from_text(const std::string& text,
     return fail(error, "malformed cursor line");
   }
 
+  std::set<std::uint32_t> phases_seen;
+  std::set<std::uint32_t> indices_seen;
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') continue;
     if (line.size() >= 2 && line[0] == 'p' && line[1] == 'c') {
@@ -149,6 +167,9 @@ bool CampaignCheckpoint::from_text(const std::string& text,
                       &done, &digits_at) != 5 ||
           digits_at <= 0) {
         return fail(error, "malformed phase-cache line: " + line);
+      }
+      if (!phases_seen.insert(pc.phase).second) {
+        return fail(error, "duplicate phase-cache line: " + line);
       }
       std::string_view digits =
           std::string_view(line).substr(static_cast<std::size_t>(digits_at));
@@ -189,6 +210,9 @@ bool CampaignCheckpoint::from_text(const std::string& text,
     if (o.index >= static_cast<std::uint32_t>(
                        std::max(cp.injections, 0))) {
       return fail(error, "outcome index beyond the plan: " + line);
+    }
+    if (!indices_seen.insert(o.index).second) {
+      return fail(error, "duplicate outcome index: " + line);
     }
     o.verdict = static_cast<Verdict>(verdict);
     unpack_flags(flags, o);

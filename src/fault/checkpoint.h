@@ -100,7 +100,8 @@ struct CampaignCheckpoint {
 
   std::string to_text() const;
   /// Parse a checkpoint written by to_text(). On failure returns false
-  /// and, when `error` is non-null, stores a one-line reason.
+  /// and, when `error` is non-null, stores a one-line reason. A repeated
+  /// outcome index or a second `pc` line for one phase is rejected.
   static bool from_text(const std::string& text, CampaignCheckpoint& out,
                         std::string* error = nullptr);
 };

@@ -1,12 +1,9 @@
 #include "fault/compositional.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <chrono>
-#include <mutex>
-#include <thread>
 
+#include "fault/engine.h"
 #include "support/diagnostics.h"
 #include "support/prng.h"
 #include "support/telemetry/telemetry.h"
@@ -31,13 +28,6 @@ std::uint64_t hash_words(std::uint64_t h,
     h = hash_combine(h, static_cast<std::uint64_t>(w));
   }
   return h;
-}
-
-std::uint64_t now_ns(std::chrono::steady_clock::time_point since) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - since)
-          .count());
 }
 
 /// Deterministic program output of the parallel section only: per-thread
@@ -221,10 +211,10 @@ struct Classified {
   bool via_continuation = false;
 };
 
-/// Shared state of the compositional worker pool. Tasks are (phase,
-/// injection) pairs claimed from an atomic cursor; every task draws from
-/// a private RNG stream keyed by (seed, phase, injection), so the verdict
-/// in its slot is identical for any worker count and any interleaving.
+/// The read-only context every compositional injection runs against.
+/// Each injection draws from a private RNG stream keyed by (seed, phase,
+/// injection), so the verdict in its slot is identical for any worker
+/// count and any interleaving.
 struct CompositionalEngine {
   const pipeline::CompiledProgram& program;
   const CampaignOptions& options;
@@ -232,59 +222,11 @@ struct CompositionalEngine {
   const vm::DecodedProgram& decoded;
   const std::string& golden_output;  // golden section output
   const std::uint64_t continuation_budget;
-  const bool protect;
 
-  std::vector<std::pair<std::uint32_t, int>> tasks{};  // uncached (p, j)
-  std::atomic<int> next{0};
-  std::atomic<bool> halted{false};
-
-  std::mutex mutex{};
-  // Slot (p, j): verdicts[p][j] owned by the worker that claimed it.
-  std::vector<std::vector<Verdict>> verdicts{};
-  std::vector<std::vector<char>> via_cont{};  // Classified::via_continuation
-  std::vector<std::vector<char>> done{};
-  std::vector<std::vector<char>> served{};  // filled from cache, not run
-  std::vector<std::vector<std::uint64_t>> wall_ns{};
-  int completed = 0;  // live + cache-served injections
-  int since_checkpoint = 0;
-
-  void write_checkpoint_locked() {
-    if (options.checkpoint_file.empty()) return;
-    CampaignCheckpoint cp;
-    cp.seed = options.seed;
-    cp.type = options.type;
-    cp.injections = options.injections;
-    cp.num_threads = options.num_threads;
-    cp.protect = options.protect;
-    cp.sampling_enabled = options.monitor.sampling.enabled;
-    cp.sampling_forced_rate = options.monitor.sampling.forced_rate;
-    cp.sampling_max_rate = options.monitor.sampling.max_rate;
-    cp.targeted_flips = options.targeted_flips;
-    for (std::size_t p = 0; p < phases.size(); ++p) {
-      PhaseCacheEntry entry;
-      entry.phase = static_cast<std::uint32_t>(p);
-      entry.code_fp = phases[p].code_fp;
-      entry.entry_fp = phases[p].entry_fp;
-      entry.cont_fp = phases[p].cont_fp;
-      // Contiguous done-prefix only: verdicts are deterministic per
-      // (phase, index), so anything beyond a hole is simply recomputed
-      // on resume.
-      for (std::size_t j = 0; j < done[p].size(); ++j) {
-        if (!done[p][j]) break;
-        entry.verdicts.push_back(verdicts[p][j]);
-        entry.via_continuation.push_back(via_cont[p][j]);
-      }
-      if (!entry.verdicts.empty()) cp.phase_cache.push_back(std::move(entry));
-    }
-    save_checkpoint(options.checkpoint_file, cp);
-    since_checkpoint = 0;
-  }
-
-  Classified inject_one(std::uint32_t p, int j) {
+  Classified inject_one(std::uint32_t p, std::uint32_t j) const {
     const PhaseInfo& info = phases[p];
     support::SplitMixRng rng(
-        injection_seed(injection_seed(options.seed, p),
-                       static_cast<std::uint32_t>(j)));
+        injection_seed(injection_seed(options.seed, p), j));
 
     // Weighted thread draw over this phase's branch deltas: the composed
     // sampler's (phase, thread) marginal matches the monolithic engine's
@@ -308,12 +250,7 @@ struct CompositionalEngine {
     // campaigns consume the same stream shape per index.
     const unsigned bit = static_cast<unsigned>(rng.next_below(64));
 
-    pipeline::ExecutionConfig config;
-    config.num_threads = options.num_threads;
-    config.exec_tier = options.exec_tier;
-    config.monitor = protect ? pipeline::MonitorMode::Full
-                             : pipeline::MonitorMode::Off;
-    config.instruction_budget = info.budget;
+    pipeline::ExecutionConfig config = fault_run_config(options, info.budget);
     config.fault.active = true;
     config.fault.thread = thread;
     config.fault.target_branch = target;
@@ -321,118 +258,83 @@ struct CompositionalEngine {
                             ? vm::FaultPlan::Mode::CondBit
                             : vm::FaultPlan::Mode::BranchFlip;
     config.fault.bit = bit;
-    config.monitor_options.sampling = options.monitor.sampling;
     config.phase.active = true;
     config.phase.entry = info.entry;
     config.phase.exit_generation = info.exit_generation;
     vm::Checkpoint exit_capture;
-    const bool has_cut = info.exit_generation != 0;
-    if (has_cut) config.phase.exit_capture = &exit_capture;
+    if (info.exit_generation != 0) config.phase.exit_capture = &exit_capture;
 
     pipeline::ExecutionResult run = pipeline::execute(program, config);
-    telemetry::counter_add(telemetry::Counter::FaultInjected);
-    if (!run.run.fault_applied) return {Verdict::NotActivated, false};
-    telemetry::counter_add(telemetry::Counter::FaultActivated);
+    const Classified outcome = run.run.fault_applied
+                                   ? resolve(info, config, run, exit_capture)
+                                   : Classified{};
+    record_outcome(outcome.verdict, thread, target);
+    return outcome;
+  }
 
-    // Same precedence as the monolithic classifier: detection first,
-    // then crash/hang, then state comparison. These resolve inside the
-    // phase: no downstream code was consulted.
-    if (protect && run.detected) return {Verdict::Detected, false};
-    if (run.run.crash) return {Verdict::Crashed, false};
-    if (run.run.hang) return {Verdict::Hung, false};
-
-    if (has_cut && run.run.phase_exited) {
-      if (!exit_capture.complete) {
-        // The fault desynchronized barrier staging (e.g. the victim
-        // skipped a conditional barrier), so some slot of the exit
-        // capture is a leftover rather than a true snapshot of the cut —
-        // a continuation from it would classify a fabricated hybrid
-        // execution. Re-run the SAME injection end-to-end from the phase
-        // entry instead: the direct classification the monolithic engine
-        // would produce.
-        pipeline::ExecutionConfig direct = config;
-        direct.instruction_budget = continuation_budget;
-        direct.phase.exit_generation = 0;  // run to the section end
-        direct.phase.exit_capture = nullptr;
-        pipeline::ExecutionResult d = pipeline::execute(program, direct);
-        if (protect && d.detected) return {Verdict::Detected, true};
-        if (d.run.crash) return {Verdict::Crashed, true};
-        if (d.run.hang) return {Verdict::Hung, true};
-        return {section_output(d.run) == golden_output ? Verdict::Benign
-                                                       : Verdict::Sdc,
-                true};
-      }
-      if (fingerprint_state(exit_capture, decoded) == info.exit_fp) {
-        // The exit cut carries the complete machine state, so fingerprint
-        // equality means the continuation IS the golden continuation:
-        // the fault was fully masked inside the phase. (No downstream
-        // code ran — the verdict survives downstream edits.)
-        return {Verdict::Benign, false};
-      }
+  /// Classify an activated phase run, continuing past its exit cut when
+  /// the verdict depends on downstream code.
+  Classified resolve(const PhaseInfo& info,
+                     const pipeline::ExecutionConfig& config,
+                     const pipeline::ExecutionResult& run,
+                     const vm::Checkpoint& exit_capture) const {
+    // Detection, crash and hang resolve inside the phase: no downstream
+    // code was consulted.
+    const Verdict in_phase = classify_application_fault(
+        run, options.protect, section_output(run.run), golden_output);
+    if (in_phase == Verdict::Detected || in_phase == Verdict::Crashed ||
+        in_phase == Verdict::Hung) {
+      return {in_phase, false};
+    }
+    if (config.phase.exit_capture == nullptr || !run.run.phase_exited) {
+      // The run left the parallel section without reaching the cut:
+      // either this is the last phase (no cut), or the fault steered
+      // control flow past the exit barrier to the section end. Both end
+      // states are final program states — the section output was compared
+      // directly (against the whole-program golden output, so
+      // continuation-dependent).
+      return {in_phase, true};
+    }
+    if (exit_capture.complete &&
+        fingerprint_state(exit_capture, decoded) == info.exit_fp) {
+      // The exit cut carries the complete machine state, so fingerprint
+      // equality means the continuation IS the golden continuation: the
+      // fault was fully masked inside the phase. (No downstream code ran —
+      // the verdict survives downstream edits.)
+      return {Verdict::Benign, false};
+    }
+    pipeline::ExecutionConfig next =
+        fault_run_config(options, continuation_budget);
+    next.phase.active = true;  // exit_generation 0: run to the section end
+    if (exit_capture.complete) {
       // Silent delta at the cut. The corruption may still be masked,
       // detected, or fatal downstream — run the continuation from the
       // FAULTY exit checkpoint, fault inactive (the transient upset
-      // already happened), to the section end.
-      pipeline::ExecutionConfig cont;
-      cont.num_threads = options.num_threads;
-      cont.exec_tier = options.exec_tier;
-      cont.monitor = protect ? pipeline::MonitorMode::Full
-                             : pipeline::MonitorMode::Off;
-      cont.instruction_budget = continuation_budget;
-      cont.monitor_options.sampling = options.monitor.sampling;
-      cont.phase.active = true;
-      cont.phase.entry = &exit_capture;
-      cont.phase.exit_generation = 0;  // run to the section end
-      pipeline::ExecutionResult c = pipeline::execute(program, cont);
-      if (protect && c.detected) return {Verdict::Detected, true};
-      if (c.run.crash) return {Verdict::Crashed, true};
-      if (c.run.hang) return {Verdict::Hung, true};
-      return {section_output(c.run) == golden_output ? Verdict::Benign
-                                                     : Verdict::Sdc,
-              true};
+      // already happened).
+      next.phase.entry = &exit_capture;
+    } else {
+      // The fault desynchronized barrier staging (e.g. the victim skipped
+      // a conditional barrier), so some slot of the exit capture is a
+      // leftover rather than a true snapshot of the cut — a continuation
+      // from it would classify a fabricated hybrid execution. Re-run the
+      // SAME injection end-to-end from the phase entry instead: the
+      // direct classification the monolithic engine would produce.
+      next.fault = config.fault;
+      next.phase.entry = info.entry;
     }
-
-    // The run left the parallel section without reaching the cut: either
-    // this is the last phase (no cut), or the fault steered control flow
-    // past the exit barrier to the section end. Both end states are
-    // final program states — compare section output directly (against
-    // the whole-program golden output, so continuation-dependent).
-    return {section_output(run.run) == golden_output ? Verdict::Benign
-                                                     : Verdict::Sdc,
+    const pipeline::ExecutionResult end = pipeline::execute(program, next);
+    return {classify_application_fault(end, options.protect,
+                                       section_output(end.run), golden_output),
             true};
   }
+};
 
-  void worker(unsigned worker_id) {
-    const auto epoch = std::chrono::steady_clock::now();
-    for (;;) {
-      if (halted.load(std::memory_order_relaxed)) break;
-      int task = next.fetch_add(1, std::memory_order_relaxed);
-      if (task >= static_cast<int>(tasks.size())) break;
-      const auto [p, j] = tasks[static_cast<std::size_t>(task)];
-
-      const std::uint64_t start = now_ns(epoch);
-      const Classified outcome = inject_one(p, j);
-      const std::uint64_t wall = now_ns(epoch) - start;
-      telemetry::record_event(
-          telemetry::EventKind::CampaignInjection, telemetry::Phase::Other,
-          static_cast<std::uint64_t>(j),
-          static_cast<std::uint64_t>(outcome.verdict), worker_id);
-
-      std::lock_guard<std::mutex> lock(mutex);
-      verdicts[p][static_cast<std::size_t>(j)] = outcome.verdict;
-      via_cont[p][static_cast<std::size_t>(j)] =
-          outcome.via_continuation ? 1 : 0;
-      wall_ns[p][static_cast<std::size_t>(j)] = wall;
-      done[p][static_cast<std::size_t>(j)] = 1;
-      ++completed;
-      if (options.halt_after > 0 && completed >= options.halt_after) {
-        halted.store(true, std::memory_order_relaxed);
-      }
-      if (++since_checkpoint >= std::max(options.checkpoint_every, 1)) {
-        write_checkpoint_locked();
-      }
-    }
-  }
+/// Slot (p, j) of the plan: injection j of phase p.
+struct Slot {
+  Classified classified;
+  bool done = false;
+  bool served = false;  // filled from the phase cache, not run
+  std::uint64_t wall_ns = 0;
 };
 
 CompositionalResult refuse(std::string reason) {
@@ -580,96 +482,57 @@ CompositionalResult run_compositional_campaign(
       apportion_injections(weights, null_weight, options.injections);
   const int null_injections = plan.back();
 
-  CompositionalEngine engine{program,
-                             options,
-                             phases,
-                             decoded,
-                             golden_output,
-                             continuation_budget,
-                             options.protect};
-  engine.verdicts.resize(phase_count);
-  engine.via_cont.resize(phase_count);
-  engine.done.resize(phase_count);
-  engine.served.resize(phase_count);
-  engine.wall_ns.resize(phase_count);
-  for (std::uint32_t p = 0; p < phase_count; ++p) {
-    engine.verdicts[p].assign(static_cast<std::size_t>(plan[p]),
-                              Verdict::NotActivated);
-    engine.via_cont[p].assign(static_cast<std::size_t>(plan[p]), 0);
-    engine.done[p].assign(static_cast<std::size_t>(plan[p]), 0);
-    engine.served[p].assign(static_cast<std::size_t>(plan[p]), 0);
-    engine.wall_ns[p].assign(static_cast<std::size_t>(plan[p]), 0);
-  }
-
-  // Warm the phase cache: an explicit resume_file must load and match
-  // (same contract as the monolithic engine); otherwise an existing
-  // checkpoint_file warms silently when compatible — the incremental
-  // recheck workflow reuses one file across edits.
   CompositionalResult result;
   result.phase_count = phase_count;
   result.null_injections = null_injections;
-  CampaignCheckpoint warm;
-  bool have_warm = false;
-  if (!options.resume_file.empty()) {
-    std::string error;
-    if (!load_checkpoint(options.resume_file, warm, &error)) {
-      throw support::CompileError("compositional resume: " + error);
-    }
-    if (!warm.matches(options)) {
-      throw support::CompileError(
-          "compositional resume: checkpoint '" + options.resume_file +
-          "' was written by a different campaign (seed/type/plan/threads/"
-          "protect/sampling/flips mismatch)");
-    }
-    have_warm = true;
-  } else if (!options.checkpoint_file.empty()) {
+  std::vector<std::vector<Slot>> slots(phase_count);
+  for (std::uint32_t p = 0; p < phase_count; ++p) {
+    slots[p].resize(static_cast<std::size_t>(plan[p]));
+  }
+
+  // Warm the phase cache: an explicit resume_file must load and match
+  // (the same resume loader as the monolithic engine); otherwise an
+  // existing checkpoint_file warms silently when compatible — the
+  // incremental recheck workflow reuses one file across edits.
+  CampaignCheckpoint warm = resume_checkpoint(options);
+  if (options.resume_file.empty() && !options.checkpoint_file.empty()) {
     CampaignCheckpoint existing;
     if (load_checkpoint(options.checkpoint_file, existing, nullptr) &&
         existing.matches(options)) {
       warm = std::move(existing);
-      have_warm = true;
     }
   }
   std::vector<int> cached(phase_count, 0);
-  if (have_warm) {
-    for (const PhaseCacheEntry& entry : warm.phase_cache) {
-      if (entry.phase >= phase_count) continue;  // kernel lost phases
-      const PhaseInfo& info = phases[entry.phase];
-      if (entry.code_fp != info.code_fp || entry.entry_fp != info.entry_fp) {
-        continue;  // stale: the phase's code or entry state changed
-      }
-      if (entry.via_continuation.size() != entry.verdicts.size()) continue;
-      // Per-slot staleness: verdicts classified entirely inside the phase
-      // are pinned by (code_fp, entry_fp) alone, but verdicts that flowed
-      // through a continuation also depend on the downstream code and the
-      // golden section output — they are only servable while the
-      // continuation fingerprint still matches. A downstream semantic
-      // edit therefore re-injects exactly the continuation-dependent
-      // slots of upstream phases, never serves them stale.
-      const bool cont_ok = entry.cont_fp == info.cont_fp;
-      const int limit = std::min(static_cast<int>(entry.verdicts.size()),
-                                 plan[entry.phase]);
-      int serve = 0;
-      for (int j = 0; j < limit; ++j) {
-        const std::size_t slot = static_cast<std::size_t>(j);
-        if (!cont_ok && entry.via_continuation[slot]) continue;
-        engine.verdicts[entry.phase][slot] = entry.verdicts[slot];
-        engine.via_cont[entry.phase][slot] = entry.via_continuation[slot];
-        engine.done[entry.phase][slot] = 1;
-        engine.served[entry.phase][slot] = 1;
-        ++serve;
-      }
-      cached[entry.phase] = serve;
-      engine.completed += serve;
-      telemetry::counter_add(telemetry::Counter::CampaignPhaseCacheHits,
-                             static_cast<std::uint64_t>(serve));
+  for (const PhaseCacheEntry& entry : warm.phase_cache) {
+    if (entry.phase >= phase_count) continue;  // kernel lost phases
+    const PhaseInfo& info = phases[entry.phase];
+    if (entry.code_fp != info.code_fp || entry.entry_fp != info.entry_fp) {
+      continue;  // stale: the phase's code or entry state changed
     }
-  }
-  // The warm serve alone may already satisfy halt_after: halt before any
-  // worker claims a task (otherwise each worker would still execute one
-  // extra injection before noticing).
-  if (options.halt_after > 0 && engine.completed >= options.halt_after) {
-    engine.halted.store(true, std::memory_order_relaxed);
+    if (entry.via_continuation.size() != entry.verdicts.size()) continue;
+    // Per-slot staleness: verdicts classified entirely inside the phase
+    // are pinned by (code_fp, entry_fp) alone, but verdicts that flowed
+    // through a continuation also depend on the downstream code and the
+    // golden section output — they are only servable while the
+    // continuation fingerprint still matches. A downstream semantic
+    // edit therefore re-injects exactly the continuation-dependent
+    // slots of upstream phases, never serves them stale.
+    const bool cont_ok = entry.cont_fp == info.cont_fp;
+    const int limit = std::min(static_cast<int>(entry.verdicts.size()),
+                               plan[entry.phase]);
+    int serve = 0;
+    for (int j = 0; j < limit; ++j) {
+      const std::size_t at = static_cast<std::size_t>(j);
+      if (!cont_ok && entry.via_continuation[at]) continue;
+      Slot& slot = slots[entry.phase][at];
+      slot.classified = {entry.verdicts[at], entry.via_continuation[at] != 0};
+      slot.done = true;
+      slot.served = true;
+      ++serve;
+    }
+    cached[entry.phase] = serve;
+    telemetry::counter_add(telemetry::Counter::CampaignPhaseCacheHits,
+                           static_cast<std::uint64_t>(serve));
   }
   for (std::uint32_t p = 0; p < phase_count; ++p) {
     result.injections_cached += cached[p];
@@ -685,33 +548,59 @@ CompositionalResult run_compositional_campaign(
   // from an atomic cursor, but every slot's verdict depends only on
   // (seed, phase, index), so the fold below is byte-identical for any
   // worker count.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> tasks;
   for (std::uint32_t p = 0; p < phase_count; ++p) {
-    for (int j = 0; j < plan[p]; ++j) {
-      if (!engine.done[p][static_cast<std::size_t>(j)]) {
-        engine.tasks.emplace_back(p, j);
+    for (std::uint32_t j = 0; j < slots[p].size(); ++j) {
+      if (!slots[p][j].done) tasks.emplace_back(p, j);
+    }
+  }
+
+  PoolControl control{.workers = options.campaign_workers,
+                      .halt_after = options.halt_after,
+                      .completed = result.injections_cached,
+                      .checkpoint_every = options.checkpoint_every};
+  if (!options.checkpoint_file.empty()) {
+    control.checkpoint = [&] {
+      CampaignCheckpoint cp = checkpoint_identity(options);
+      for (std::uint32_t p = 0; p < phase_count; ++p) {
+        PhaseCacheEntry entry;
+        entry.phase = p;
+        entry.code_fp = phases[p].code_fp;
+        entry.entry_fp = phases[p].entry_fp;
+        entry.cont_fp = phases[p].cont_fp;
+        // Contiguous done-prefix only: verdicts are deterministic per
+        // (phase, index), so anything beyond a hole is simply recomputed
+        // on resume.
+        for (const Slot& slot : slots[p]) {
+          if (!slot.done) break;
+          entry.verdicts.push_back(slot.classified.verdict);
+          entry.via_continuation.push_back(
+              slot.classified.via_continuation ? 1 : 0);
+        }
+        if (!entry.verdicts.empty()) cp.phase_cache.push_back(std::move(entry));
       }
-    }
+      save_checkpoint(options.checkpoint_file, cp);
+    };
   }
-
-  unsigned workers = options.campaign_workers != 0
-                         ? options.campaign_workers
-                         : std::max(1u, std::thread::hardware_concurrency());
-  workers = std::clamp<unsigned>(
-      workers, 1,
-      static_cast<unsigned>(std::max<std::size_t>(engine.tasks.size(), 1)));
-  telemetry::gauge_set(telemetry::Gauge::CampaignWorkers, workers);
-
-  if (workers == 1) {
-    engine.worker(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) {
-      pool.emplace_back([&engine, w] { engine.worker(w); });
-    }
-    for (std::thread& t : pool) t.join();
-  }
-  if (!options.checkpoint_file.empty()) engine.write_checkpoint_locked();
+  const CompositionalEngine engine{program,       options,
+                                   phases,        decoded,
+                                   golden_output, continuation_budget};
+  const unsigned workers = run_pool(
+      tasks.size(), control,
+      [&](std::size_t task, unsigned) {
+        return engine.inject_one(tasks[task].first, tasks[task].second);
+      },
+      [&](std::size_t task, Classified&& outcome, std::uint64_t wall_ns,
+          unsigned worker) {
+        const auto [p, j] = tasks[task];
+        telemetry::record_event(
+            telemetry::EventKind::CampaignInjection, telemetry::Phase::Other,
+            j, static_cast<std::uint64_t>(outcome.verdict), worker);
+        Slot& slot = slots[p][j];
+        slot.classified = outcome;
+        slot.wall_ns = wall_ns;
+        slot.done = true;
+      });
 
   // Deterministic fold in (phase, injection) order. merge() is the same
   // associative/commutative fold the monolithic worker shards use;
@@ -727,17 +616,16 @@ CompositionalResult run_compositional_campaign(
     summary.injections = plan[p];
     summary.cached = cached[p];
     summary.budget = phases[p].budget;
-    for (int j = 0; j < plan[p]; ++j) {
-      if (!engine.done[p][static_cast<std::size_t>(j)]) continue;
+    for (std::size_t j = 0; j < slots[p].size(); ++j) {
+      const Slot& slot = slots[p][j];
+      if (!slot.done) continue;
       InjectionOutcome outcome;
       outcome.index = static_cast<std::uint32_t>(j);
-      outcome.verdict = engine.verdicts[p][static_cast<std::size_t>(j)];
-      outcome.wall_ns = engine.wall_ns[p][static_cast<std::size_t>(j)];
+      outcome.verdict = slot.classified.verdict;
+      outcome.wall_ns = slot.wall_ns;
       accumulate(summary.tally, outcome);
       summary.tally.verdicts.push_back(outcome.verdict);
-      if (!engine.served[p][static_cast<std::size_t>(j)]) {
-        ++result.injections_executed;
-      }
+      if (!slot.served) ++result.injections_executed;
     }
     telemetry::record_event(
         telemetry::EventKind::PhaseOutcome, telemetry::Phase::Other, p,

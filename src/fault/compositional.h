@@ -27,11 +27,16 @@
 // the direct classification the monolithic engine would produce —
 // instead of continuing from a partially-fabricated checkpoint.
 //
-// The per-phase outcome tallies then merge — the same associative fold
-// the parallel monolithic engine uses — with each phase weighted by its
-// share of the whole program's dynamic branches, so the composed verdict
-// distribution estimates the same population the monolithic sampler
-// draws from. tests/compositional_test.cpp proves composed and
+// Engine: the uncached (phase, injection) slots run on the worker pool
+// every campaign shares (fault/engine.h), with the monolithic
+// engine's checkpoint identity, resume loader, fault-run configuration
+// and application-fault verdict ladder — the in-phase run, the
+// continuation run and the incomplete-capture fallback are all classified
+// by that one ladder. The per-phase outcome tallies then merge — the same
+// associative fold the monolithic engine uses — with each phase weighted
+// by its share of the whole program's dynamic branches, so the composed
+// verdict distribution estimates the same population the monolithic
+// sampler draws from. tests/compositional_test.cpp proves composed and
 // monolithic estimates agree within overlapping Wilson 95% CIs on every
 // registry kernel.
 //

@@ -6,15 +6,18 @@
 // uninterrupted result exactly. Application-fault campaigns are the ones
 // with this guarantee (their per-injection RNG streams fully determine
 // each run); monitor-path campaigns depend on real watchdog timing and
-// are covered by the invariants in fault_test.cpp instead.
+// are covered by the invariants in fault_test.cpp instead. The checkpoint
+// reader is also swept with seeded mutations: checkpoint files are input.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "fault/campaign.h"
 #include "fault/checkpoint.h"
 #include "support/diagnostics.h"
+#include "support/prng.h"
 
 namespace {
 
@@ -228,6 +231,146 @@ TEST(CampaignParallel, MalformedCheckpointsAreRejected) {
   EXPECT_FALSE(error.empty());
   EXPECT_FALSE(fault::CampaignCheckpoint::from_text(
       "bw-campaign-checkpoint v1\nseed zzz\n", cp, &error));
+
+  // A repeated outcome index or a second `pc` line for one phase is
+  // rejected, naming the offending line: a duplicated `pc` line would
+  // otherwise serve its slots twice and trip halt_after early.
+  const std::string header =
+      "bw-campaign-checkpoint v3\n"
+      "seed 1 type branch-flip injections 8 threads 4 protect 1 "
+      "sampling 0 0 64 flips 4\n"
+      "cursor 0\n";
+  const std::string outcome = "o 3 1 0 0 0 0 0 100\n";
+  const std::string phase = "pc 1 a b c 2 12\n";
+  ASSERT_TRUE(fault::CampaignCheckpoint::from_text(header + outcome + phase,
+                                                   cp, &error))
+      << error;
+  error.clear();
+  EXPECT_FALSE(fault::CampaignCheckpoint::from_text(
+      header + outcome + "o 3 2 0 0 0 0 0 200\n", cp, &error));
+  EXPECT_NE(error.find("duplicate outcome index: o 3 2"), std::string::npos)
+      << error;
+  error.clear();
+  EXPECT_FALSE(fault::CampaignCheckpoint::from_text(
+      header + phase + "pc 1 a b c 1 3\n", cp, &error));
+  EXPECT_NE(error.find("duplicate phase-cache line: pc 1 a b c 1 3"),
+            std::string::npos)
+      << error;
+}
+
+TEST(CampaignParallel, CheckpointReaderSurvivesSeededMutations) {
+  // Checkpoint files are input. Over a fixed-seed sweep of truncations,
+  // byte flips and duplicated, dropped or swapped lines of a valid v3
+  // text, the reader never crashes, every rejection says why, and every
+  // accepted text round-trips through to_text().
+  fault::CampaignCheckpoint cp;
+  cp.seed = 0x5eedf00d;
+  cp.type = fault::FaultType::BranchCondition;
+  cp.injections = 12;
+  cp.num_threads = 4;
+  cp.cursor = 2;
+  for (std::uint32_t index : {0u, 1u, 5u}) {
+    fault::InjectionOutcome o;
+    o.index = index;
+    o.verdict = static_cast<fault::Verdict>(index % 8);
+    o.degraded = index == 5;
+    o.rollbacks = index;
+    o.wall_ns = 1000 + index;
+    cp.completed.push_back(o);
+  }
+  for (std::uint32_t phase : {0u, 2u}) {
+    fault::PhaseCacheEntry entry;
+    entry.phase = phase;
+    entry.code_fp = 0x1234 + phase;
+    entry.entry_fp = 0xabcd + phase;
+    entry.cont_fp = 0x77 + phase;
+    entry.verdicts = {fault::Verdict::Benign, fault::Verdict::Sdc};
+    entry.via_continuation = {0, 1};
+    cp.phase_cache.push_back(entry);
+  }
+  const std::string valid = cp.to_text();
+  std::vector<std::string> lines;
+  for (std::size_t at = 0; at < valid.size();) {
+    const std::size_t end = valid.find('\n', at);
+    lines.push_back(valid.substr(at, end + 1 - at));
+    at = end + 1;
+  }
+
+  support::SplitMixRng rng(0xC0FFEE);
+  int accepted = 0;
+  int rejected = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    std::string text;
+    std::vector<std::string> mutated = lines;
+    const std::size_t i = rng.next_below(mutated.size());
+    const std::size_t j = rng.next_below(mutated.size());
+    const std::uint64_t kind = rng.next_below(5);
+    switch (kind) {
+      case 0:
+        text = valid.substr(0, rng.next_below(valid.size() + 1));
+        break;
+      case 1:
+        text = valid;
+        for (std::uint64_t n = 1 + rng.next_below(3); n > 0; --n) {
+          text[rng.next_below(text.size())] ^=
+              static_cast<char>(1u << rng.next_below(8));
+        }
+        break;
+      case 2:
+        mutated.insert(mutated.begin() + static_cast<std::ptrdiff_t>(j),
+                       mutated[i]);
+        break;
+      case 3:
+        mutated.erase(mutated.begin() + static_cast<std::ptrdiff_t>(i));
+        break;
+      case 4:
+        std::swap(mutated[i], mutated[j]);
+        break;
+    }
+    if (kind >= 2) {
+      for (const std::string& line : mutated) text += line;
+    }
+
+    fault::CampaignCheckpoint parsed;
+    std::string error;
+    if (!fault::CampaignCheckpoint::from_text(text, parsed, &error)) {
+      ++rejected;
+      EXPECT_FALSE(error.empty()) << "trial " << trial << ":\n" << text;
+      continue;
+    }
+    ++accepted;
+    const std::string canonical = parsed.to_text();
+    fault::CampaignCheckpoint again;
+    ASSERT_TRUE(fault::CampaignCheckpoint::from_text(canonical, again, &error))
+        << "trial " << trial << ": " << error << "\n" << canonical;
+    EXPECT_EQ(again.to_text(), canonical) << "trial " << trial;
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+TEST(CampaignParallel, ResumeThatAlreadyMeetsHaltAfterExecutesNothing) {
+  // halt_after counts resumed outcomes before any worker claims an
+  // injection, so a resume that already meets it executes nothing (the
+  // regression: every worker still ran one more injection).
+  const std::string ckpt =
+      ::testing::TempDir() + "bw_campaign_halt_resume_test.ckpt";
+  fault::CampaignOptions options = base_options(fault::FaultType::BranchFlip);
+  options.campaign_workers = 1;
+  options.checkpoint_file = ckpt;
+  options.halt_after = 15;
+  fault::CampaignResult partial = fault::run_campaign(kKernel, options);
+  ASSERT_EQ(partial.injected, 15);
+
+  options.checkpoint_file.clear();
+  options.resume_file = ckpt;
+  options.campaign_workers = 4;
+  options.halt_after = 8;
+  fault::CampaignResult resumed = fault::run_campaign(kKernel, options);
+  EXPECT_EQ(resumed.resumed, 15);
+  EXPECT_EQ(resumed.injected, 15);
+  EXPECT_TRUE(resumed.interrupted);
+  std::remove(ckpt.c_str());
 }
 
 TEST(CampaignParallel, ResumeRejectsAMismatchedCampaign) {

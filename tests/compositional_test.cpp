@@ -20,6 +20,8 @@
 //     SEMANTIC downstream edit invalidates upstream continuation verdicts
 //     (the stale-cache regression); a warm serve that already satisfies
 //     halt_after executes nothing.
+//   * Telemetry: in both engines the per-verdict counters sum to
+//     FaultActivated and to the result's activated count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,6 +36,7 @@
 #include "fault/compositional.h"
 #include "pipeline/pipeline.h"
 #include "support/diagnostics.h"
+#include "support/telemetry/telemetry.h"
 #include "vm/dispatch.h"
 
 namespace {
@@ -841,6 +844,42 @@ TEST(PhaseCache, PcLinesRoundTripContinuationFingerprintAndBits) {
   EXPECT_EQ(back.verdicts, entry.verdicts);
   EXPECT_EQ(back.via_continuation, entry.via_continuation);
 }
+
+#if !defined(BW_TELEMETRY_DISABLED)
+TEST(EngineTelemetry, VerdictCountersSumToActivatedInBothEngines) {
+  // Both engines record every injection through one classifier, so the
+  // per-verdict counters partition FaultActivated, which equals the
+  // result's activated count (the regression: compositional campaigns
+  // ticked FaultActivated but no verdict counter).
+  using telemetry::Counter;
+  const fault::CampaignOptions options = base_options();
+  for (bool compositional : {false, true}) {
+    SCOPED_TRACE(compositional ? "compositional" : "monolithic");
+    telemetry::set_enabled(true);
+    telemetry::reset();
+    const int activated =
+        compositional
+            ? fault::run_compositional_campaign(kPhasedKernel, options)
+                  .composed.activated
+            : fault::run_campaign(kPhasedKernel, options).activated;
+    const telemetry::Snapshot snapshot = telemetry::scrape();
+    telemetry::set_enabled(false);
+    telemetry::reset();
+
+    std::uint64_t verdicts = 0;
+    for (Counter c : {Counter::FaultBenign, Counter::FaultDetected,
+                      Counter::FaultRecovered, Counter::FaultCrashed,
+                      Counter::FaultHung, Counter::FaultSdc,
+                      Counter::FaultFalseAlarm}) {
+      verdicts += snapshot.counter(c);
+    }
+    EXPECT_GT(activated, 0);
+    EXPECT_EQ(snapshot.counter(Counter::FaultActivated),
+              static_cast<std::uint64_t>(activated));
+    EXPECT_EQ(verdicts, static_cast<std::uint64_t>(activated));
+  }
+}
+#endif  // !BW_TELEMETRY_DISABLED
 
 // ---------------------------------------------------------------------------
 // Conditional barriers: faults that steer a thread past a barrier.
