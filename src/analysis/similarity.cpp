@@ -49,6 +49,10 @@ bool parse_elision_mode(const char* text, ElisionMode& out) {
 
 namespace {
 
+/// Safety valve for the fixpoint (paper: worst case O(N) iterations; in
+/// practice < 10).
+constexpr int kMaxFixpointIterations = 10000;
+
 /// The paper's original textual critical-section rule, kept only as the
 /// `ElisionMode::Syntactic` ablation arm: forward must-dataflow of lock
 /// *depth* (meet = min over predecessors), where every acquire counts —
@@ -114,7 +118,7 @@ class Analysis {
     int iterations = 0;
     while (changed) {
       changed = false;
-      BW_INTERNAL_CHECK(iterations < options_.max_iterations,
+      BW_INTERNAL_CHECK(iterations < kMaxFixpointIterations,
                         "similarity fixpoint did not converge");
       for (const auto& func : module_.functions()) {
         for (const auto& bb : func->blocks()) {
@@ -131,8 +135,6 @@ class Analysis {
     classify_branches();
 
     SimilarityResult result;
-    result.categories = std::move(categories_);
-    result.argument_categories = std::move(arg_categories_);
     result.branches = std::move(branches_);
     for (const auto& [func, info] : func_info_) {
       if (info.in_parallel_section) result.parallel_functions.insert(func);
@@ -979,19 +981,6 @@ class Analysis {
 };
 
 }  // namespace
-
-Category SimilarityResult::category_of(const ir::Instruction* inst) const {
-  auto it = categories.find(inst);
-  return it == categories.end() ? Category::NA : it->second;
-}
-
-const BranchInfo* SimilarityResult::info_for(
-    const ir::Instruction* branch) const {
-  for (const BranchInfo& info : branches) {
-    if (info.branch == branch) return &info;
-  }
-  return nullptr;
-}
 
 CategoryCounts SimilarityResult::parallel_counts() const {
   CategoryCounts counts;

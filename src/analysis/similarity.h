@@ -98,9 +98,6 @@ struct SimilarityOptions {
   bool divergence_aware_phis = true;     // see header comment
   /// Record per-iteration categories of named values (Table III harness).
   bool record_trace = false;
-  /// Safety valve for the fixpoint (paper: worst case O(N) iterations;
-  /// in practice < 10).
-  int max_iterations = 10000;
 };
 
 struct CategoryCounts {
@@ -114,10 +111,6 @@ struct CategoryCounts {
 };
 
 struct SimilarityResult {
-  /// Final category of every category-bearing instruction (values absent
-  /// from the map stayed NA and are reported as such by category_of).
-  std::unordered_map<const ir::Instruction*, Category> categories;
-  std::unordered_map<const ir::Argument*, Category> argument_categories;
   std::vector<BranchInfo> branches;
   /// Functions reachable from the parallel entry (the "parallel section").
   std::unordered_set<const ir::Function*> parallel_functions;
@@ -126,9 +119,6 @@ struct SimilarityResult {
   /// Per-iteration snapshot of named values: trace[i][name] = category
   /// after outer iteration i (only when record_trace was set).
   std::vector<std::unordered_map<std::string, Category>> trace;
-
-  Category category_of(const ir::Instruction* inst) const;
-  const BranchInfo* info_for(const ir::Instruction* branch) const;
 
   /// Table V: category distribution over parallel-section branches.
   CategoryCounts parallel_counts() const;

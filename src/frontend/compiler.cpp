@@ -13,11 +13,10 @@ std::unique_ptr<ir::Module> compile(std::string_view source,
                                     const CompileOptions& options) {
   std::unique_ptr<Program> program = parse_program(source);
   analyze(*program);
-  std::unique_ptr<ir::Module> module =
-      generate_ir(*program, options.module_name);
+  std::unique_ptr<ir::Module> module = generate_ir(*program);
   promote_allocas_to_ssa(*module);
   if (options.optimize) ir::optimize_module(*module);
-  if (options.verify) ir::verify_module_or_throw(*module);
+  ir::verify_module_or_throw(*module);
   return module;
 }
 

@@ -11,16 +11,14 @@
 namespace bw::frontend {
 
 struct CompileOptions {
-  std::string module_name = "bwc";
-  /// Run the IR verifier after SSA construction (cheap; on by default).
-  bool verify = true;
   /// Run constant folding + DCE after SSA construction (semantics
   /// preserving; folding matches the VM bit-for-bit).
   bool optimize = false;
 };
 
-/// Compile BW-C source to SSA-form IR: parse -> sema -> irgen -> mem2reg
-/// [-> verify]. Throws bw::support::CompileError on any front-end error.
+/// Compile BW-C source to SSA-form IR module "bwc": parse -> sema -> irgen
+/// -> mem2reg -> verify. Throws bw::support::CompileError on any front-end
+/// error.
 std::unique_ptr<ir::Module> compile(std::string_view source,
                                     const CompileOptions& options = {});
 

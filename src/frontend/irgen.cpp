@@ -28,9 +28,9 @@ Type lower_type(BwType type) {
 
 class IRGen {
  public:
-  IRGen(const Program& program, const std::string& module_name)
+  explicit IRGen(const Program& program)
       : program_(program),
-        module_(std::make_unique<ir::Module>(module_name)),
+        module_(std::make_unique<ir::Module>("bwc")),
         builder_(module_.get()) {}
 
   std::unique_ptr<ir::Module> run() {
@@ -453,9 +453,8 @@ class IRGen {
 
 }  // namespace
 
-std::unique_ptr<ir::Module> generate_ir(const Program& program,
-                                        const std::string& module_name) {
-  return IRGen(program, module_name).run();
+std::unique_ptr<ir::Module> generate_ir(const Program& program) {
+  return IRGen(program).run();
 }
 
 }  // namespace bw::frontend

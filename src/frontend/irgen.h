@@ -11,7 +11,7 @@ namespace bw::frontend {
 
 /// Lower an analyzed program to IR. The returned module is in alloca form:
 /// run promote_allocas_to_ssa() (mem2reg.h) before any SSA-dependent pass.
-std::unique_ptr<ir::Module> generate_ir(const Program& program,
-                                        const std::string& module_name);
+/// The module is named "bwc".
+std::unique_ptr<ir::Module> generate_ir(const Program& program);
 
 }  // namespace bw::frontend

@@ -122,7 +122,7 @@ CompiledProgram protect_program(std::string_view source,
   program.instrument_stats = instrument::instrument_module(
       *program.module, program.analysis, options.instrumentation);
   program.instrumented = true;
-  if (options.compile.verify) ir::verify_module_or_throw(*program.module);
+  ir::verify_module_or_throw(*program.module);
   return program;
 }
 

@@ -5,6 +5,12 @@
 // threads reported (eager path) or at end of the parallel section
 // (finalize path), and records violations.
 //
+// The filing, reset, finalize and counting are the one consumer core of
+// consumer.h, which every MonitorService shard runs too. What this class
+// owns is its topology: one ring of single reports per program thread,
+// the heartbeat, the quiesce predicate, a one-slot recovery mailbox, and
+// its reactions to the stall and delay hooks.
+//
 // Resilience (see resilience.h): producers never block indefinitely on a
 // full queue — a bounded backoff gives up, drops the report (counted
 // per-thread) and degrades the monitor's health; a watchdog heartbeat
@@ -16,12 +22,9 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "runtime/branch_table.h"
@@ -32,6 +35,8 @@
 #include "runtime/spsc_queue.h"
 
 namespace bw::runtime {
+
+class TenantCore;  // consumer.h
 
 struct MonitorOptions {
   std::size_t queue_capacity = 1 << 14;
@@ -163,9 +168,7 @@ class Monitor : public BranchSink {
   /// and written without synchronization (the per-thread drop counters
   /// are atomics, but the snapshot as a whole is not). Use health() for
   /// a mid-run signal.
-  const std::vector<Violation>& violations() const {
-    return table_.violations();
-  }
+  const std::vector<Violation>& violations() const;
   MonitorStats stats() const;
 
   unsigned num_threads() const { return num_threads_; }
@@ -184,18 +187,15 @@ class Monitor : public BranchSink {
   void run_pending_command();
   bool post_command(int command);  // false: timeout / Failed / stopping
   void drain_popped(BranchReport& report);
-  void give_up(std::uint32_t thread);
-  void finalize_all();
-  bool degraded() const { return health_.get() != MonitorHealth::Healthy; }
+  std::uint64_t drain_queues(bool file, std::uint64_t burst = ~0ull);
 
   unsigned num_threads_;
   MonitorOptions options_;
   std::vector<std::unique_ptr<SpscQueue<BranchReport>>> queues_;
   std::vector<ProducerSlot> producers_;
-  // The shared per-branch state machine (branch_table.h); the monitor
-  // thread is the only mutator, no locking needed.
-  BranchTable table_;
-  PopCounters pops_;
+  // The consumer core (consumer.h); the monitor thread is its only
+  // mutator, no locking needed.
+  std::unique_ptr<TenantCore> core_;
 
   std::thread thread_;
   std::atomic<bool> stopping_{false};
@@ -206,7 +206,6 @@ class Monitor : public BranchSink {
   HealthCell health_;
   SamplingController sampler_;
   std::atomic<std::uint64_t> violation_count_{0};
-  MonitorStats stats_;
   /// Recovery command mailbox: one pending command, acknowledged by
   /// bumping commands_done_ once the monitor thread has executed it.
   std::atomic<int> command_{kCommandNone};

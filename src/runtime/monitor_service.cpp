@@ -4,7 +4,7 @@
 #include <chrono>
 #include <unordered_map>
 
-#include "runtime/branch_table.h"
+#include "runtime/consumer.h"
 #include "runtime/spsc_queue.h"
 #include "support/diagnostics.h"
 #include "support/prng.h"
@@ -60,19 +60,6 @@ struct alignas(64) ShardSlot {
   std::atomic<std::uint64_t> command_ack{0};
 };
 
-/// One shard's final contribution to a session, published by the shard
-/// thread right before it acks the detach command (the release-store of
-/// the ack orders these writes against the teardown-side merge).
-struct ShardResult {
-  std::vector<Violation> violations;
-  std::uint64_t reports_processed = 0;
-  std::uint64_t instances_checked = 0;
-  std::uint64_t instances_evicted = 0;
-  std::uint64_t instances_skipped = 0;
-  std::uint64_t reports_rolled_back = 0;
-  PopCounters pops;
-};
-
 /// Everything a session owns. Shared (via shared_ptr) between the
 /// session handle, the registry, and each shard's snapshot, so a
 /// detaching session's state outlives its registry entry.
@@ -86,7 +73,7 @@ struct SessionState {
         num_shards(num_shards_),
         producers(opts.num_threads),
         shard_slots(num_shards_),
-        shard_results(num_shards_),
+        shard_cores(num_shards_),
         sampler(opts.sampling) {
     rings.resize(opts.num_threads);
     for (auto& lane : rings) {
@@ -113,7 +100,10 @@ struct SessionState {
   /// stays lock-free per session too.
   std::vector<std::vector<std::unique_ptr<SpscQueue<ReportBatch>>>> rings;
   std::vector<ShardSlot> shard_slots;
-  std::vector<ShardResult> shard_results;
+  /// Each shard's consumer core for this session, handed over by the shard
+  /// thread right before it acks the detach command (the release-store of
+  /// the ack orders the hand-over against the teardown-side merge).
+  std::vector<std::unique_ptr<TenantCore>> shard_cores;
 
   /// Reports pushed but not yet processed, across all shards — the value
   /// the per-tenant quota gates on. Incremented by producers when a
@@ -140,6 +130,24 @@ struct SessionState {
   // Final merged results; written by teardown before phase -> Detached.
   MonitorStats final_stats;
   std::vector<Violation> final_violations;
+
+  SinkCells cells() { return {health, sampler, violation_count}; }
+
+  /// Broadcasts `command` to every shard; returns its sequence number.
+  std::uint64_t post(int command) {
+    cmd_kind.store(command, std::memory_order_relaxed);
+    return cmd_seq.fetch_add(1, std::memory_order_release) + 1;
+  }
+  bool acked(unsigned shard, std::uint64_t seq) const {
+    return shard_slots[shard].command_ack.load(std::memory_order_acquire) >=
+           seq;
+  }
+  bool all_acked(std::uint64_t seq) const {
+    for (unsigned k = 0; k < num_shards; ++k) {
+      if (!acked(k, seq)) return false;
+    }
+    return true;
+  }
 };
 
 }  // namespace detail
@@ -151,24 +159,21 @@ struct InFlightGuard {
   ~InFlightGuard() { count.fetch_sub(1, std::memory_order_release); }
 };
 
-/// Merge per-shard results, producer counters, throttle accounting and
-/// sampling stats into the session's final MonitorStats. Runs on the
-/// teardown thread after every shard acked its detach.
-void merge_session_results(detail::SessionState& s) {
+/// Merge the shard cores handed over with detach `seq`, producer counters,
+/// throttle accounting and sampling stats into the session's final
+/// MonitorStats, freeing each core. Runs on the teardown thread; a shard
+/// that never acked the detach handed nothing over and is skipped.
+void merge_session_results(detail::SessionState& s, std::uint64_t seq) {
   MonitorStats m;
   s.final_violations.clear();
   for (unsigned k = 0; k < s.num_shards; ++k) {
-    const detail::ShardResult& r = s.shard_results[k];
-    s.final_violations.insert(s.final_violations.end(), r.violations.begin(),
-                              r.violations.end());
-    m.reports_processed += r.reports_processed;
-    m.instances_checked += r.instances_checked;
-    m.instances_evicted += r.instances_evicted;
-    m.instances_skipped += r.instances_skipped;
-    m.dropped_reports += r.pops.dropped;
-    m.reports_rejected += r.pops.rejected;
-    m.reports_rolled_back += r.reports_rolled_back;
-    m.hooks_fired += r.pops.hooks_fired;
+    if (!s.acked(k, seq) || !s.shard_cores[k]) continue;
+    const TenantCore& core = *s.shard_cores[k];
+    s.final_violations.insert(s.final_violations.end(),
+                              core.table.violations().begin(),
+                              core.table.violations().end());
+    core.fold(m);
+    s.shard_cores[k].reset();
   }
   m.violations = s.final_violations.size();
   m.reports_rolled_back += s.producer_reports_rolled_back;
@@ -191,20 +196,18 @@ struct MonitorService::Shard {
   std::uint64_t snapshot_version = ~std::uint64_t{0};
   std::vector<std::shared_ptr<detail::SessionState>> snapshot;
 
-  /// This shard's slice of one session: a private BranchTable over the
-  /// (session, key) pairs that route here, plus consumer-owned counters.
-  /// Freed at detach — teardown really does release per-tenant memory.
+  /// This shard's slice of one session: a consumer core over the
+  /// (session, key) pairs that route here, whose hook indices count this
+  /// session's pops on this shard. Handed to the session at detach, where
+  /// teardown merges and frees it.
   struct Tenant {
-    explicit Tenant(detail::SessionState* s)
-        : table(s->options.num_threads, s->options.max_pending_per_branch,
-                [s](const Violation&) {
-                  s->violation_count.fetch_add(1, std::memory_order_release);
-                  s->sampler.note_violation();
-                }) {}
-    BranchTable table;
-    PopCounters pops;  // indices count this session's pops on this shard
-    std::uint64_t reports_processed = 0;
-    std::uint64_t reports_rolled_back = 0;
+    Tenant(detail::SessionState* s, unsigned shard)
+        : core(std::make_unique<TenantCore>(
+              s->cells(), s->options.num_threads, s->options,
+              s->options.fault_hooks.shard_filter ==
+                      MonitorFaultHooks::kAllShards ||
+                  s->options.fault_hooks.shard_filter == shard)) {}
+    std::unique_ptr<TenantCore> core;
     std::uint64_t command_seen = 0;
     /// A session-scoped MonitorStall wedges only this tenant: the shard
     /// stops draining it and stops bumping its progress counter, so only
@@ -216,117 +219,82 @@ struct MonitorService::Shard {
   };
   std::unordered_map<detail::SessionState*, Tenant> tenants;
 
-  bool tenant_degraded(const detail::SessionState& s) const {
-    return s.health.get() != MonitorHealth::Healthy;
-  }
-
-  void drain_batch(Tenant& tenant, detail::SessionState& s,
-                   ReportBatch& batch);
-  void drain_rings(Tenant& tenant, detail::SessionState& s, bool discard);
+  void drain_batch(Tenant& tenant, ReportBatch& batch);
+  std::uint64_t drain_rings(Tenant& tenant, detail::SessionState& s,
+                            bool file);
   void run_command(Tenant& tenant, detail::SessionState& s, int command);
-  void publish(Tenant& tenant, detail::SessionState& s);
 };
 
-/// Screens (resilience.h) and files one batch. Hook indices count THIS
-/// session's reports popped by THIS shard (each shard is an independent
-/// consumer, narrowed to one by shard_filter), and every side effect
-/// lands on this session alone. A shard's reaction to the stall hook is to
-/// freeze this tenant, never the shared shard thread.
-void MonitorService::Shard::drain_batch(Tenant& tenant,
-                                        detail::SessionState& s,
-                                        ReportBatch& batch) {
-  const MonitorFaultHooks& hooks = s.options.fault_hooks;
-  const bool hooks_apply =
-      hooks.shard_filter == MonitorFaultHooks::kAllShards ||
-      hooks.shard_filter == index;
+/// Files one batch through the tenant's core. Each shard is an independent
+/// consumer (narrowed to one by shard_filter), and every side effect lands
+/// on this session alone. A shard's reaction to the stall hook is to
+/// freeze this tenant, never the shared shard thread, and its delay hook
+/// defers the tenant's next visit by the whole batch.
+void MonitorService::Shard::drain_batch(Tenant& tenant, ReportBatch& batch) {
+  TenantCore& core = *tenant.core;
   for (std::uint32_t i = 0; i < batch.count; ++i) {
     if (tenant.stalled) {
       // The stall hook fired on an earlier report (possibly mid-batch,
       // possibly during a detach drain): nothing past it is ever
       // processed, no matter which code path is popping. The remainder
       // surfaces as this session's drops, under its own degraded health.
-      tenant.pops.dropped += batch.count - i;
-      raise_health(s.health, s.sampler, MonitorHealth::Degraded);
+      core.pops.dropped += batch.count - i;
+      core.sink.raise(MonitorHealth::Degraded);
       return;
     }
-    BranchReport& report = batch.reports[i];
-    const PopVerdict verdict = screen_popped(
-        report, hooks, hooks_apply, s.options.validate_reports,
-        s.options.num_threads, tenant.pops, s.health, s.sampler);
-    if (verdict == PopVerdict::Discard) continue;
-    if (verdict == PopVerdict::Stall) tenant.stalled = true;
-    ++tenant.reports_processed;
-    if (s.options.perform_checks) {
-      tenant.table.process(report, tenant_degraded(s));
+    if (core.file(batch.reports[i]) == PopVerdict::Stall) {
+      tenant.stalled = true;
     }
   }
-  if (hooks_apply && hooks.delay_ns_per_report != 0) {
+  if (core.hooks_apply && core.hooks.delay_ns_per_report != 0) {
     tenant.resume_at =
         std::chrono::steady_clock::now() +
-        std::chrono::nanoseconds(hooks.delay_ns_per_report * batch.count);
+        std::chrono::nanoseconds(core.hooks.delay_ns_per_report * batch.count);
   }
 }
 
-void MonitorService::Shard::drain_rings(Tenant& tenant,
-                                        detail::SessionState& s,
-                                        bool discard) {
+/// Pops every batch queued for this tenant on this shard, filing it when
+/// `file`; returns how many reports were popped unfiled.
+std::uint64_t MonitorService::Shard::drain_rings(Tenant& tenant,
+                                                 detail::SessionState& s,
+                                                 bool file) {
   ReportBatch batch;
+  std::uint64_t unfiled = 0;
   for (unsigned t = 0; t < s.options.num_threads; ++t) {
     SpscQueue<ReportBatch>& ring = *s.rings[t][index];
     while (ring.try_pop(batch)) {
-      if (discard) {
-        tenant.pops.dropped += batch.count;
+      if (file) {
+        drain_batch(tenant, batch);
       } else {
-        drain_batch(tenant, s, batch);
+        unfiled += batch.count;
       }
       s.queued_reports.fetch_sub(batch.count, std::memory_order_release);
     }
   }
+  return unfiled;
 }
 
 void MonitorService::Shard::run_command(Tenant& tenant,
                                         detail::SessionState& s,
                                         int command) {
-  ReportBatch batch;
+  TenantCore& core = *tenant.core;
   if (command == detail::kCmdReset) {
     // Rollback: discard this session's in-flight timeline on this shard.
-    // Health stays sticky, counters other than the violation list stay.
-    for (unsigned t = 0; t < s.options.num_threads; ++t) {
-      SpscQueue<ReportBatch>& ring = *s.rings[t][index];
-      while (ring.try_pop(batch)) {
-        tenant.reports_rolled_back += batch.count;
-        s.queued_reports.fetch_sub(batch.count, std::memory_order_release);
-      }
-    }
-    tenant.table.clear();
+    core.reset(drain_rings(tenant, s, /*file=*/false));
   } else if (command == detail::kCmdFinalize) {
-    drain_rings(tenant, s, /*discard=*/false);
-    tenant.table.finalize(tenant_degraded(s));
+    drain_rings(tenant, s, /*file=*/true);
+    core.finalize();
   } else if (command == detail::kCmdDetach) {
     // A stalled tenant is wedged by its own injected fault; counting its
     // undrained reports as drops (under its own degraded health) keeps
     // the session honest without replaying a faulted timeline. The stall
     // may also first fire DURING this drain — drain_batch then discards
     // the remainder — so the health raise comes after the drain.
-    drain_rings(tenant, s, /*discard=*/tenant.stalled);
-    if (tenant.stalled) {
-      raise_health(s.health, s.sampler, MonitorHealth::Degraded);
-    }
-    tenant.table.finalize(tenant_degraded(s));
-    publish(tenant, s);
+    core.pops.dropped += drain_rings(tenant, s, /*file=*/!tenant.stalled);
+    if (tenant.stalled) core.sink.raise(MonitorHealth::Degraded);
+    core.finalize();
+    s.shard_cores[index] = std::move(tenant.core);
   }
-}
-
-void MonitorService::Shard::publish(Tenant& tenant,
-                                    detail::SessionState& s) {
-  detail::ShardResult& r = s.shard_results[index];
-  r.violations = tenant.table.violations();
-  r.reports_processed = tenant.reports_processed;
-  r.instances_checked = tenant.table.instances_checked();
-  r.instances_evicted = tenant.table.instances_evicted();
-  r.instances_skipped = tenant.table.instances_skipped();
-  r.reports_rolled_back = tenant.reports_rolled_back;
-  r.pops = tenant.pops;
 }
 
 void MonitorService::shard_run(Shard& shard) {
@@ -356,7 +324,7 @@ void MonitorService::shard_run(Shard& shard) {
         // close() flushes never wait on a ring nobody drains.
         continue;
       }
-      auto [it, inserted] = shard.tenants.try_emplace(&s, &s);
+      auto [it, inserted] = shard.tenants.try_emplace(&s, &s, shard.index);
       Shard::Tenant& tenant = it->second;
       if (seq != tenant.command_seen) {
         const int cmd = s.cmd_kind.load(std::memory_order_acquire);
@@ -381,9 +349,8 @@ void MonitorService::shard_run(Shard& shard) {
         int burst = 32;
         while (burst-- > 0 && ring.try_pop(batch)) {
           drained_any = true;
-          const std::uint32_t count = batch.count;
-          shard.drain_batch(tenant, s, batch);
-          s.queued_reports.fetch_sub(count, std::memory_order_release);
+          shard.drain_batch(tenant, batch);
+          s.queued_reports.fetch_sub(batch.count, std::memory_order_release);
           if (tenant.stalled) break;
         }
         if (tenant.stalled) break;
@@ -395,10 +362,10 @@ void MonitorService::shard_run(Shard& shard) {
     }
   }
   // Defensive: stop() detaches every registered session first, so this
-  // only fires for state kept alive by a leaked handle. Publish anyway.
+  // only fires for state kept alive by a leaked handle. Hand over anyway.
   for (auto& [state, tenant] : shard.tenants) {
-    tenant.table.finalize(shard.tenant_degraded(*state));
-    shard.publish(tenant, *state);
+    tenant.core->finalize();
+    state->shard_cores[shard.index] = std::move(tenant.core);
   }
 }
 
@@ -541,43 +508,20 @@ void MonitorService::flush_batch(detail::SessionState& s,
   slot.throttling = false;
   SpscQueue<ReportBatch>& queue = *s.rings[thread][shard];
   auto try_push = [&] { return queue.try_push(batch); };
-  bool pushed = try_push();
-  if (!pushed) {
-    telemetry::counter_add(telemetry::Counter::QueueFullEvents);
-    telemetry::record_event(telemetry::EventKind::QueueHighWater,
-                            telemetry::Phase::MonitorCheck, thread, shard);
-    s.sampler.note_pressure();
-    const BackoffPolicy& policy = options_.backoff;
-    pushed = run_backoff(policy, try_push, [&] {
-      return policy.bounded && s.health.get() == MonitorHealth::Failed;
-    });
-  }
-  if (pushed) {
+  // A give-up asks the watchdog about THIS session's progress counter on
+  // the refusing shard: one wedged shard trips Failed exactly like the
+  // legacy single consumer, and a tenant frozen by its own stall fault
+  // trips only its own Failed.
+  if (try_push() ||
+      push_or_give_up(try_push, s.cells(), options_.backoff,
+                      options_.watchdog, thread, shard, count, slot.dropped,
+                      slot.stall[shard], s.shard_slots[shard].progress)) {
     telemetry::counter_add(telemetry::Counter::BatchesFlushed);
     telemetry::histogram_record(telemetry::Histogram::BatchFill, count);
   } else {
     s.queued_reports.fetch_sub(count, std::memory_order_release);
-    give_up(s, thread, shard, count);
   }
   batch.count = 0;
-}
-
-/// Batch-granular give-up: count every report the batch carried, degrade,
-/// and ask the watchdog about THIS session's progress counter on the
-/// refusing shard. One wedged shard trips Failed exactly like the legacy
-/// single consumer, and a tenant frozen by its own stall fault trips only
-/// its own Failed.
-void MonitorService::give_up(detail::SessionState& s, std::uint32_t thread,
-                             unsigned shard, std::uint32_t lost) {
-  detail::ProducerSlot& slot = s.producers[thread];
-  slot.dropped.fetch_add(lost, std::memory_order_relaxed);
-  telemetry::counter_add(telemetry::Counter::ReportsDropped, lost);
-  raise_health(s.health, s.sampler, MonitorHealth::Degraded);
-  if (slot.stall[shard].expired(
-          s.shard_slots[shard].progress.load(std::memory_order_relaxed),
-          options_.watchdog)) {
-    raise_health(s.health, s.sampler, MonitorHealth::Failed);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -592,21 +536,9 @@ bool MonitorService::post_session_command(detail::SessionState& s,
     return false;
   }
   if (s.health.get() == MonitorHealth::Failed) return false;
-  s.cmd_kind.store(command, std::memory_order_relaxed);
-  const std::uint64_t seq =
-      s.cmd_seq.fetch_add(1, std::memory_order_release) + 1;
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::nanoseconds(command_deadline_ns(options_.watchdog));
-  for (unsigned k = 0; k < num_shards_; ++k) {
-    while (s.shard_slots[k].command_ack.load(std::memory_order_acquire) <
-           seq) {
-      if (s.health.get() == MonitorHealth::Failed) return false;
-      if (std::chrono::steady_clock::now() >= deadline) return false;
-      std::this_thread::yield();
-    }
-  }
-  return true;
+  const std::uint64_t seq = s.post(command);
+  return bounded_wait([&] { return s.all_acked(seq); }, options_.watchdog,
+                      &s.health);
 }
 
 bool MonitorService::session_quiesce(detail::SessionState& s) {
@@ -617,15 +549,9 @@ bool MonitorService::session_quiesce(detail::SessionState& s) {
   // queued_reports is decremented only AFTER a batch is fully filed, so
   // zero means every pushed report of this session has been processed.
   // A tenant frozen by its own stall fault never drains -> deadline.
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::nanoseconds(command_deadline_ns(options_.watchdog));
-  while (s.queued_reports.load(std::memory_order_acquire) != 0) {
-    if (s.health.get() == MonitorHealth::Failed) return false;
-    if (std::chrono::steady_clock::now() >= deadline) return false;
-    std::this_thread::yield();
-  }
-  return true;
+  return bounded_wait(
+      [&] { return s.queued_reports.load(std::memory_order_acquire) == 0; },
+      options_.watchdog, &s.health);
 }
 
 bool MonitorService::session_reset_epoch(detail::SessionState& s) {
@@ -668,34 +594,16 @@ void MonitorService::teardown(
   for (unsigned t = 0; t < s.options.num_threads; ++t) flush_open(s, t);
   // Broadcast the detach; every shard drains (or, if its tenant slot is
   // stalled, discards) this session's rings, finalizes its table, and
-  // publishes its shard result before acking.
-  s.cmd_kind.store(detail::kCmdDetach, std::memory_order_relaxed);
-  const std::uint64_t seq =
-      s.cmd_seq.fetch_add(1, std::memory_order_release) + 1;
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::nanoseconds(command_deadline_ns(options_.watchdog));
-  std::vector<bool> acked(num_shards_, false);
-  bool all_acked = true;
-  for (unsigned k = 0; k < num_shards_; ++k) {
-    while (s.shard_slots[k].command_ack.load(std::memory_order_acquire) <
-           seq) {
-      if (std::chrono::steady_clock::now() >= deadline) break;
-      std::this_thread::yield();
-    }
-    acked[k] =
-        s.shard_slots[k].command_ack.load(std::memory_order_acquire) >= seq;
-    all_acked = all_acked && acked[k];
-  }
-  if (!all_acked) {
+  // hands its core over before acking. The wait ignores health: a Failed
+  // session still detaches.
+  const std::uint64_t seq = s.post(detail::kCmdDetach);
+  if (!bounded_wait([&] { return s.all_acked(seq); }, options_.watchdog,
+                    /*health=*/nullptr)) {
     // A shard thread is truly wedged (session stalls never wedge the
-    // shard). Merge only what was published; the session is Failed.
+    // shard). Merge only what was handed over; the session is Failed.
     s.health.raise(MonitorHealth::Failed);
-    for (unsigned k = 0; k < num_shards_; ++k) {
-      if (!acked[k]) s.shard_results[k] = detail::ShardResult{};
-    }
   }
-  merge_session_results(s);
+  merge_session_results(s, seq);
   s.phase.store(detail::kDetached, std::memory_order_release);
   std::size_t active_now = 0;
   {

@@ -7,8 +7,11 @@
 // with monitor_shards >= 1 runs its program as the only session of a
 // private service; a long-lived service hosts many programs at once.
 //
-// Two structural changes relative to the legacy Monitor, both invisible
-// to verdicts:
+// Every (session, shard) tenant runs the consumer core the legacy Monitor
+// runs (consumer.h): the same filing, reset, finalize and counting, the
+// same producer give-up path and the same bounded recovery wait. Two
+// structural changes relative to the legacy Monitor, both invisible to
+// verdicts:
 //
 //   * Batching. Producers accumulate reports into small per-thread,
 //     per-shard batches and push ONE ring entry per batch instead of per
@@ -58,8 +61,8 @@
 // latches the session, waits for in-flight producer calls to retire (a
 // Dekker guard), flushes residual open batches (shards keep draining the
 // session meanwhile), broadcasts a detach command, and each shard drains
-// that tenant's rings, finalizes its table, publishes its per-shard
-// result, and frees the tenant slot — all while other sessions'
+// that tenant's rings, finalizes its table, hands its consumer core to
+// the session for the merge, and frees the tenant slot — all while other sessions'
 // producers keep sending. A producer call that
 // arrives after the latch is counted as a drop, never lost or raced.
 //
@@ -257,8 +260,6 @@ class MonitorService {
   void flush_batch(detail::SessionState& s, std::uint32_t thread,
                    unsigned shard);
   bool acquire_quota(detail::SessionState& s, std::uint32_t count);
-  void give_up(detail::SessionState& s, std::uint32_t thread, unsigned shard,
-               std::uint32_t lost);
   bool post_session_command(detail::SessionState& s, int command);
   bool session_quiesce(detail::SessionState& s);
   bool session_reset_epoch(detail::SessionState& s);

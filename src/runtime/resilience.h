@@ -23,27 +23,25 @@
 //     monitor-path fault models (FaultType::MonitorStall / QueueCorrupt /
 //     ReportDrop) and for the slow-consumer benchmark.
 //
-// Each decision of that policy is defined once, below, and both backends
-// (the legacy Monitor and every MonitorService shard) call it; they differ
-// only in topology and in how they react to a stalled consumer:
+// Each decision of that policy is defined once, below. The one consumer
+// core of consumer.h calls it for both backends (the legacy Monitor and
+// every MonitorService shard), which differ only in topology:
 //
 //   * raise_health()        — the one health edge: raise, and on a won
 //                             transition snap the sampler back.
 //   * run_backoff()         — the one spin -> yield ladder (ring pushes
 //                             and the service's quota gate).
 //   * StallClock            — the watchdog a producer's give-up consults.
-//   * command_deadline_ns() — how long a recovery caller waits.
-//   * screen_popped()       — the consumer's pop screen: drop, corrupt,
-//                             checksum, thread range, stall, in that order.
+//
+// The pop screen (TenantCore::screen_popped) and the recovery deadline
+// (bounded_wait) are consumer-side and live in consumer.h.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <thread>
 
-#include "runtime/report.h"
 #include "runtime/sampling.h"
 #include "support/telemetry/telemetry.h"
 
@@ -209,76 +207,5 @@ class StallClock {
   std::uint64_t last_beat_ = ~std::uint64_t{0};
   std::chrono::steady_clock::time_point since_{};
 };
-
-/// How long a recovery caller waits for the consumer before giving up:
-/// twice the watchdog stall budget (the consumer is considered dead past
-/// one budget) plus scheduling slack. With the watchdog disabled the
-/// default stall budget stands in rather than waiting forever.
-inline std::uint64_t command_deadline_ns(const WatchdogOptions& watchdog) {
-  const std::uint64_t stall = watchdog.enabled
-                                  ? watchdog.stall_timeout_ns
-                                  : WatchdogOptions{}.stall_timeout_ns;
-  return stall * 2 + 50'000'000ull;
-}
-
-/// Consumer-owned counters of the pop screen.
-struct PopCounters {
-  std::uint64_t popped = 0;  // fault-hook index base (includes drops)
-  std::uint64_t dropped = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t hooks_fired = 0;
-};
-
-enum class PopVerdict : std::uint8_t {
-  Keep,     // process the report
-  Discard,  // dropped or rejected; counted, health degraded
-  Stall,    // the stall hook fired: react, then process the report
-};
-
-/// Screens a freshly popped report: the drop and corrupt hooks, checksum
-/// validation, the thread-range check and the stall hook, in that order.
-/// `hooks_apply` gates the fault hooks (a MonitorService shard outside
-/// `shard_filter` passes false); validation and the range check always
-/// run. Every side effect lands on the caller's counters, health and
-/// sampler.
-inline PopVerdict screen_popped(BranchReport& report,
-                                const MonitorFaultHooks& hooks,
-                                bool hooks_apply, bool validate,
-                                unsigned num_threads, PopCounters& counters,
-                                HealthCell& health,
-                                SamplingController& sampler) {
-  const std::uint64_t index = ++counters.popped;  // 1-based: 0 never fires
-  if (hooks_apply && hooks.drop_report_index == index) {
-    ++counters.hooks_fired;
-    ++counters.dropped;
-    raise_health(health, sampler, MonitorHealth::Degraded);
-    return PopVerdict::Discard;
-  }
-  if (hooks_apply && hooks.corrupt_report_index == index) {
-    ++counters.hooks_fired;
-    const unsigned bit = hooks.corrupt_bit % (8 * sizeof(BranchReport));
-    unsigned char bytes[sizeof(BranchReport)];
-    std::memcpy(bytes, &report, sizeof(BranchReport));
-    bytes[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
-    std::memcpy(&report, bytes, sizeof(BranchReport));
-  }
-  // A report corrupted while queued is discarded rather than checked as
-  // garbage against clean threads, and a thread id corrupted out of range
-  // would index out of bounds (rejected even without checksums). Both
-  // degrade, so the missing observation is treated as unverifiable
-  // instead of a subset to be checked.
-  if ((validate && !report_intact(report)) || report.thread >= num_threads) {
-    ++counters.rejected;
-    ++counters.dropped;
-    raise_health(health, sampler, MonitorHealth::Degraded);
-    sampler.note_anomaly();
-    return PopVerdict::Discard;
-  }
-  if (hooks_apply && hooks.stall_after_reports == index) {
-    ++counters.hooks_fired;
-    return PopVerdict::Stall;
-  }
-  return PopVerdict::Keep;
-}
 
 }  // namespace bw::runtime

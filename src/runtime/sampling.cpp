@@ -7,6 +7,9 @@
 
 namespace bw::runtime {
 
+/// Seed of the per-instance decision hash, fixed so sampled runs replay.
+constexpr std::uint64_t kDecisionSeed = 0x5eedb10cULL;
+
 const char* to_string(SamplingTrigger trigger) {
   switch (trigger) {
     case SamplingTrigger::Pressure: return "pressure";
@@ -55,7 +58,7 @@ bool SamplingController::should_check(std::uint64_t ctx_hash,
   // reporting the same instance computes the same verdict, so a sampled-out
   // instance is invisible to the monitor rather than partially visible.
   const std::uint64_t key = support::hash_combine(
-      support::hash_combine(options_.seed, support::hash_combine(
+      support::hash_combine(kDecisionSeed, support::hash_combine(
                                                ctx_hash, static_id)),
       iter_hash);
   if (key % rate == 0) return true;

@@ -48,9 +48,6 @@ struct SamplingOptions {
   std::uint32_t escalation_factor = 8;
   /// Ladder ceiling (clamped to >= 1).
   std::uint32_t max_rate = 64;
-  /// Seed of the per-instance decision hash. Campaign/test harnesses fix
-  /// it so sampled runs are replayable.
-  std::uint64_t seed = 0x5eedb10cULL;
   /// Pressure events (queue-full observations fed by the producers' slow
   /// path) accumulated before climbing one rung.
   std::uint32_t degrade_threshold = 16;

@@ -1,7 +1,6 @@
 #include "support/string_utils.h"
 
 #include <cctype>
-#include <cstdio>
 
 namespace bw::support {
 
@@ -46,12 +45,6 @@ int count_code_lines(std::string_view source) {
     ++count;
   }
   return count;
-}
-
-std::string format_fixed(double value, int digits) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", digits, value);
-  return buf;
 }
 
 }  // namespace bw::support

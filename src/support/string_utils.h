@@ -21,7 +21,4 @@ bool starts_with(std::string_view text, std::string_view prefix);
 /// paper counts source lines.
 int count_code_lines(std::string_view source);
 
-/// Format a double with fixed precision (for stable table output).
-std::string format_fixed(double value, int digits);
-
 }  // namespace bw::support

@@ -48,8 +48,6 @@ ExecTier resolve_tier(ExecTier requested) {
   return requested == ExecTier::Auto ? ExecTier::Threaded : requested;
 }
 
-bool computed_goto_enabled() { return BW_USE_COMPUTED_GOTO != 0; }
-
 // ---------------------------------------------------------------------------
 // Translator: DecodedProgram -> ThreadedFunction (one-time, per module).
 // ---------------------------------------------------------------------------

@@ -62,10 +62,6 @@ bool parse_exec_tier(std::string_view name, ExecTier& out);
 /// The tier Auto resolves to (Interpreter and Threaded map to themselves).
 ExecTier resolve_tier(ExecTier requested);
 
-/// True when this build dispatches via computed goto (BW_COMPUTED_GOTO on
-/// a GNU-compatible compiler); false means the portable switch fallback.
-bool computed_goto_enabled();
-
 constexpr std::uint32_t kNoSlot = 0xffffffffu;
 constexpr std::uint32_t kNoEdge = 0xffffffffu;
 

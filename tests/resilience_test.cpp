@@ -335,6 +335,49 @@ TEST_P(SharedResilience, OutOfRangeThreadIdIsRejectedNotIndexed) {
   EXPECT_TRUE(run.violations().empty());
 }
 
+// The recovery commands' bodies on both backends: finalize_section runs the
+// end-of-section pass mid-run, and reset_epoch forgets violations and
+// pending instances alike.
+TEST_P(SharedResilience, FinalizeSectionFlagsIncompleteInstanceWithoutStopping) {
+  Backed run(GetParam(), 4, MonitorOptions{});
+  BranchSink& sink = run.sink();
+  run.send(report(0, 9, CheckCode::SharedOutcome, true));
+  run.send(report(3, 9, CheckCode::SharedOutcome, false));
+  sink.flush(0);
+  sink.flush(3);
+  ASSERT_TRUE(sink.quiesce());
+  // Two of four threads reported: only the finalize pass checks it.
+  EXPECT_FALSE(sink.violation_detected());
+  ASSERT_TRUE(sink.finalize_section());
+  EXPECT_TRUE(sink.violation_detected());
+  run.finish();
+  EXPECT_EQ(run.violations().size(), 1u);
+}
+
+TEST_P(SharedResilience, ResetEpochForgetsViolationsAndPendingInstances) {
+  Backed run(GetParam(), 4, MonitorOptions{});
+  BranchSink& sink = run.sink();
+  for (unsigned t = 0; t < 4; ++t) {
+    run.send(report(t, 5, CheckCode::SharedOutcome, t != 2));
+  }
+  run.send(report(0, 7, CheckCode::SharedOutcome, true));
+  run.send(report(1, 7, CheckCode::SharedOutcome, true));
+  for (unsigned t = 0; t < 4; ++t) sink.flush(t);
+  ASSERT_TRUE(sink.quiesce());
+  EXPECT_TRUE(sink.violation_detected());
+  ASSERT_TRUE(sink.reset_epoch());
+  EXPECT_FALSE(sink.violation_detected());
+  // The other half of instance 7 diverges from the discarded half only:
+  // the run stays clean iff the pending half was rolled back.
+  run.send(report(2, 7, CheckCode::SharedOutcome, false));
+  run.send(report(3, 7, CheckCode::SharedOutcome, false));
+  sink.flush(2);
+  sink.flush(3);
+  run.finish();
+  EXPECT_TRUE(run.violations().empty());
+  EXPECT_EQ(run.health(), MonitorHealth::Healthy);
+}
+
 TEST(Resilience, UnboundedLegacyPolicyStillDrainsNormally) {
   MonitorOptions options;
   options.backoff.bounded = false;  // the seed's spin-forever behaviour
