@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the BLOCKWATCH runtime and
 // compiler components:
-//  * Lamport SPSC queue push/pop
+//  * Lamport SPSC queue push/pop, on one thread and across two
 //  * context-tracker key maintenance
 //  * per-category instance checks
 //  * branch-table filing (process + finalize) per CheckCode, and under
@@ -16,8 +16,10 @@
 // BM_VmTier always benchmarks both tiers side by side regardless.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <thread>
 
 #include "analysis/similarity.h"
 #include "benchmarks/registry.h"
@@ -48,6 +50,41 @@ void BM_SpscQueuePushPop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SpscQueuePushPop);
+
+// One producer thread streams reports to the consumer (the benchmark
+// thread) through a ring of the legacy Monitor's default size. The ring is
+// warmed by one full lap first, so first-touch page faults stay out of the
+// timed loop. Unlike BM_SpscQueuePushPop, the two indices live on
+// different cores here, so this is where index-line traffic shows.
+void BM_SpscQueueCrossThread(benchmark::State& state) {
+  runtime::SpscQueue<runtime::BranchReport> queue(
+      runtime::MonitorOptions{}.queue_capacity);
+  runtime::BranchReport report;
+  report.static_id = 7;
+  runtime::BranchReport out;
+  while (queue.try_push(report)) {
+  }
+  while (queue.try_pop(out)) {
+  }
+  queue.try_push(report);  // the one slot the first fill left untouched
+  queue.try_pop(out);
+  const benchmark::IterationCount items = state.max_iterations;
+  std::thread producer([&queue, report, items]() mutable {
+    for (benchmark::IterationCount i = 0; i < items; ++i) {
+      report.iter_hash = static_cast<std::uint64_t>(i);
+      while (!queue.try_push(report)) {
+      }
+    }
+  });
+  for (auto _ : state) {
+    while (!queue.try_pop(out)) {
+    }
+    benchmark::DoNotOptimize(out);
+  }
+  producer.join();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SpscQueueCrossThread)->UseRealTime();
 
 void BM_ContextTrackerLoopKey(benchmark::State& state) {
   runtime::ContextTracker tracker;

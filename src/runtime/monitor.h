@@ -39,6 +39,8 @@ namespace bw::runtime {
 class TenantCore;  // consumer.h
 
 struct MonitorOptions {
+  /// Per-thread ring size hint. Each ring holds the next power of two
+  /// above the hint, minus one: 1 << 14 gives 32767 reports.
   std::size_t queue_capacity = 1 << 14;
   /// Soft cap on pending (incomplete) instances per level-1 bucket; beyond
   /// it the oldest instances are checked against whatever subset reported

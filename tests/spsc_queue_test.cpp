@@ -153,6 +153,77 @@ TEST(SpscQueue, MovePushWrapsAroundPreservingPayloads) {
   }
 }
 
+// Payload that counts its live objects and has no default constructor,
+// which the ring must not need.
+struct Counted {
+  static inline int live = 0;
+  explicit Counted(int v) : value(v) { ++live; }
+  Counted(const Counted& other) : value(other.value) { ++live; }
+  Counted& operator=(const Counted&) = default;
+  ~Counted() { --live; }
+  int value;
+};
+
+TEST(SpscQueue, ConstructsOnlyTheSlotsItUses) {
+  Counted::live = 0;
+  {
+    SpscQueue<Counted> queue(1024);
+    EXPECT_EQ(Counted::live, 0);
+    {
+      Counted out(-1);
+      for (int i = 0; i < 3; ++i) ASSERT_TRUE(queue.try_push(Counted(i)));
+      for (int i = 0; i < 3; ++i) {
+        ASSERT_TRUE(queue.try_pop(out));
+        EXPECT_EQ(out.value, i);
+      }
+    }
+    EXPECT_EQ(Counted::live, 3);
+    // Ten full laps: every slot is built once and then reused by
+    // assignment, so the ring never holds more than its slot count.
+    const int slots = static_cast<int>(queue.capacity()) + 1;
+    {
+      Counted out(-1);
+      for (int n = 0; n < 10 * slots; ++n) {
+        ASSERT_TRUE(queue.try_push(Counted(n)));
+        ASSERT_TRUE(queue.try_pop(out));
+        ASSERT_EQ(out.value, n);
+        ASSERT_LE(Counted::live - 1, slots);
+      }
+    }
+    EXPECT_EQ(Counted::live, slots);
+  }
+  EXPECT_EQ(Counted::live, 0);  // no leak, no double destroy
+}
+
+TEST(SpscQueue, StaleCachedIndexIsRefreshed) {
+  // A producer that last saw the ring full, and a consumer that last saw
+  // it empty, must both re-read the other side's index rather than trust
+  // their stale view.
+  SpscQueue<int> queue(8);
+  int next_push = 0;
+  int next_pop = 0;
+  int out = -1;
+  for (std::size_t k = 1; k <= queue.capacity(); ++k) {
+    while (queue.try_push(next_push)) ++next_push;
+    for (std::size_t i = 0; i < k; ++i) {
+      ASSERT_TRUE(queue.try_pop(out));
+      ASSERT_EQ(out, next_pop++);
+    }
+    std::size_t pushed = 0;
+    while (queue.try_push(next_push)) {
+      ++next_push;
+      ++pushed;
+    }
+    EXPECT_EQ(pushed, k) << "k=" << k;
+  }
+  while (queue.try_pop(out)) ASSERT_EQ(out, next_pop++);
+  ASSERT_EQ(next_pop, next_push);
+  ASSERT_TRUE(queue.try_push(4242));
+  ASSERT_TRUE(queue.try_pop(out));
+  EXPECT_EQ(out, 4242);
+  EXPECT_TRUE(queue.empty());
+}
+
 TEST(SpscQueue, SizeIsBoundedUnderConcurrentContention) {
   // size() is documented as a racy snapshot for stats/watchdog use; under
   // real contention with constant wraparound it must still always land in
