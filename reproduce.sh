@@ -65,7 +65,7 @@ for k in fft radix ocean_contig ocean_noncontig water_nsq fmm raytrace \
   fi
 done
 echo "===== bwc race: seeded racy kernels (expect exit 8) ====="
-for k in racy_sum racy_guard; do
+for k in racy_sum racy_guard racy_flag; do
   ./build/examples/bwc_cli race "bench:$k" > /dev/null 2>&1 && rc=0 || rc=$?
   if [ "$rc" = 8 ]; then
     echo "bench:$k correctly flagged"

@@ -2,9 +2,9 @@
 // exercise the static race checker and the dynamic race oracle from the
 // findings side (`bwc race` exit code 8, tests/static_analysis_test.cpp).
 // They are registered behind find_benchmark() (bench:racy_sum,
-// bench:racy_guard) but kept out of all_benchmarks()/service_benchmarks()
-// so no evaluation harness, campaign, or serve lane ever runs them by
-// accident — they are findable, not enumerable.
+// bench:racy_guard, bench:racy_flag) but kept out of all_benchmarks() and
+// service_benchmarks() so no evaluation harness, campaign, or serve lane
+// ever runs them by accident — they are findable, not enumerable.
 #include "benchmarks/registry.h"
 
 namespace bw::benchmarks {
@@ -63,6 +63,42 @@ func slave() {
   barrier();
   if (id == 0) {
     print_i(counter);
+  }
+}
+)BWC";
+}
+
+// Unlocked flag handoff: thread 0 does a little work, then publishes with
+// a plain store to `flag`, while every thread spins on a plain load of it
+// before the barrier. The spin's `while.cond` branch reads the same word
+// in every thread, so the instrumenter classes it `shared`, and its
+// operand is exactly the racy read. Each thread evaluates the condition
+// at least once in the writer's barrier phase, so the oracle flags the
+// write/read pair on every schedule; the writer loop stays short so the
+// spin does too.
+const char* racy_flag_source() {
+  return R"BWC(
+global int WORK = 64;
+global int flag = 0;
+global int total = 0;
+
+func slave() {
+  int id = tid();
+  if (id == 0) {
+    int s = 0;
+    for (int i = 0; i < WORK; i = i + 1) {
+      s = s + i;
+    }
+    total = s;
+    // BUG: publishes with a plain store, no lock() or atomic_add().
+    flag = 1;
+  }
+  // BUG: unlocked poll of a word another thread writes in this phase.
+  while (flag == 0) {
+  }
+  barrier();
+  if (id == 0) {
+    print_i(total);
   }
 }
 )BWC";

@@ -36,6 +36,7 @@ const std::vector<Benchmark>& diagnostic_benchmarks() {
   static const std::vector<Benchmark> benchmarks = {
       {"racy_sum", "racy-sum", racy_sum_source(), {}, 32},
       {"racy_guard", "racy-guard", racy_guard_source(), {}, 32},
+      {"racy_flag", "racy-flag", racy_flag_source(), {}, 32},
   };
   return benchmarks;
 }

@@ -38,9 +38,10 @@ const std::vector<Benchmark>& all_benchmarks();
 /// Table IV/V harnesses keep reporting exactly the paper's seven SPLASH-2
 /// rows; their PaperReference fields are zeroed (no paper counterpart).
 const std::vector<Benchmark>& service_benchmarks();
-/// Deliberately racy diagnostic kernels (racy_sum, racy_guard) for the
-/// race checker's findings side. Resolvable through find_benchmark() but
-/// never enumerated, so evaluation harnesses cannot pick them up.
+/// Deliberately racy diagnostic kernels (racy_sum, racy_guard, racy_flag)
+/// for the race checker's findings side. Resolvable through
+/// find_benchmark() but never enumerated, so evaluation harnesses cannot
+/// pick them up.
 const std::vector<Benchmark>& diagnostic_benchmarks();
 /// Looks up `name` in all_benchmarks(), then service_benchmarks(), then
 /// diagnostic_benchmarks().
@@ -58,5 +59,6 @@ const char* auth_check_source();
 const char* dispatch_source();
 const char* racy_sum_source();
 const char* racy_guard_source();
+const char* racy_flag_source();
 
 }  // namespace bw::benchmarks

@@ -13,11 +13,14 @@ namespace bw::fault {
 
 struct DuplicationResult {
   CampaignResult campaign;     // detected = replica outputs diverged
-  double overhead = 0.0;       // wall-clock(two replicas) / wall-clock(one)
+  /// Median over repetitions of wall-clock(two concurrent replicas) /
+  /// wall-clock(one), each side a whole execute() call.
+  double overhead = 0.0;
 };
 
 /// Coverage: inject into one replica, run the other clean, compare.
-/// Overhead: time two concurrent replicas vs one (both uninstrumented).
+/// Overhead: time two concurrent replicas vs one (both uninstrumented,
+/// both whole execute() calls on one clock; the median repetition).
 DuplicationResult run_duplication(std::string_view source,
                                   const CampaignOptions& options);
 

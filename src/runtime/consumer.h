@@ -171,9 +171,10 @@ class TenantCore {
 /// The producer slow path once `try_push()` of `reports` reports from
 /// `thread` to consumer `shard` has failed: count and log the pressure,
 /// then the backoff ladder (cut short by Failed health under a bounded
-/// policy). On give-up the reports are drops, health degrades, and fails
-/// once `beat` has been frozen for the watchdog deadline. Returns whether
-/// the push went through.
+/// policy), repeated while `beat` has moved within the give-up grace. On
+/// give-up the reports are drops, health degrades, and fails once `beat`
+/// has been frozen for the watchdog deadline. Returns whether the push
+/// went through.
 template <typename TryPush>
 bool push_or_give_up(TryPush&& try_push, SinkCells sink,
                      const BackoffPolicy& backoff,
@@ -185,18 +186,26 @@ bool push_or_give_up(TryPush&& try_push, SinkCells sink,
   telemetry::record_event(telemetry::EventKind::QueueHighWater,
                           telemetry::Phase::MonitorCheck, thread, shard);
   sink.sampler.note_pressure();
-  if (run_backoff(backoff, try_push, [&] {
-        return backoff.bounded && sink.health.get() == MonitorHealth::Failed;
-      })) {
-    return true;
+  auto failed = [&] {
+    return backoff.bounded && sink.health.get() == MonitorHealth::Failed;
+  };
+  // A spent ladder measures yields, not the consumer: on an idle core the
+  // yields return at once while a live consumer sits preempted or works
+  // through its other rings. Give up only once its beat stands still.
+  const std::uint64_t grace = give_up_grace_ns(watchdog);
+  while (!run_backoff(backoff, try_push, failed)) {
+    if (failed() ||
+        stall.frozen_for(beat.load(std::memory_order_relaxed), grace)) {
+      dropped.fetch_add(reports, std::memory_order_relaxed);
+      telemetry::counter_add(telemetry::Counter::ReportsDropped, reports);
+      sink.raise(MonitorHealth::Degraded);
+      if (stall.expired(beat.load(std::memory_order_relaxed), watchdog)) {
+        sink.raise(MonitorHealth::Failed);
+      }
+      return false;
+    }
   }
-  dropped.fetch_add(reports, std::memory_order_relaxed);
-  telemetry::counter_add(telemetry::Counter::ReportsDropped, reports);
-  sink.raise(MonitorHealth::Degraded);
-  if (stall.expired(beat.load(std::memory_order_relaxed), watchdog)) {
-    sink.raise(MonitorHealth::Failed);
-  }
-  return false;
+  return true;
 }
 
 /// Yields until `done()` holds, `health` (unless null) is Failed, or the

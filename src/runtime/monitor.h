@@ -12,7 +12,8 @@
 // its reactions to the stall and delay hooks.
 //
 // Resilience (see resilience.h): producers never block indefinitely on a
-// full queue — a bounded backoff gives up, drops the report (counted
+// full queue — a bounded backoff gives up once the heartbeat has also
+// stood still for the give-up grace, drops the report (counted
 // per-thread) and degrades the monitor's health; a watchdog heartbeat
 // trips the sticky Failed state when the monitor thread stalls, after
 // which producers stop queueing and the program continues unprotected.

@@ -50,6 +50,8 @@ struct alignas(64) ProducerSlot {
   /// Per-shard watchdog, run against this SESSION's progress counter on
   /// that shard (a frozen tenant fails only its own session).
   std::vector<StallClock> stall;
+  /// The quota gate's give-up clock, run against released_reports.
+  StallClock quota_stall;
 };
 
 /// Per-(session, shard) shared cells: the shard bumps progress on every
@@ -109,6 +111,10 @@ struct SessionState {
   /// the per-tenant quota gates on. Incremented by producers when a
   /// batch claims quota, decremented by shards after a batch is filed.
   std::atomic<std::uint64_t> queued_reports{0};
+  /// Reports the shards have taken off queued_reports, ever: the beat a
+  /// producer waiting at the quota gate reads (monotone, unlike the
+  /// quota itself, which other producers refill).
+  std::atomic<std::uint64_t> released_reports{0};
   std::atomic<std::uint64_t> quota_peak{0};
   std::atomic<std::uint64_t> reports_throttled{0};
   std::atomic<std::uint64_t> throttle_events{0};
@@ -269,6 +275,7 @@ std::uint64_t MonitorService::Shard::drain_rings(Tenant& tenant,
         unfiled += batch.count;
       }
       s.queued_reports.fetch_sub(batch.count, std::memory_order_release);
+      s.released_reports.fetch_add(batch.count, std::memory_order_relaxed);
     }
   }
   return unfiled;
@@ -351,6 +358,8 @@ void MonitorService::shard_run(Shard& shard) {
           drained_any = true;
           shard.drain_batch(tenant, batch);
           s.queued_reports.fetch_sub(batch.count, std::memory_order_release);
+          s.released_reports.fetch_add(batch.count,
+                                       std::memory_order_relaxed);
           if (tenant.stalled) break;
         }
         if (tenant.stalled) break;
@@ -446,10 +455,12 @@ void MonitorService::flush_open(detail::SessionState& s,
 }
 
 /// The per-tenant quota gate: claim (CAS), then the backoff ladder, which
-/// here also stops once the session leaves kActive. On failure the caller
-/// samples down and drops. Only this session's producers ever wait here;
-/// the quota counter is session-private.
+/// here also stops once the session leaves kActive, repeated (as on a
+/// full ring) while the shards released reports within the give-up grace.
+/// On failure the caller samples down and drops. Only this session's
+/// producers ever wait here; the quota counter is session-private.
 bool MonitorService::acquire_quota(detail::SessionState& s,
+                                   std::uint32_t thread,
                                    std::uint32_t count) {
   auto try_claim = [&]() -> bool {
     std::uint64_t cur = s.queued_reports.load(std::memory_order_relaxed);
@@ -469,10 +480,20 @@ bool MonitorService::acquire_quota(detail::SessionState& s,
     return false;
   };
   if (try_claim()) return true;
-  return run_backoff(options_.backoff, try_claim, [&] {
+  auto stop = [&] {
     return s.health.get() == MonitorHealth::Failed ||
            s.phase.load(std::memory_order_acquire) != detail::kActive;
-  });
+  };
+  const std::uint64_t grace = give_up_grace_ns(options_.watchdog);
+  StallClock& clock = s.producers[thread].quota_stall;
+  while (!run_backoff(options_.backoff, try_claim, stop)) {
+    if (stop() ||
+        clock.frozen_for(s.released_reports.load(std::memory_order_relaxed),
+                         grace)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void MonitorService::flush_batch(detail::SessionState& s,
@@ -486,7 +507,7 @@ void MonitorService::flush_batch(detail::SessionState& s,
     batch.count = 0;
     return;
   }
-  if (!acquire_quota(s, count)) {
+  if (!acquire_quota(s, thread, count)) {
     // Over quota after the full ladder: the final rungs — sample down,
     // degrade, drop. All side effects are session-local; a noisy tenant
     // throttles itself while its neighbors keep full checking.

@@ -49,7 +49,8 @@
 //     tenant's next drain visit.
 //   * Capacity. Each session holds a quota on queued (in-ring) reports.
 //     A producer over quota runs the backoff ladder generalized to
-//     per-tenant backpressure — spin, then yield, then sample-down
+//     per-tenant backpressure — spin, then yield (again while the shards
+//     keep releasing the session's reports), then sample-down
 //     (SamplingController::note_pressure) and drop, degrading only its
 //     own session's health. Other tenants' rings and quotas are
 //     untouched, so a noisy neighbor throttles itself.
@@ -259,7 +260,8 @@ class MonitorService {
   void flush_open(detail::SessionState& s, std::uint32_t thread);
   void flush_batch(detail::SessionState& s, std::uint32_t thread,
                    unsigned shard);
-  bool acquire_quota(detail::SessionState& s, std::uint32_t count);
+  bool acquire_quota(detail::SessionState& s, std::uint32_t thread,
+                     std::uint32_t count);
   bool post_session_command(detail::SessionState& s, int command);
   bool session_quiesce(detail::SessionState& s);
   bool session_reset_epoch(detail::SessionState& s);

@@ -5,7 +5,8 @@
 // deadlock).
 //
 //   * BackoffPolicy  — producer-side policy for a full front-end queue:
-//     spin, then yield, then give up and DROP the report (counted
+//     spin, then yield, then — once the consumer's beat has also stood
+//     still for the give-up grace — give up and DROP the report (counted
 //     per-thread). Dropping is safe: every checker is sound on subsets,
 //     and once degraded the monitor additionally skips instances with
 //     missing observations.
@@ -31,12 +32,14 @@
 //                             transition snap the sampler back.
 //   * run_backoff()         — the one spin -> yield ladder (ring pushes
 //                             and the service's quota gate).
-//   * StallClock            — the watchdog a producer's give-up consults.
+//   * StallClock            — the clock a producer's give-up consults:
+//                             the give-up grace and the watchdog.
 //
 // The pop screen (TenantCore::screen_popped) and the recovery deadline
 // (bounded_wait) are consumer-side and live in consumer.h.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -103,7 +106,11 @@ struct BackoffPolicy {
   /// common "monitor is one burst behind" case).
   std::uint32_t spins = 64;
   /// Yield-and-retry iterations after the spins. With ~1us per yield the
-  /// default budget is a few milliseconds of patience.
+  /// default budget is a few milliseconds of patience. A spent ladder is
+  /// not yet a give-up: a yield returns at once on an idle core, so the
+  /// ladder repeats until the consumer's beat has stood still for
+  /// give_up_grace_ns() (a live consumer that is merely preempted or
+  /// behind never costs a drop).
   std::uint32_t yields = 4096;
   /// When false, reproduce the original unbounded spin (never give up,
   /// never drop). Deadlock-prone under a stalled monitor; kept only as the
@@ -180,16 +187,26 @@ inline bool run_backoff(const BackoffPolicy& policy, TryOnce&& try_once,
   return false;
 }
 
-/// One producer's watchdog against one consumer's beat counter (the
-/// Monitor heartbeat, or a session's progress counter on one shard). Read
-/// only from the give-up slow path, so successful sends never touch a
-/// clock.
+/// How long a consumer's beat must stand still before a producer whose
+/// backoff ladder ran out drops: a quarter of the watchdog deadline, so
+/// a drop (Degraded) still comes before Failed, and at most 50 ms, so a
+/// deadline set long to stay Degraded does not stretch the first drop.
+/// A disabled watchdog lends its default deadline, as in bounded_wait().
+inline std::uint64_t give_up_grace_ns(const WatchdogOptions& watchdog) {
+  const std::uint64_t stall = watchdog.enabled
+                                  ? watchdog.stall_timeout_ns
+                                  : WatchdogOptions{}.stall_timeout_ns;
+  return std::min<std::uint64_t>(stall / 4, 50'000'000);
+}
+
+/// One producer's clock against one consumer's beat counter (the Monitor
+/// heartbeat, or a session's progress counter on one shard). Read only
+/// from the give-up slow path, so successful sends never touch a clock.
 class StallClock {
  public:
-  /// True once `beat` has not moved for the whole stall deadline; always
-  /// false with the watchdog disabled.
-  bool expired(std::uint64_t beat, const WatchdogOptions& watchdog) {
-    if (!watchdog.enabled) return false;
+  /// True once `beat` has not moved for `ns`, as seen by this clock's
+  /// earlier calls; a beat that moved restarts the count.
+  bool frozen_for(std::uint64_t beat, std::uint64_t ns) {
     const auto now = std::chrono::steady_clock::now();
     if (beat != last_beat_) {
       last_beat_ = beat;
@@ -199,8 +216,13 @@ class StallClock {
     const auto stalled =
         std::chrono::duration_cast<std::chrono::nanoseconds>(now - since_)
             .count();
-    return stalled >= 0 &&
-           static_cast<std::uint64_t>(stalled) >= watchdog.stall_timeout_ns;
+    return stalled >= 0 && static_cast<std::uint64_t>(stalled) >= ns;
+  }
+
+  /// True once `beat` has not moved for the whole stall deadline; always
+  /// false with the watchdog disabled.
+  bool expired(std::uint64_t beat, const WatchdogOptions& watchdog) {
+    return watchdog.enabled && frozen_for(beat, watchdog.stall_timeout_ns);
   }
 
  private:

@@ -4,7 +4,15 @@
 // checkpoint and fault-injection machinery, so every semantic outside raw
 // dispatch — heap access, barriers, rollback, monitor reports, fault
 // anchoring, instruction accounting — exists exactly once and cannot drift
-// between tiers. Not installed; include only from src/vm/*.cpp.
+// between tiers.
+//
+// The barrier cut is one path for both of its consumers, recovery
+// rollback and phase plans: barrier_sync stages a thread's snapshot into
+// Machine::staged_, the coordinator's cut hook assembles the Checkpoint
+// once (Machine::assemble_cut) and hands it to RecoveryCoordinator::commit
+// or to the phase plan, and a resume goes through Machine::restore_shared
+// plus ThreadRunner::resume_from, whether it is a rollback or a phase
+// entry. Not installed; include only from src/vm/*.cpp.
 #pragma once
 
 #include <algorithm>
@@ -64,9 +72,9 @@ class Coordinator {
   explicit Coordinator(unsigned n)
       : status_(n, Status::Running), waiting_lock_(n, 0) {}
 
-  /// Recovery hook, run by the barrier-releasing thread under the
-  /// coordinator mutex once every thread has arrived (every waiter is
-  /// parked on cv_, so the staged snapshots and the heap are stable).
+  /// Cut hook, run by the barrier-releasing thread under the coordinator
+  /// mutex once every thread has arrived (every waiter is parked on cv_,
+  /// so the staged snapshots and the heap are stable).
   /// Receives the new barrier generation and the held-locks map; returns
   /// true to demand an immediate rollback (forced-rollback test hook).
   /// The hook must NOT call back into this Coordinator.
@@ -291,18 +299,61 @@ class Machine {
 
   RunResult run();
 
-  /// Phase-plan staging: each thread parks its snapshot here right before
-  /// entering a capture barrier (mirrors RecoveryCoordinator::stage). The
-  /// mutex orders stagers against the releasing thread's checkpoint hook.
-  /// `generation` is the stager's LOCAL crossing count: the commit hook
-  /// compares it against the global generation to prove the capture is
-  /// complete (Checkpoint::complete) — a faulted thread that skipped a
-  /// conditional barrier stages at the wrong cut, or never.
-  void phase_stage(unsigned tid, std::uint64_t generation,
-                   ThreadSnapshot snapshot) {
-    std::lock_guard<std::mutex> lock(phase_mu_);
-    phase_staged_[tid] = std::move(snapshot);
-    phase_staged_gen_[tid] = generation;
+  // --- The barrier cut (recovery checkpoints and phase plans) -----------
+
+  /// Is the cut at this barrier crossing assembled? Recovery commits every
+  /// checkpoint_interval-th crossing; a phase plan takes every crossing
+  /// while it records a golden trace, else only its exit cut. Asked by the
+  /// stager with its local crossing count and by the assembler with the
+  /// global generation: the two are equal at every release.
+  bool cut_wanted(std::uint64_t crossing) const {
+    if (recovery_ != nullptr) return recovery_->checkpoint_due(crossing);
+    const PhasePlan& plan = options_.phase;
+    return plan.active &&
+           (plan.trace != nullptr ||
+            (plan.exit_generation != 0 && crossing == plan.exit_generation));
+  }
+
+  /// Park a thread's snapshot for the cut, with its local crossing count.
+  /// No lock: the stager writes its own slot before Coordinator::
+  /// barrier_wait takes the coordinator mutex, and assemble_cut reads the
+  /// slots under that mutex after the last arrival.
+  void stage_cut(unsigned tid, std::uint64_t crossing,
+                 ThreadSnapshot snapshot) {
+    staged_[tid].snapshot = std::move(snapshot);
+    staged_[tid].crossing = crossing;
+  }
+
+  /// Build the checkpoint at a cut: heap, staged threads (moved out of
+  /// their slots), held locks and the completeness census. Runs under the
+  /// coordinator mutex with every thread parked in the barrier, or before
+  /// the threads start (generation 0: nothing staged, so every slot is an
+  /// empty-frames "restart the entry" snapshot).
+  Checkpoint assemble_cut(
+      std::uint64_t generation,
+      const std::unordered_map<std::int64_t, unsigned>& lock_owner) {
+    Checkpoint cut;
+    cut.generation = generation;
+    cut.heap = heap_;
+    cut.threads.reserve(staged_.size());
+    for (StagedCut& slot : staged_) {
+      if (slot.crossing != generation) cut.complete = false;
+      cut.threads.push_back(std::move(slot.snapshot));
+    }
+    cut.coordinator.lock_owners.assign(lock_owner.begin(), lock_owner.end());
+    return cut;
+  }
+
+  /// Put the shared state back at a cut: the heap, then the coordinator
+  /// one generation below it (every thread re-executes the cut's Barrier
+  /// on resume, re-crossing it together) with the locks held across it.
+  /// No program thread may be inside the coordinator: the rollback leader
+  /// calls this with every peer parked at the rendezvous, phase entry
+  /// before any thread starts.
+  void restore_shared(const Checkpoint& cut) {
+    heap_ = cut.heap;
+    coordinator_.reset_for_retry(cut.generation == 0 ? 0 : cut.generation - 1,
+                                 cut.coordinator.lock_owners);
   }
 
   /// Shared decode (both tiers' forms); immutable, shared across Machines.
@@ -314,12 +365,18 @@ class Machine {
   Coordinator coordinator_;
   std::unique_ptr<RecoveryCoordinator> recovery_;
 
+  /// One staging slot per thread (sized only when cuts are taken). The
+  /// crossing is the stager's local count; assemble_cut's census compares
+  /// it against the global generation.
+  struct StagedCut {
+    ThreadSnapshot snapshot;
+    std::uint64_t crossing = 0;
+  };
+  std::vector<StagedCut> staged_;
+
   // --- Phase-plan state (PhasePlan in machine.h) -----------------------
+  /// Guards the block-profile merge of publish_block_profile().
   std::mutex phase_mu_;
-  std::vector<ThreadSnapshot> phase_staged_;  // indexed by tid
-  /// Local crossing count each slot of phase_staged_ was staged at (0 =
-  /// never staged); the commit hook's completeness census.
-  std::vector<std::uint64_t> phase_staged_gen_;
   /// Set (release) by the checkpoint hook when exit_generation commits;
   /// every thread checks it (acquire) after leaving the barrier and
   /// unwinds through PhaseExitSignal.
@@ -479,31 +536,20 @@ class ThreadRunner {
 
   // --- Synchronization (shared by both tiers) ------------------------------
 
-  /// Barrier semantics: recovery checkpoint staging, the coordinator wait,
-  /// then the epoch advance that retires this phase for the race oracle.
+  /// Barrier semantics: cut staging, the coordinator wait, then the epoch
+  /// advance that retires this phase for the race oracle. A restored
+  /// thread resumes one below its cut's crossing and re-crosses the cut's
+  /// barrier, so barriers_crossed_ equals the global generation in
+  /// lockstep.
   void barrier_sync() {
-    if (recovery_ != nullptr) {
-      ++barriers_crossed_;
-      if (recovery_->checkpoint_due(barriers_crossed_)) {
-        // Push this thread's buffered reports to the monitor (the commit
-        // quiesce must see them), then stage the snapshot BEFORE arriving:
-        // the releasing thread commits while all stagers are blocked
-        // inside the barrier.
-        if (monitor_ != nullptr) monitor_->flush(tid_);
-        recovery_->stage(tid_, capture_snapshot());
-      }
-    } else if (phase_ != nullptr) {
-      // Phase runs track barrier crossings with the same per-thread
-      // counter the recovery path uses: a restored thread resumes one
-      // below its entry generation and re-crosses the entry barrier, so
-      // barriers_crossed_ equals the global generation in lockstep.
-      ++barriers_crossed_;
-      if (phase_->trace != nullptr ||
-          (phase_->exit_generation != 0 &&
-           barriers_crossed_ == phase_->exit_generation)) {
-        if (monitor_ != nullptr) monitor_->flush(tid_);
-        m_.phase_stage(tid_, barriers_crossed_, capture_snapshot());
-      }
+    ++barriers_crossed_;
+    if (parallel_ && m_.cut_wanted(barriers_crossed_)) {
+      // Push this thread's buffered reports to the monitor (a recovery
+      // commit's quiesce must see them), then stage the snapshot BEFORE
+      // arriving: the releasing thread assembles the cut while every
+      // stager is blocked inside the barrier.
+      if (monitor_ != nullptr) monitor_->flush(tid_);
+      m_.stage_cut(tid_, barriers_crossed_, capture_snapshot());
     }
     m_.coordinator_.barrier_wait(tid_);
     ++epoch_;
@@ -620,37 +666,34 @@ class ThreadRunner {
     return ts;
   }
 
+  /// Arm this runner to resume from a cut: thread-private state, with the
+  /// counters pre-deducted because the cut's Barrier (and each parent
+  /// frame's pending Call) is re-executed, re-crossing the cut together
+  /// with every peer. run() then rebuilds the frames; an empty-frames
+  /// snapshot (the generation-0 baseline) restarts the entry from
+  /// scratch. The snapshot must outlive the resume.
+  void resume_from(const ThreadSnapshot& ts) {
+    local_slots_ = ts.local_slots;
+    output_ = ts.output;
+    tracker_ = ts.tracker;
+    branches_ = ts.branches;
+    instructions_ = ts.instructions - ts.frames.size();
+    barriers_crossed_ =
+        ts.barriers_crossed == 0 ? 0 : ts.barriers_crossed - 1;
+    pending_restore_ = &ts;
+  }
+
   /// Rendezvous with every other thread, restore to the last clean
   /// checkpoint, and report whether the dispatcher should re-enter.
   bool roll_back() {
     RecoveryCoordinator::RestoreDecision decision =
         recovery_->arrive_and_restore(
-            tid_,
-            [this](const Checkpoint& cp) {
-              // Leader-only, while every peer is parked at the
-              // rendezvous: shared heap, then lock/barrier bookkeeping.
-              // The generation is set one below the checkpoint's because
-              // every thread re-executes the checkpoint Barrier on
-              // resume, re-crossing it together.
-              m_.heap_ = cp.heap;
-              m_.coordinator_.reset_for_retry(
-                  cp.generation == 0 ? 0 : cp.generation - 1,
-                  cp.coordinator.lock_owners);
-            },
+            tid_, [this](const Checkpoint& cp) { m_.restore_shared(cp); },
             [this] { return m_.coordinator_.stopped(); });
     switch (decision.action) {
       case RestoreAction::Restore: {
-        const ThreadSnapshot& ts = decision.checkpoint->threads[tid_];
-        local_slots_ = ts.local_slots;
-        output_ = ts.output;
-        tracker_ = ts.tracker;
-        branches_ = ts.branches;
-        // The checkpoint Barrier (and each parent frame's Call dispatch)
-        // is re-executed on resume; pre-deduct so the replayed counters
-        // match the original timeline exactly.
-        instructions_ = ts.instructions - ts.frames.size();
-        barriers_crossed_ =
-            ts.barriers_crossed == 0 ? 0 : ts.barriers_crossed - 1;
+        resume_from(decision.checkpoint->threads[tid_]);
+        // The unwound native stack is gone; run() rebuilds it.
         call_depth_ = 0;
         frame_stack_.clear();
         restore_frames_ = nullptr;
@@ -659,7 +702,6 @@ class ThreadRunner {
         // that already fired (recurring faults re-arm; a fault that has
         // not fired yet stays armed either way).
         fault_done_ = outcome_.fault_applied && !m_.options_.fault.recurring;
-        pending_restore_ = &ts;
         return true;
       }
       case RestoreAction::GiveUp:
@@ -678,24 +720,7 @@ class ThreadRunner {
     }
   }
 
-  // --- Phase-plan entry / profiling ---------------------------------------
-
-  /// Arm this runner to resume from a phase-entry snapshot, mirroring the
-  /// restore branch of roll_back(): counters are pre-deducted because the
-  /// entry Barrier (and each parent frame's pending Call) is re-executed,
-  /// re-crossing the cut together with every peer. An empty-frames
-  /// snapshot (the generation-0 baseline) restarts the entry from scratch.
-  /// The snapshot must outlive the run. Call before run().
-  void prepare_phase_entry(const ThreadSnapshot& ts) {
-    local_slots_ = ts.local_slots;
-    output_ = ts.output;
-    tracker_ = ts.tracker;
-    branches_ = ts.branches;
-    instructions_ = ts.instructions - ts.frames.size();
-    barriers_crossed_ =
-        ts.barriers_crossed == 0 ? 0 : ts.barriers_crossed - 1;
-    pending_restore_ = &ts;
-  }
+  // --- Phase-plan profiling -------------------------------------------------
 
   /// Golden-capture profiling: attribute (func, block) to the phase the
   /// thread is currently in. Unique-insert into a sorted vector — the

@@ -389,8 +389,6 @@ RunResult Machine::run() {
       BW_INTERNAL_CHECK(phase.entry->complete,
                         "phase entry checkpoint is incomplete");
     }
-    phase_staged_.resize(options_.num_threads);
-    phase_staged_gen_.assign(options_.num_threads, 0);
   }
 
   // Sequential init (mirrors SPLASH-2 main() setup). Skipped on a
@@ -422,79 +420,44 @@ RunResult Machine::run() {
   if (options_.recovery.enabled) {
     recovery_ = std::make_unique<RecoveryCoordinator>(
         options_.num_threads, options_.recovery, options_.monitor);
-    // The post-init heap is the always-available rollback target: faults
-    // detected before the first checkpoint barrier restart the section.
-    recovery_->set_baseline(heap_);
-    coordinator_.set_checkpoint_hook(
-        [this](std::uint64_t generation,
-               const std::unordered_map<std::int64_t, unsigned>& lock_owner) {
-          if (!recovery_->checkpoint_due(generation)) return false;
-          CoordinatorSnapshot coord;
-          coord.lock_owners.assign(lock_owner.begin(), lock_owner.end());
-          return recovery_->commit(generation, heap_, std::move(coord));
-        });
   }
-
-  if (phase.active) {
-    if (phase_restore) {
-      // Enter the phase from its barrier-aligned checkpoint, exactly like
-      // a recovery restore: shared heap, then barrier generation one below
-      // the cut (every thread re-executes the entry Barrier, re-crossing
-      // it together) plus the lock owners held across it.
-      heap_ = phase.entry->heap;
-      coordinator_.reset_for_retry(
-          phase.entry->generation == 0 ? 0 : phase.entry->generation - 1,
-          phase.entry->coordinator.lock_owners);
-    } else if (phase.trace != nullptr) {
-      // Golden capture: synthesize the generation-0 baseline so trace[g]
-      // is always the entry state of phase g. Empty frames mean "restart
-      // the parallel entry from scratch" — the existing baseline
-      // semantics of the restore path.
-      Checkpoint baseline;
-      baseline.generation = 0;
-      baseline.heap = heap_;
-      baseline.threads.resize(options_.num_threads);
-      phase.trace->push_back(std::move(baseline));
-    }
+  if (recovery_ != nullptr || phase.active) {
+    // Barrier cuts: each thread stages its snapshot on the way into a
+    // wanted barrier; the releasing thread assembles the cut once and
+    // hands it to recovery (the quiesce-and-clean gate and the ring) or
+    // to the phase plan (trace, exit capture, exit flag).
+    staged_.resize(options_.num_threads);
     coordinator_.set_checkpoint_hook(
         [this](std::uint64_t generation,
                const std::unordered_map<std::int64_t, unsigned>& lock_owner) {
+          if (!cut_wanted(generation)) return false;
+          const auto assembly_start = std::chrono::steady_clock::now();
+          Checkpoint cut = assemble_cut(generation, lock_owner);
+          if (recovery_ != nullptr) {
+            return recovery_->commit(std::move(cut), assembly_start);
+          }
           const PhasePlan& pp = options_.phase;
           const bool at_exit =
               pp.exit_generation != 0 && generation == pp.exit_generation;
-          if (pp.trace == nullptr && !at_exit) return false;
-          // Releasing thread, under the coordinator mutex, every peer
-          // parked inside the barrier with its snapshot staged: assemble
-          // the checkpoint exactly as a recovery commit would.
-          Checkpoint cp;
-          cp.generation = generation;
-          cp.heap = heap_;
-          {
-            std::lock_guard<std::mutex> lock(phase_mu_);
-            cp.threads = phase_staged_;
-            // Completeness census: fault-free, every thread's local
-            // crossing count equals the global generation at every
-            // release, so every slot was staged at exactly this cut. A
-            // fault that skipped a conditional barrier leaves its
-            // thread's slot staged at another generation (or never —
-            // gen 0), and the capture is not a true snapshot of the cut.
-            for (std::uint64_t staged_at : phase_staged_gen_) {
-              if (staged_at != generation) {
-                cp.complete = false;
-                break;
-              }
-            }
-          }
-          cp.coordinator.lock_owners.assign(lock_owner.begin(),
-                                            lock_owner.end());
-          if (at_exit && pp.exit_capture != nullptr) *pp.exit_capture = cp;
-          if (pp.trace != nullptr) pp.trace->push_back(std::move(cp));
+          if (at_exit && pp.exit_capture != nullptr) *pp.exit_capture = cut;
+          if (pp.trace != nullptr) pp.trace->push_back(std::move(cut));
           if (at_exit) {
             phase_exit_done_.store(true, std::memory_order_release);
           }
           return false;  // never a forced rollback
         });
   }
+
+  // The generation-0 cut (post-init heap, empty frames) is the rollback
+  // baseline and the golden trace[0]: restarting the parallel entry from
+  // scratch is always a valid resume.
+  if (recovery_ != nullptr) {
+    recovery_->set_baseline(assemble_cut(0, {}));
+  } else if (phase.trace != nullptr && !phase_restore) {
+    phase.trace->push_back(assemble_cut(0, {}));
+  }
+  // Enter a phase from its cut exactly like a recovery restore.
+  if (phase_restore) restore_shared(*phase.entry);
 
   auto start = std::chrono::steady_clock::now();
   std::vector<std::thread> threads;
@@ -503,9 +466,7 @@ RunResult Machine::run() {
     threads.emplace_back([this, t, entry_index, phase_restore, &result] {
       telemetry::SpanScope span(telemetry::Phase::Execution, "vm.thread");
       ThreadRunner runner(*this, t, /*parallel_section=*/true);
-      if (phase_restore) {
-        runner.prepare_phase_entry(options_.phase.entry->threads[t]);
-      }
+      if (phase_restore) runner.resume_from(options_.phase.entry->threads[t]);
       result.threads[t] = runner.run(entry_index);
       runner.publish_block_profile();
     });

@@ -79,10 +79,12 @@ struct ThreadOutcome {
 /// Single-phase execution plan for the compositional campaign engine
 /// (fault/compositional.h): run exactly one barrier-delimited slice of the
 /// parallel section, entering from a barrier-aligned checkpoint and
-/// exiting at the next cut. Reuses the recovery machinery's Checkpoint
-/// format and restore path (vm/recovery.h) — barriers are the only sound
-/// cut points, for the same reason they are the only sound rollback
-/// targets: no branch instance spans one.
+/// exiting at the next cut. A phase plan is the second consumer of the
+/// one barrier cut that recovery checkpoints use (vm/recovery.h): the
+/// same staging, the same Checkpoint assembly, the same generation-0
+/// baseline and the same restore. Barriers are the only sound cut points,
+/// for the same reason they are the only sound rollback targets: no
+/// branch instance spans one.
 ///
 /// Mutually exclusive with RecoveryOptions::enabled (a rollback would
 /// cross the phase cut and re-entangle the slices).
@@ -99,11 +101,11 @@ struct PhasePlan {
   /// phase-exit cut). 0 = run to the section end (the last phase).
   std::uint64_t exit_generation = 0;
   /// When non-null and exit_generation fires, receives the state at the
-  /// cut (same shape a recovery checkpoint would have committed there).
+  /// cut (the checkpoint a recovery commit would have kept there).
   Checkpoint* exit_capture = nullptr;
   /// Golden capture mode: append one checkpoint per crossed barrier
-  /// generation (the run also pushes a synthetic generation-0 baseline
-  /// first, so trace[g] is always the entry state of phase g).
+  /// generation, after the generation-0 baseline that recovery also rolls
+  /// back to, so trace[g] is always the entry state of phase g.
   std::vector<Checkpoint>* trace = nullptr;
   /// Golden capture mode: per-phase sorted unique (function index, block
   /// index) pairs executed, merged across threads — the input to the

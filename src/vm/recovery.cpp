@@ -21,39 +21,26 @@ std::uint64_t ns_since(std::chrono::steady_clock::time_point start) {
 RecoveryCoordinator::RecoveryCoordinator(unsigned num_threads,
                                          const RecoveryOptions& options,
                                          runtime::BranchSink* monitor)
-    : num_threads_(num_threads),
-      options_(options),
-      monitor_(monitor),
-      staged_(num_threads) {
+    : num_threads_(num_threads), options_(options), monitor_(monitor) {
   if (options_.checkpoint_interval == 0) options_.checkpoint_interval = 1;
   if (options_.ring_capacity == 0) options_.ring_capacity = 1;
   ring_.reserve(options_.ring_capacity);
 }
 
-void RecoveryCoordinator::set_baseline(std::vector<std::int64_t> heap) {
-  baseline_.generation = 0;
-  baseline_.heap = std::move(heap);
-  baseline_.threads.assign(num_threads_, ThreadSnapshot{});
-  baseline_.coordinator = CoordinatorSnapshot{};
+void RecoveryCoordinator::set_baseline(Checkpoint baseline) {
+  baseline_ = std::move(baseline);
 }
 
-void RecoveryCoordinator::stage(unsigned tid, ThreadSnapshot snapshot) {
-  // Per-thread slot; the committing thread reads it only after this
-  // thread has entered (and the committer holds) the barrier mutex.
-  staged_[tid] = std::move(snapshot);
-}
-
-bool RecoveryCoordinator::commit(std::uint64_t generation,
-                                 const std::vector<std::int64_t>& heap,
-                                 CoordinatorSnapshot coordinator) {
+bool RecoveryCoordinator::commit(
+    Checkpoint checkpoint,
+    std::chrono::steady_clock::time_point assembly_start) {
   // This span fires at every checkpoint barrier, so a clean protected run
   // still shows Recovery-phase activity in its trace.
   telemetry::SpanScope span(telemetry::Phase::Recovery,
                             "recovery.checkpoint");
-  const auto start = std::chrono::steady_clock::now();
   // Quiesce-before-commit: every report sent before this barrier must be
   // drained and judged, and no violation may stand. Only then is the
-  // staged state provably on the clean timeline. All producers are
+  // assembled cut provably on the clean timeline. All producers are
   // blocked at the barrier for the duration, so the queues can only
   // shrink. A violation here does NOT begin a rollback — the releasing
   // thread's next poll() does, through the normal budgeted path.
@@ -67,23 +54,19 @@ bool RecoveryCoordinator::commit(std::uint64_t generation,
     telemetry::counter_add(telemetry::Counter::CheckpointsDiscarded);
     return false;
   }
-  Checkpoint checkpoint;
-  checkpoint.generation = generation;
-  checkpoint.heap = heap;
-  checkpoint.threads = std::move(staged_);
-  staged_.assign(num_threads_, ThreadSnapshot{});
-  checkpoint.coordinator = std::move(coordinator);
+  const std::uint64_t generation = checkpoint.generation;
+  const std::size_t heap_words = checkpoint.heap.size();
   if (ring_.size() >= options_.ring_capacity) ring_.erase(ring_.begin());
   ring_.push_back(std::move(checkpoint));
   ++stats_.checkpoints_taken;
-  stats_.checkpoint_heap_words = heap.size();
-  const std::uint64_t elapsed = ns_since(start);
+  stats_.checkpoint_heap_words = heap_words;
+  const std::uint64_t elapsed = ns_since(assembly_start);
   stats_.checkpoint_ns += elapsed;
   telemetry::counter_add(telemetry::Counter::CheckpointsCommitted);
   telemetry::histogram_record(telemetry::Histogram::CheckpointNs, elapsed);
   telemetry::record_event(telemetry::EventKind::Checkpoint,
                           telemetry::Phase::Recovery, generation,
-                          static_cast<std::uint64_t>(heap.size()),
+                          static_cast<std::uint64_t>(heap_words),
                           static_cast<std::uint64_t>(ring_.size()));
   if (options_.force_rollback_after_checkpoint != 0 &&
       stats_.checkpoints_taken == options_.force_rollback_after_checkpoint) {

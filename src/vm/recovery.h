@@ -20,12 +20,20 @@
 // the other half after restore, manufacturing false mismatches. See
 // DESIGN.md "Detection-triggered recovery".
 //
+// The cut itself is the VM's, shared with phase plans (vm/machine.h
+// PhasePlan): threads stage snapshots on the way into the barrier, the
+// releasing thread assembles one Checkpoint, and restores go through one
+// shared-state restore and one thread resume (vm/exec_internal.h). This
+// coordinator keeps what only recovery needs: the quiesce-and-clean gate,
+// the ring, the rollback and end-of-section rendezvous, and the stats.
+//
 // Exhaustion never livelocks: each rollback consumes one retry, and when
 // the budget is gone the threads degrade to the pre-recovery behaviour —
 // trap Detected and report, exactly as if recovery were off.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -142,15 +150,15 @@ struct Checkpoint {
   std::vector<ThreadSnapshot> threads;  // indexed by thread id
   CoordinatorSnapshot coordinator;
   /// Every slot of `threads` was staged at exactly this generation's
-  /// crossing. Fault-free runs always commit complete checkpoints (a
-  /// barrier releases only on a full census, so every thread's local
-  /// crossing count equals the global generation at every release), but a
-  /// fault that steers a thread past a conditional barrier desynchronizes
-  /// its local count: the thread stages at the wrong cut — or never —
-  /// and its slot here is a leftover or default-constructed snapshot. A
-  /// phase-plan exit capture records that as complete=false; such a
-  /// capture must not seed a continuation run (an empty-frames leftover
-  /// would be misread as "restart the entry from scratch").
+  /// crossing. The census runs at every cut, for recovery and phase plans
+  /// alike. It is defensive: a barrier releases only on a full census, so
+  /// fault-free or not, every thread's local crossing count equals the
+  /// global generation at every release. Were a thread ever to stage at
+  /// another cut, or never, its slot would hold a leftover snapshot, and
+  /// an empty-frames leftover would be misread as "restart the entry from
+  /// scratch". Two consumers read it: a phase run refuses an incomplete
+  /// entry, and the compositional engine classifies an incomplete exit
+  /// capture end to end instead of continuing from it.
   bool complete = true;
 };
 
@@ -184,22 +192,20 @@ class RecoveryCoordinator {
     return crossing % options_.checkpoint_interval == 0;
   }
 
-  /// Record the post-init heap as the always-available rollback target.
-  void set_baseline(std::vector<std::int64_t> heap);
+  /// Keep the section-start cut (generation 0: post-init heap, empty
+  /// frames) as the always-available rollback target.
+  void set_baseline(Checkpoint baseline);
 
-  /// Called by each thread right before it enters a checkpoint barrier:
-  /// park this thread's snapshot in the staging area. Slots are
-  /// per-thread; the barrier mutex orders them against commit().
-  void stage(unsigned tid, ThreadSnapshot snapshot);
-
-  /// Called by the barrier-releasing thread (all threads arrived, all
-  /// snapshots staged) under the coordinator mutex. Quiesces the monitor
-  /// and commits the staged state as a checkpoint iff no violation has
-  /// been flagged — otherwise the state cannot be proven clean and the
-  /// attempt is discarded. Returns true when the caller must initiate an
-  /// immediate rollback (force_rollback_after_checkpoint test hook).
-  bool commit(std::uint64_t generation, const std::vector<std::int64_t>& heap,
-              CoordinatorSnapshot coordinator);
+  /// Called by the barrier-releasing thread under the coordinator mutex
+  /// with the cut the machine assembled at that barrier (every thread
+  /// parked inside it). Quiesces the monitor and keeps the cut in the ring
+  /// iff no violation has been flagged; otherwise the state cannot be
+  /// proven clean and the cut is discarded. `assembly_start` is when the
+  /// machine began copying the cut, so checkpoint_ns covers assembly and
+  /// commit. Returns true when the caller must initiate an immediate
+  /// rollback (force_rollback_after_checkpoint test hook).
+  bool commit(Checkpoint checkpoint,
+              std::chrono::steady_clock::time_point assembly_start);
 
   /// True while a rollback is in flight; polled by the interpreter.
   bool rollback_pending() const {
@@ -247,8 +253,7 @@ class RecoveryCoordinator {
   std::condition_variable cv_;
 
   Checkpoint baseline_;
-  std::vector<Checkpoint> ring_;          // oldest first
-  std::vector<ThreadSnapshot> staged_;    // indexed by tid
+  std::vector<Checkpoint> ring_;  // oldest first
 
   std::atomic<bool> rollback_pending_{false};
   unsigned retries_used_ = 0;

@@ -1,11 +1,14 @@
 // Detection-triggered recovery tests: barrier-aligned checkpoints, forced
 // and fault-driven rollbacks, determinism of snapshot/restore (the replay
 // after a rollback must be bit-identical to an undisturbed run), retry
-// budget termination, and the campaign's recovered outcome.
+// budget termination, the campaign's recovered outcome, and the identity
+// of the barrier cut that rollback and phase entry both resume from.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
+#include "benchmarks/registry.h"
 #include "fault/campaign.h"
 #include "test_support.h"
 #include "kernel_generator.h"
@@ -369,6 +372,85 @@ TEST(Recovery, StalledMonitorDegradesRecoveryWithoutHanging) {
   // against the wedged consumer and is discarded rather than waited on.
   EXPECT_FALSE(r.recovered);
   EXPECT_GT(r.recovery.checkpoints_discarded, 0u);
+}
+
+// Rollback and phase entry are two consumers of one barrier cut. From a
+// golden phase trace, entering the phase at trace[g] and rolling back to
+// the checkpoint committed at generation g must both finish on the golden
+// timeline: the same output and, per thread, the same retired
+// instruction and branch counts (the resume pre-deducts the re-executed
+// Barrier and pending Calls exactly). The trace is captured once on the
+// interpreter tier, as the compositional engine does, and resumed on both
+// tiers.
+TEST(CutIdentity, RollbackAndPhaseEntryResumeTheSameCut) {
+  for (const char* name : {"fft", "radix"}) {
+    const benchmarks::Benchmark* bench = benchmarks::find_benchmark(name);
+    ASSERT_NE(bench, nullptr) << name;
+    pipeline::CompiledProgram program =
+        pipeline::protect_program(bench->source);
+
+    std::vector<vm::Checkpoint> trace;
+    pipeline::ExecutionConfig golden_config;
+    golden_config.num_threads = 4;
+    golden_config.exec_tier = vm::ExecTier::Interpreter;
+    golden_config.monitor = pipeline::MonitorMode::Off;
+    golden_config.phase.active = true;
+    golden_config.phase.trace = &trace;
+    const pipeline::ExecutionResult golden =
+        pipeline::execute(program, golden_config);
+    ASSERT_TRUE(golden.run.ok) << name;
+    ASSERT_GE(trace.size(), 2u) << name;
+    std::string golden_section;
+    for (const vm::ThreadOutcome& t : golden.run.threads) {
+      golden_section += t.output;
+    }
+
+    auto expect_golden_counts = [&](const vm::RunResult& run,
+                                    const std::string& where) {
+      ASSERT_EQ(run.threads.size(), golden.run.threads.size()) << where;
+      for (std::size_t t = 0; t < run.threads.size(); ++t) {
+        EXPECT_EQ(run.threads[t].instructions,
+                  golden.run.threads[t].instructions)
+            << where << " thread " << t;
+        EXPECT_EQ(run.threads[t].branches, golden.run.threads[t].branches)
+            << where << " thread " << t;
+      }
+    };
+
+    for (vm::ExecTier tier : {vm::ExecTier::Interpreter,
+                              vm::ExecTier::Threaded}) {
+      for (std::uint64_t g = 1; g < trace.size(); ++g) {
+        const std::string where = std::string(name) + " tier " +
+                                  vm::to_string(tier) + " generation " +
+                                  std::to_string(g);
+
+        pipeline::ExecutionConfig entry;
+        entry.num_threads = 4;
+        entry.exec_tier = tier;
+        entry.monitor = pipeline::MonitorMode::Off;
+        entry.phase.active = true;
+        entry.phase.entry = &trace[g];
+        const pipeline::ExecutionResult phased =
+            pipeline::execute(program, entry);
+        EXPECT_TRUE(phased.run.ok) << where;
+        EXPECT_EQ(phased.run.output, golden_section) << where;
+        expect_golden_counts(phased.run, where + " (phase entry)");
+
+        pipeline::ExecutionConfig rollback = recovery_config();
+        rollback.exec_tier = tier;
+        rollback.recovery.ring_capacity = 4;
+        rollback.recovery.rollback_lag = 0;
+        rollback.recovery.force_rollback_after_checkpoint = g;
+        const pipeline::ExecutionResult replayed =
+            pipeline::execute(program, rollback);
+        EXPECT_TRUE(replayed.run.ok) << where;
+        EXPECT_FALSE(replayed.detected) << where;
+        EXPECT_EQ(replayed.recovery.rollbacks, 1u) << where;
+        EXPECT_EQ(replayed.run.output, golden.run.output) << where;
+        expect_golden_counts(replayed.run, where + " (rollback)");
+      }
+    }
+  }
 }
 
 }  // namespace

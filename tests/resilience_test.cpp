@@ -191,6 +191,25 @@ TEST_P(SharedResilience, StalledMonitorProducerReturnsAndDropsAreCounted) {
   EXPECT_EQ(stats.hooks_fired, 1u);
 }
 
+// A live consumer that is merely behind must backpressure, not drop: the
+// shard bumps its progress on every visit, even one the delay hook
+// defers, so a producer's spent ladder (a few dozen yields here, far
+// shorter than the 200 us deferral) is not yet a give-up.
+TEST(Resilience, SlowLiveShardBackpressuresWithoutDrops) {
+  MonitorOptions options = tight_options();
+  options.fault_hooks.delay_ns_per_report = 200'000;
+  Backed run(Backend::Service, 1, options);
+  for (std::uint64_t i = 0; i < 400; ++i) {
+    run.send(report(0, 1, CheckCode::SharedOutcome, true, i));
+  }
+  run.finish();
+  MonitorStats stats = run.stats();
+  EXPECT_EQ(stats.dropped_reports, 0u);
+  EXPECT_EQ(stats.reports_processed, 400u);
+  EXPECT_EQ(run.health(), MonitorHealth::Healthy);
+  EXPECT_TRUE(run.violations().empty());
+}
+
 TEST_P(SharedResilience, WatchdogTripsFailedAndSendsBecomeNoops) {
   MonitorOptions options = tight_options();
   options.fault_hooks.stall_after_reports = 1;

@@ -83,6 +83,35 @@ TEST(StaticRaceChecker, RacyGuardMismatchedLocksConfirmed) {
   EXPECT_EQ(report.dynamic_races[0].global, "counter");
 }
 
+// The racy read feeds a `shared` branch (the spin's while.cond): the
+// static checker must leave exactly the plain write/read pair on `flag`
+// uncertified, and the oracle must confirm it.
+TEST(StaticRaceChecker, RacyFlagPollIsCandidateAndConfirmed) {
+  const benchmarks::Benchmark* bench = benchmarks::find_benchmark("racy_flag");
+  ASSERT_NE(bench, nullptr);
+  pipeline::CompiledProgram program = pipeline::compile_program(bench->source);
+
+  analysis::RaceCheckResult s = analysis::check_races(*program.module);
+  ASSERT_TRUE(s.analyzable);
+  ASSERT_EQ(s.candidates.size(), 1u);
+  const analysis::RacePair& pair = s.candidates[0];
+  ASSERT_NE(pair.first.global, nullptr);
+  ASSERT_NE(pair.second.global, nullptr);
+  EXPECT_EQ(pair.first.global->name(), "flag");
+  EXPECT_EQ(pair.second.global->name(), "flag");
+  EXPECT_NE(pair.first.is_write, pair.second.is_write);
+  EXPECT_FALSE(pair.first.is_atomic || pair.second.is_atomic);
+
+  pipeline::RaceCheckReport report = pipeline::check_program_races(program);
+  EXPECT_TRUE(report.dynamic_ran);
+  EXPECT_TRUE(report.races_found);
+  ASSERT_FALSE(report.dynamic_races.empty());
+  for (const pipeline::DynamicRaceReport& race : report.dynamic_races) {
+    EXPECT_EQ(race.global, "flag");
+    EXPECT_NE(race.write_a, race.write_b);
+  }
+}
+
 // --- golden race-free programs & certificates -----------------------------
 
 TEST(StaticRaceChecker, BarrierPhaseSeparationProves) {
