@@ -105,26 +105,6 @@ void poly_collect_vars(const LinPoly& p, std::unordered_set<int>& out) {
   }
 }
 
-std::optional<LinPoly> subst_var(const LinPoly& p, int var,
-                                 const LinPoly& repl) {
-  LinPoly out = poly_constant(p.constant);
-  for (const auto& [m, c] : p.terms) {
-    LinPoly term = poly_constant(c);
-    for (int v : m) {
-      auto next = poly_mul(term, v == var ? repl : poly_var(v));
-      if (!next.has_value()) return std::nullopt;
-      term = *next;
-    }
-    out = poly_add(out, term);
-  }
-  return out;
-}
-
-LinPoly residue_of(const AbsVal& v, const SymTable& vars) {
-  if (v.mod_rem.has_value()) return *v.mod_rem;
-  return poly_mod_normalize(v.exact, vars);
-}
-
 /// residue == 1*tid + c for a constant c?
 std::optional<std::int64_t> tid_plus_const(const LinPoly& p, int tid_var) {
   if (p.terms.size() != 1) return std::nullopt;
@@ -484,7 +464,7 @@ class Checker {
       bool changed = false;
       for (const auto& [v, r] : var_residues) {
         if (!poly_contains_var(rec.residue, v)) continue;
-        auto next = subst_var(rec.residue, v, r);
+        auto next = poly_subst(rec.residue, v, r);
         if (!next.has_value()) continue;
         rec.residue = poly_mod_normalize(*next, shares_.symtab());
         changed = true;
@@ -570,7 +550,7 @@ class Checker {
     const SymTable& vars = shares_.symtab();
     LinPoly u = poly_var(u_var_);
     auto at_u = [&](const LinPoly& p) {
-      return subst_var(p, vars.tid_var(), u);
+      return poly_subst(p, vars.tid_var(), u);
     };
     auto at_t = [&](const LinPoly& p) {
       return poly_split_tid(p, vars, u_var_, e_var_);  // tid := u + 1 + e

@@ -127,25 +127,29 @@ std::optional<std::int64_t> poly_min(const LinPoly& p, const SymTable& vars) {
   return min;
 }
 
+std::optional<LinPoly> poly_subst(const LinPoly& p, int var,
+                                  const LinPoly& repl) {
+  LinPoly out = poly_constant(p.constant);
+  for (const auto& [m, c] : p.terms) {
+    LinPoly term = poly_constant(c);
+    for (int v : m) {
+      auto next = poly_mul(term, v == var ? repl : poly_var(v));
+      if (!next.has_value()) return std::nullopt;
+      term = *next;
+    }
+    out = poly_add(out, term);
+  }
+  return out;
+}
+
 std::optional<LinPoly> poly_split_tid(const LinPoly& p, const SymTable& vars,
                                       int u_var, int e_var) {
   // tid := u + 1 + e.
   LinPoly repl = poly_constant(1);
   repl = poly_add(repl, poly_var(u_var));
   repl = poly_add(repl, poly_var(e_var));
-
-  LinPoly out = poly_constant(p.constant);
-  const int tid = vars.tid_var();
-  for (const auto& [m, c] : p.terms) {
-    LinPoly factor = poly_constant(c);
-    for (int v : m) {
-      auto next = poly_mul(factor, v == tid ? repl : poly_var(v));
-      if (!next.has_value()) return std::nullopt;
-      factor = *next;
-    }
-    out = poly_add(out, factor);
-  }
-  if (!coeffs_bounded(out)) return std::nullopt;
+  auto out = poly_subst(p, vars.tid_var(), repl);
+  if (!out.has_value() || !coeffs_bounded(*out)) return std::nullopt;
   return out;
 }
 
@@ -492,14 +496,12 @@ AbsVal SharedAccessAnalysis::eval(const Value* v, Context& ctx) {
   return result;
 }
 
-namespace {
-
-/// Residue modulo nthreads: an explicit mod_rem if present, otherwise the
-/// exact polynomial normalized (every nthreads-containing term is == 0).
 LinPoly residue_of(const AbsVal& v, const SymTable& vars) {
   if (v.mod_rem.has_value()) return *v.mod_rem;
   return poly_mod_normalize(v.exact, vars);
 }
+
+namespace {
 
 /// Effective bounds: the exact polynomial always equals the value, so it
 /// is a valid (tightest) bound whenever no looser one was derived.

@@ -103,6 +103,10 @@ std::optional<LinPoly> poly_mul(const LinPoly& a, const LinPoly& b);
 /// nonneg-flagged opaques >= 0; nullopt when unbounded below (any term
 /// with a negative coefficient or a sign-unknown variable).
 std::optional<std::int64_t> poly_min(const LinPoly& p, const SymTable& vars);
+/// Substitute `repl` for every occurrence of `var`; nullopt past the
+/// degree budget.
+std::optional<LinPoly> poly_subst(const LinPoly& p, int var,
+                                  const LinPoly& repl);
 /// Substitute tid := u + 1 + e (u, e fresh nonneg vars): the canonical
 /// "two distinct threads, wlog t > u" rewrite for disjointness proofs.
 std::optional<LinPoly> poly_split_tid(const LinPoly& p, const SymTable& vars,
@@ -119,6 +123,10 @@ struct AbsVal {
   std::optional<LinPoly> lo, hi;       // lo <= value <= hi
   std::optional<LinPoly> mod_rem;      // value == mod_rem (mod nthreads)
 };
+
+/// Residue modulo nthreads: an explicit mod_rem if present, otherwise the
+/// exact polynomial normalized (every nthreads-containing term is == 0).
+LinPoly residue_of(const AbsVal& v, const SymTable& vars);
 
 // --- Accesses ----------------------------------------------------------------
 

@@ -1,21 +1,16 @@
-// The consumer algorithm of the runtime monitor (paper Section III-B),
-// written once: screen each popped report, file it into the two-level
-// table, check, finalize at section end. The legacy Monitor runs one
-// TenantCore over every program thread's queue; a MonitorService runs one
-// per (session, shard) tenant. Both also share push_or_give_up(), the
-// producer slow path after a refused ring push, and bounded_wait(), every
-// recovery caller's wait. What stays per topology:
-//
-//   * the ring element: single reports, or a ReportBatch;
-//   * the beat the watchdog reads: the Monitor heartbeat, or the
-//     per-(session, shard) progress counter;
-//   * the quiesce predicate: rings empty plus two beats, or
-//     queued_reports == 0;
-//   * the command mailbox: one claimable slot retracted on timeout, or a
-//     sequence broadcast with per-shard acks plus detach;
-//   * the stall reaction: the Monitor sleeps until stop() and then files
-//     the rest; a shard freezes the tenant and counts the rest as drops;
-//   * the delay granularity: a per-report sleep, or a per-batch deferral.
+// The consumer of the runtime monitor (paper Section III-B, Fig. 4),
+// written once: visit each producer's ring in turn, drain a burst, screen
+// and file each report into the two-level table, check, and finalize at
+// section end. The legacy Monitor runs one consumer over its program
+// threads' rings; a MonitorService runs one per shard, visiting each
+// session's tenant on that shard in turn. Both run the pop screen and
+// filing (TenantCore); the visit with its beat, command mailbox, stall
+// freeze, delay deferral, burst drain and command executor (Tenant); the
+// quiesce predicate (quiesce_sink); the recovery caller's post
+// (post_and_wait); the producer give-up path (push_or_give_up) and the
+// recovery wait (bounded_wait). What stays per topology is the ring
+// element (single reports, or a ReportBatch) and its burst size, plus the
+// service's routing, quota and session registry.
 //
 // Internal: only monitor.cpp and monitor_service.cpp include this header.
 #pragma once
@@ -24,11 +19,15 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <thread>
+#include <vector>
 
 #include "runtime/branch_table.h"
-#include "runtime/monitor.h"  // MonitorStats
+#include "runtime/monitor.h"          // MonitorStats
+#include "runtime/monitor_service.h"  // ReportBatch
 #include "runtime/resilience.h"
+#include "runtime/spsc_queue.h"
 #include "support/telemetry/telemetry.h"
 
 namespace bw::runtime {
@@ -87,20 +86,6 @@ class TenantCore {
     ++reports_processed;
     if (perform_checks_) table.process(report, sink.degraded());
     return verdict;
-  }
-
-  /// Rollback: counts the `discarded` reports popped unfiled, forgets
-  /// every pending instance and violation. Health stays sticky.
-  void reset(std::uint64_t discarded) {
-    reports_rolled_back += discarded;
-    table.clear();
-  }
-
-  /// The end-of-section residual pass over everything filed so far.
-  void finalize() {
-    telemetry::SpanScope span(telemetry::Phase::MonitorCheck,
-                              "monitor.finalize");
-    table.finalize(sink.degraded());
   }
 
   /// Adds the consumer-owned counters into `m`.
@@ -168,6 +153,198 @@ class TenantCore {
   const bool perform_checks_;
 };
 
+/// A recovery or teardown command. Detach ends a session, and stop() the
+/// Monitor.
+enum class Command : int { None = 0, Reset = 1, Finalize = 2, Detach = 3 };
+
+/// A sink's command mailbox: one sequence broadcast, acked by each
+/// consumer once executed. Each consumer's cell also holds the beat it
+/// moves while alive and not frozen, which the producers' watchdogs and
+/// quiesce_sink() read. The Monitor has one consumer; a session one per
+/// shard.
+struct Mailbox {
+  explicit Mailbox(unsigned consumers) : cells(consumers) {}
+
+  /// Broadcasts `command` to every consumer; returns its sequence number.
+  /// One poster at a time (the BranchSink single-leader contract).
+  std::uint64_t post(Command command) {
+    kind.store(command, std::memory_order_relaxed);
+    return seq.fetch_add(1, std::memory_order_release) + 1;
+  }
+  bool acked(unsigned consumer, std::uint64_t at) const {
+    return cells[consumer].ack.load(std::memory_order_acquire) >= at;
+  }
+  bool all_acked(std::uint64_t at) const {
+    for (unsigned k = 0; k < cells.size(); ++k) {
+      if (!acked(k, at)) return false;
+    }
+    return true;
+  }
+  /// Consumer `consumer` executed the sink's detach: its tenant is gone
+  /// and must never be rebuilt.
+  bool detached(unsigned consumer) const {
+    return acked(consumer, seq.load(std::memory_order_acquire)) &&
+           kind.load(std::memory_order_acquire) == Command::Detach;
+  }
+
+  struct alignas(64) Cell {
+    std::atomic<std::uint64_t> beat{0};
+    std::atomic<std::uint64_t> ack{0};
+  };
+  std::atomic<Command> kind{Command::None};
+  std::atomic<std::uint64_t> seq{0};
+  std::vector<Cell> cells;
+};
+
+/// The reports a ring element carries.
+inline std::span<BranchReport> reports_in(BranchReport& r) { return {&r, 1}; }
+inline std::span<BranchReport> reports_in(ReportBatch& batch) {
+  return {batch.reports.data(), batch.count};
+}
+
+/// One consumer's visits to one sink: the rings it drains, `burst`
+/// elements at a time, the mailbox it serves and the core it files into,
+/// on that consumer's thread. `release(n)` runs after each popped element
+/// of n reports (the service's quota accounting).
+template <typename Element, typename Release>
+class Tenant {
+ public:
+  Tenant(TenantCore& core, Mailbox& mailbox, unsigned consumer,
+         RingMatrix<Element>& rings, std::uint64_t burst, Release release)
+      : core_(core),
+        mailbox_(mailbox),
+        consumer_(consumer),
+        rings_(rings),
+        burst_(burst),
+        release_(release) {}
+
+  /// One visit: serve the mailbox, then, unless frozen or deferred, a
+  /// beat and a burst from each producer's ring. A deferred visit beats
+  /// once. Returns whether anything was popped.
+  bool visit() {
+    serve();
+    if (frozen_ || detached_) return false;  // frozen: no draining, no beat
+    if (resume_at_.time_since_epoch().count() != 0 &&
+        std::chrono::steady_clock::now() < resume_at_) {
+      beat();
+      return false;
+    }
+    const std::uint64_t filed_before = core_.reports_processed;
+    bool popped = false;
+    for (unsigned p = 0; p < rings_.producers() && !frozen_; ++p) {
+      beat();
+      popped |= drain(rings_.at(p, consumer_), /*file=*/true) != 0;
+    }
+    // The delay hook defers the next visit by what this one filed: slow,
+    // but never asleep to the mailbox or to other tenants.
+    const std::uint64_t delay = core_.hooks.delay_ns_per_report;
+    const std::uint64_t filed = core_.reports_processed - filed_before;
+    if (core_.hooks_apply && delay != 0 && filed != 0) {
+      resume_at_ = std::chrono::steady_clock::now() +
+                   std::chrono::nanoseconds(delay * filed);
+    }
+    return popped;
+  }
+
+  bool detached() const { return detached_; }
+
+ private:
+  /// Executes the latest command posted since the last visit, then acks
+  /// it; frozen or deferred tenants too.
+  void serve() {
+    const std::uint64_t seq = mailbox_.seq.load(std::memory_order_acquire);
+    if (seq == seen_) return;
+    execute(mailbox_.kind.load(std::memory_order_acquire));
+    seen_ = seq;
+    mailbox_.cells[consumer_].ack.store(seq, std::memory_order_release);
+  }
+
+  /// The one executor. Reset drains unfiled (the reports belong to the
+  /// timeline being rolled back) and forgets every pending instance and
+  /// violation; health stays sticky. Finalize and detach drain and file,
+  /// then run the end-of-section pass; what a frozen tenant never filed,
+  /// or left when the stall fired during this drain, is dropped under
+  /// degraded health.
+  void execute(Command command) {
+    if (command == Command::Reset) {
+      core_.reports_rolled_back += drain_all(/*file=*/false);
+      core_.table.clear();
+    } else if (command != Command::None) {
+      drain_all(/*file=*/true);
+      if (frozen_) {
+        core_.pops.dropped += drain_all(/*file=*/false);
+        core_.sink.raise(MonitorHealth::Degraded);
+      }
+      telemetry::SpanScope span(telemetry::Phase::MonitorCheck,
+                                "monitor.finalize");
+      core_.table.finalize(core_.sink.degraded());
+      detached_ = command == Command::Detach;
+    }
+  }
+
+  /// Round-robin bursts until a pass pops nothing, as the visits file:
+  /// draining one ring whole first would leave every instance of the
+  /// others pending, and evict them. Returns the reports popped.
+  std::uint64_t drain_all(bool file) {
+    std::uint64_t popped = 0;
+    std::uint64_t pass = 0;
+    do {
+      pass = 0;
+      for (unsigned p = 0; p < rings_.producers(); ++p) {
+        pass += drain(rings_.at(p, consumer_), file);
+      }
+      popped += pass;
+    } while (pass != 0);
+    return popped;
+  }
+
+  /// The one burst drain: pops up to `burst_` elements of `ring`, filing
+  /// their reports when `file` until the stall freezes the tenant.
+  /// Returns the reports popped.
+  std::uint64_t drain(SpscQueue<Element>& ring, bool file) {
+    std::uint64_t popped = 0;
+    for (std::uint64_t n = 0;
+         n < burst_ && !(file && frozen_) && ring.try_pop(element_); ++n) {
+      const std::span<BranchReport> reports = reports_in(element_);
+      if (file) file_reports(reports);
+      popped += reports.size();
+      release_(static_cast<std::uint32_t>(reports.size()));
+    }
+    return popped;
+  }
+
+  /// Nothing past the report that fired the stall is ever filed: the rest
+  /// of its element are this sink's drops, under degraded health.
+  void file_reports(std::span<BranchReport> reports) {
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+      if (frozen_) {
+        core_.pops.dropped += reports.size() - i;
+        core_.sink.raise(MonitorHealth::Degraded);
+        return;
+      }
+      if (core_.file(reports[i]) == PopVerdict::Stall) frozen_ = true;
+    }
+  }
+
+  void beat() {  // one writer per cell: a store, no read-modify-write
+    std::atomic<std::uint64_t>& beat = mailbox_.cells[consumer_].beat;
+    beat.store(beat.load(std::memory_order_relaxed) + 1,
+               std::memory_order_release);
+  }
+
+  TenantCore& core_;
+  Mailbox& mailbox_;
+  const unsigned consumer_;
+  RingMatrix<Element>& rings_;
+  const std::uint64_t burst_;
+  Release release_;
+  Element element_{};  // pop buffer, reused across drains
+  std::uint64_t seen_ = 0;
+  bool frozen_ = false;  // the stall hook fired: no draining, no beat
+  bool detached_ = false;
+  std::chrono::steady_clock::time_point resume_at_{};
+};
+
 /// The producer slow path once `try_push()` of `reports` reports from
 /// `thread` to consumer `shard` has failed: count and log the pressure,
 /// then the backoff ladder (cut short by Failed health under a bounded
@@ -229,6 +406,54 @@ bool bounded_wait(Done&& done, const WatchdogOptions& watchdog,
     std::this_thread::yield();
   }
   return true;
+}
+
+/// The quiesce predicate of every sink: every ring empty, then every
+/// consumer's beat advanced twice, so any report popped before the rings
+/// emptied has been filed and checked. A frozen consumer never beats: its
+/// sink runs out the deadline. Requires quiescent producers.
+template <typename Element>
+bool quiesce_sink(const RingMatrix<Element>& rings, const Mailbox& mailbox,
+                  const WatchdogOptions& watchdog, const HealthCell& health) {
+  std::vector<std::uint64_t> empty_beats;
+  return bounded_wait(
+      [&] {
+        if (!rings.empty()) {
+          empty_beats.clear();
+          return false;
+        }
+        if (empty_beats.empty()) {
+          for (const Mailbox::Cell& cell : mailbox.cells) {
+            empty_beats.push_back(cell.beat.load(std::memory_order_acquire));
+          }
+          return false;
+        }
+        for (std::size_t k = 0; k < mailbox.cells.size(); ++k) {
+          if (mailbox.cells[k].beat.load(std::memory_order_acquire) <
+              empty_beats[k] + 2) {
+            return false;
+          }
+        }
+        return true;
+      },
+      watchdog, &health);
+}
+
+/// The recovery caller's side of the mailbox: post `command` to every
+/// consumer and wait (bounded) for every ack. False on a Failed sink or a
+/// timeout; a timed-out command is superseded by a no-op, so a consumer
+/// that never claimed it cannot clobber a later epoch with a stale reset.
+inline bool post_and_wait(Mailbox& mailbox, Command command,
+                          const WatchdogOptions& watchdog,
+                          const HealthCell& health) {
+  if (health.get() == MonitorHealth::Failed) return false;
+  const std::uint64_t seq = mailbox.post(command);
+  if (bounded_wait([&] { return mailbox.all_acked(seq); }, watchdog,
+                   &health)) {
+    return true;
+  }
+  mailbox.post(Command::None);
+  return false;
 }
 
 }  // namespace bw::runtime

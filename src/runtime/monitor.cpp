@@ -9,17 +9,13 @@ namespace bw::runtime {
 Monitor::Monitor(unsigned num_threads, MonitorOptions options)
     : num_threads_(num_threads),
       options_(options),
+      rings_(num_threads, /*consumers=*/1, options_.queue_capacity),
       producers_(num_threads),
       core_(std::make_unique<TenantCore>(
           SinkCells{health_, sampler_, violation_count_}, num_threads,
           options_, /*hooks_apply=*/true)),
-      sampler_(options.sampling) {
-  queues_.reserve(num_threads);
-  for (unsigned i = 0; i < num_threads; ++i) {
-    queues_.push_back(
-        std::make_unique<SpscQueue<BranchReport>>(options_.queue_capacity));
-  }
-}
+      mailbox_(std::make_unique<Mailbox>(/*consumers=*/1)),
+      sampler_(options.sampling) {}
 
 Monitor::~Monitor() { stop(); }
 
@@ -31,7 +27,11 @@ void Monitor::start() {
 
 void Monitor::stop() {
   if (!started_.load()) return;
-  stopping_.store(true, std::memory_order_release);
+  // Producers have stopped by contract, so the detach the monitor thread
+  // executes last drains every report sent.
+  if (!stopping_.exchange(true, std::memory_order_acq_rel)) {
+    mailbox_->post(Command::Detach);
+  }
   if (thread_.joinable()) thread_.join();
 }
 
@@ -50,7 +50,7 @@ void Monitor::send(const BranchReport& report) {
     return;  // instance deterministically sampled out on every thread
   }
   telemetry::counter_add(telemetry::Counter::ReportsSent);
-  SpscQueue<BranchReport>& queue = *queues_[report.thread];
+  SpscQueue<BranchReport>& queue = rings_.at(report.thread, 0);
   BranchReport sealed;
   const BranchReport* payload = &report;
   if (options_.validate_reports) {
@@ -63,139 +63,39 @@ void Monitor::send(const BranchReport& report) {
   push_or_give_up(try_push, SinkCells{health_, sampler_, violation_count_},
                   options_.backoff, options_.watchdog, report.thread,
                   /*shard=*/0, /*reports=*/1, slot.dropped, slot.stall,
-                  heartbeat_);
+                  mailbox_->cells[0].beat);
 }
 
 void Monitor::run() {
   // One span for the monitor thread's whole drain-and-check lifetime: in a
   // trace it sits on its own tid row, bracketing every violation event.
   telemetry::SpanScope span(telemetry::Phase::MonitorCheck, "monitor.drain");
-  while (true) {
-    heartbeat_.fetch_add(1, std::memory_order_relaxed);
-    run_pending_command();
-    // Read before the pass: producers have stopped by contract once it is
-    // set, so a pass after it that drains nothing has seen every report.
-    const bool stopping = stopping_.load(std::memory_order_acquire);
-    // A bounded burst per queue keeps the round-robin fair.
-    if (drain_queues(/*file=*/true, /*burst=*/256) != 0) continue;
-    if (stopping) break;
-    std::this_thread::yield();
+  // A bounded burst per ring keeps the round-robin fair.
+  Tenant tenant(*core_, *mailbox_, /*consumer=*/0, rings_, /*burst=*/256,
+                [](std::uint32_t) {});
+  while (!tenant.detached()) {
+    if (!tenant.visit()) std::this_thread::yield();
   }
-  core_->finalize();
 }
 
-/// Pops up to `burst` reports from each per-thread front-end queue in
-/// round-robin order (paper Fig. 4), filing each when `file` and
-/// discarding it otherwise; returns how many were popped.
-std::uint64_t Monitor::drain_queues(bool file, std::uint64_t burst) {
-  BranchReport report;
-  std::uint64_t popped = 0;
-  for (auto& queue : queues_) {
-    for (std::uint64_t n = 0; n < burst && queue->try_pop(report); ++n) {
-      ++popped;
-      if (file) drain_popped(report);
-    }
-  }
-  return popped;
-}
-
-/// Executes a pending recovery command on the monitor thread (the only
-/// thread allowed to touch the tables). Producers are quiescent for the
-/// duration by the BranchSink recovery contract, so draining here observes
-/// every report of the epoch being reset/finalized.
-void Monitor::run_pending_command() {
-  const int cmd = command_.load(std::memory_order_acquire);
-  if (cmd == kCommandNone) return;
-  if (cmd == kCommandReset) {
-    // Rollback: every queued report, pending instance, and recorded
-    // violation belongs to the timeline being discarded.
-    core_->reset(drain_queues(/*file=*/false));
-    violation_count_.store(0, std::memory_order_release);
-  } else if (cmd == kCommandFinalize) {
-    // Mid-run residual check: drain fully, then run the end-of-section
-    // pass without stopping the monitor (the section may retry).
-    drain_queues(/*file=*/true);
-    core_->finalize();
-  }
-  command_.store(kCommandNone, std::memory_order_release);
-  commands_done_.fetch_add(1, std::memory_order_release);
-}
-
-/// Post a command for the monitor thread and wait (bounded) for its
-/// acknowledgement. False on a Failed/stopping monitor or timeout; a
-/// timed-out command is retracted if the monitor never claimed it, so a
-/// later epoch cannot be clobbered by a stale reset.
-bool Monitor::post_command(int command) {
-  if (!started_.load(std::memory_order_acquire)) return false;
-  if (stopping_.load(std::memory_order_acquire)) return false;
-  if (health_.get() == MonitorHealth::Failed) return false;
-  const std::uint64_t done_before =
-      commands_done_.load(std::memory_order_acquire);
-  int expected = kCommandNone;
-  if (!command_.compare_exchange_strong(expected, command,
-                                        std::memory_order_acq_rel)) {
-    return false;  // another command in flight (single-leader contract)
-  }
-  auto acked = [&] {
-    return commands_done_.load(std::memory_order_acquire) != done_before;
-  };
-  if (bounded_wait(acked, options_.watchdog, &health_)) return true;
-  expected = command;
-  command_.compare_exchange_strong(expected, kCommandNone,
-                                   std::memory_order_acq_rel);
-  return false;
-}
-
-/// Wait until every report sent so far has been drained AND processed:
-/// all queues empty, then two further heartbeats (the monitor thread came
-/// back to the top of its loop twice, so any report popped before the
-/// queues emptied has been fully filed/checked). Requires quiescent
-/// producers — a concurrent send() would make "empty" meaningless.
 bool Monitor::quiesce() {
   if (!started_.load(std::memory_order_acquire)) return true;
-  if (stopping_.load(std::memory_order_acquire)) return false;
-  bool seen_empty = false;
-  std::uint64_t empty_beat = 0;
-  return bounded_wait(
-      [&] {
-        for (auto& queue : queues_) {
-          if (queue->size() != 0) {
-            seen_empty = false;
-            return false;
-          }
-        }
-        const std::uint64_t beat = heartbeat_.load(std::memory_order_acquire);
-        if (!seen_empty) {
-          seen_empty = true;
-          empty_beat = beat;
-          return false;
-        }
-        return beat >= empty_beat + 2;
-      },
-      options_.watchdog, &health_);
+  return running() &&
+         quiesce_sink(rings_, *mailbox_, options_.watchdog, health_);
 }
 
-bool Monitor::finalize_section() { return post_command(kCommandFinalize); }
+bool Monitor::finalize_section() {
+  return running() && post_and_wait(*mailbox_, Command::Finalize,
+                                    options_.watchdog, health_);
+}
 
-bool Monitor::reset_epoch() { return post_command(kCommandReset); }
-
-/// Files one popped report through the core, then applies this
-/// topology's reactions: the delay hook sleeps per report, and the stall
-/// hook suspends the monitor thread itself — no heartbeat bumps, no
-/// draining — until stop() is requested, so producers must survive on the
-/// backoff/watchdog policy alone.
-void Monitor::drain_popped(BranchReport& report) {
-  const PopVerdict verdict = core_->file(report);
-  if (verdict == PopVerdict::Discard) return;
-  if (options_.fault_hooks.delay_ns_per_report != 0) {
-    std::this_thread::sleep_for(
-        std::chrono::nanoseconds(options_.fault_hooks.delay_ns_per_report));
+bool Monitor::reset_epoch() {
+  if (!running() ||
+      !post_and_wait(*mailbox_, Command::Reset, options_.watchdog, health_)) {
+    return false;
   }
-  if (verdict == PopVerdict::Stall) {
-    while (!stopping_.load(std::memory_order_acquire)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
+  violation_count_.store(0, std::memory_order_release);
+  return true;
 }
 
 const std::vector<Violation>& Monitor::violations() const {

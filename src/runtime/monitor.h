@@ -5,21 +5,23 @@
 // threads reported (eager path) or at end of the parallel section
 // (finalize path), and records violations.
 //
-// The filing, reset, finalize and counting are the one consumer core of
-// consumer.h, which every MonitorService shard runs too. What this class
-// owns is its topology: one ring of single reports per program thread,
-// the heartbeat, the quiesce predicate, a one-slot recovery mailbox, and
-// its reactions to the stall and delay hooks.
+// The monitor thread runs the one consumer of consumer.h — filing, the
+// beat, the command mailbox, the quiesce predicate, the stall freeze, the
+// delay deferral and the burst drain — which every MonitorService shard
+// runs too. What this class owns is its ring element: one ring of single
+// reports per program thread, drained 256 reports per burst.
 //
 // Resilience (see resilience.h): producers never block indefinitely on a
-// full queue — a bounded backoff gives up once the heartbeat has also
-// stood still for the give-up grace, drops the report (counted
-// per-thread) and degrades the monitor's health; a watchdog heartbeat
-// trips the sticky Failed state when the monitor thread stalls, after
-// which producers stop queueing and the program continues unprotected.
-// In Degraded/Failed health the checker treats instances with missing
-// observations as unverifiable (skipped, counted) instead of risking a
-// false violation built on partial data.
+// full queue — a bounded backoff gives up once the consumer's beat has
+// also stood still for the give-up grace, drops the report (counted
+// per-thread) and degrades the monitor's health; the watchdog trips the
+// sticky Failed state once that beat has stood still for its deadline,
+// after which producers stop queueing and the program continues
+// unprotected. The stall hook freezes the consumer: it stops draining and
+// beating, and the reports still queued at stop() are drops under
+// Degraded health. In Degraded/Failed health the checker treats
+// instances with missing observations as unverifiable (skipped, counted)
+// instead of risking a false violation built on partial data.
 #pragma once
 
 #include <atomic>
@@ -38,6 +40,7 @@
 namespace bw::runtime {
 
 class TenantCore;  // consumer.h
+struct Mailbox;    // consumer.h
 
 struct MonitorOptions {
   /// Per-thread ring size hint. Each ring holds the next power of two
@@ -158,10 +161,10 @@ class Monitor : public BranchSink {
   }
 
   // --- Recovery protocol (see monitor_interface.h for the contract) ---
-  // Commands are executed by the monitor thread itself at the top of its
-  // drain loop (the tables are consumer-owned; no locking), with the
-  // caller spin-waiting on an acknowledgement counter under a deadline
-  // derived from the watchdog stall budget.
+  // Commands go through the consumer's mailbox (consumer.h): the monitor
+  // thread executes them between ring bursts (the tables are
+  // consumer-owned; no locking), with the caller spin-waiting on its ack
+  // under a deadline derived from the watchdog stall budget.
   bool supports_recovery() const override { return true; }
   bool quiesce() override;
   bool finalize_section() override;
@@ -181,38 +184,30 @@ class Monitor : public BranchSink {
   /// accounting never bounces another producer's line.
   struct alignas(64) ProducerSlot {
     std::atomic<std::uint64_t> dropped{0};  // written by owner, read by stats
-    StallClock stall;                        // against heartbeat_
+    StallClock stall;                        // against the consumer's beat
   };
 
-  enum Command { kCommandNone = 0, kCommandReset = 1, kCommandFinalize = 2 };
-
   void run();
-  void run_pending_command();
-  bool post_command(int command);  // false: timeout / Failed / stopping
-  void drain_popped(BranchReport& report);
-  std::uint64_t drain_queues(bool file, std::uint64_t burst = ~0ull);
+  bool running() const { return started_.load() && !stopping_.load(); }
 
   unsigned num_threads_;
   MonitorOptions options_;
-  std::vector<std::unique_ptr<SpscQueue<BranchReport>>> queues_;
+  /// One ring per program thread, all drained by the monitor thread.
+  RingMatrix<BranchReport> rings_;
   std::vector<ProducerSlot> producers_;
   // The consumer core (consumer.h); the monitor thread is its only
   // mutator, no locking needed.
   std::unique_ptr<TenantCore> core_;
+  /// The recovery and stop commands, and the beat the producers' watchdog
+  /// reads to tell "slow" from "dead" (consumer.h).
+  std::unique_ptr<Mailbox> mailbox_;
 
   std::thread thread_;
   std::atomic<bool> stopping_{false};
   std::atomic<bool> started_{false};
-  /// Bumped by the monitor thread once per drain cycle; the producers'
-  /// watchdog reads it to distinguish "slow" from "dead".
-  std::atomic<std::uint64_t> heartbeat_{0};
   HealthCell health_;
   SamplingController sampler_;
   std::atomic<std::uint64_t> violation_count_{0};
-  /// Recovery command mailbox: one pending command, acknowledged by
-  /// bumping commands_done_ once the monitor thread has executed it.
-  std::atomic<int> command_{kCommandNone};
-  std::atomic<std::uint64_t> commands_done_{0};
 };
 
 }  // namespace bw::runtime

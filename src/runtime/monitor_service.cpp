@@ -1,8 +1,6 @@
 #include "runtime/monitor_service.h"
 
 #include <algorithm>
-#include <chrono>
-#include <unordered_map>
 
 #include "runtime/consumer.h"
 #include "runtime/spsc_queue.h"
@@ -25,12 +23,6 @@ const char* to_string(AdmitError error) {
 namespace detail {
 
 enum SessionPhase { kActive = 0, kDraining = 1, kDetached = 2 };
-enum SessionCommand {
-  kCmdNone = 0,
-  kCmdReset = 1,
-  kCmdFinalize = 2,
-  kCmdDetach = 3,
-};
 
 /// Producer-thread-private state, one slot per program thread of the
 /// session. Cacheline-aligned; only `dropped` and `in_flight` are read
@@ -47,19 +39,22 @@ struct alignas(64) ProducerSlot {
   /// Edge-detector for throttle episodes (one event per entry into the
   /// over-quota regime, not per dropped batch).
   bool throttling = false;
-  /// Per-shard watchdog, run against this SESSION's progress counter on
-  /// that shard (a frozen tenant fails only its own session).
+  /// Per-shard watchdog, run against this SESSION's beat on that shard (a
+  /// frozen tenant fails only its own session). The quota gate reads it
+  /// too.
   std::vector<StallClock> stall;
   /// The quota gate's give-up clock, run against released_reports.
   StallClock quota_stall;
 };
 
-/// Per-(session, shard) shared cells: the shard bumps progress on every
-/// visit it could drain (producers' watchdog reads it) and echoes the
-/// last command sequence it executed.
-struct alignas(64) ShardSlot {
-  std::atomic<std::uint64_t> progress{0};
-  std::atomic<std::uint64_t> command_ack{0};
+/// Releases each popped batch's reports from the session's quota.
+struct QuotaRelease {
+  std::atomic<std::uint64_t>& queued;
+  std::atomic<std::uint64_t>& released;
+  void operator()(std::uint32_t count) const {
+    queued.fetch_sub(count, std::memory_order_release);
+    released.fetch_add(count, std::memory_order_relaxed);
+  }
 };
 
 /// Everything a session owns. Shared (via shared_ptr) between the
@@ -72,40 +67,46 @@ struct SessionState {
       : id(id_),
         options(opts),
         quota(quota_),
-        num_shards(num_shards_),
         producers(opts.num_threads),
-        shard_slots(num_shards_),
-        shard_cores(num_shards_),
+        rings(opts.num_threads, num_shards_, ring_capacity),
+        mailbox(num_shards_),
         sampler(opts.sampling) {
-    rings.resize(opts.num_threads);
-    for (auto& lane : rings) {
-      lane.reserve(num_shards_);
-      for (unsigned k = 0; k < num_shards_; ++k) {
-        lane.push_back(
-            std::make_unique<SpscQueue<ReportBatch>>(ring_capacity));
-      }
-    }
     for (ProducerSlot& slot : producers) {
       slot.open.resize(num_shards_);
       slot.stall.resize(num_shards_);
+    }
+    for (unsigned k = 0; k < num_shards_; ++k) {
+      // Hook indices count this session's pops on one shard; a shard
+      // outside shard_filter screens without them.
+      shard_cores.push_back(std::make_unique<TenantCore>(
+          cells(), opts.num_threads, opts,
+          opts.fault_hooks.shard_filter == MonitorFaultHooks::kAllShards ||
+              opts.fault_hooks.shard_filter == k));
+      shard_tenants.push_back(std::make_unique<ShardTenant>(
+          *shard_cores.back(), mailbox, k, rings, /*burst=*/32,
+          QuotaRelease{queued_reports, released_reports}));
     }
   }
 
   const SessionId id;
   const SessionOptions options;
   const std::uint64_t quota;
-  const unsigned num_shards;
 
   std::vector<ProducerSlot> producers;
-  /// rings[producer][shard]: every ring keeps exactly one producer (the
-  /// program thread) and one consumer (the shard), so the whole fabric
-  /// stays lock-free per session too.
-  std::vector<std::vector<std::unique_ptr<SpscQueue<ReportBatch>>>> rings;
-  std::vector<ShardSlot> shard_slots;
-  /// Each shard's consumer core for this session, handed over by the shard
-  /// thread right before it acks the detach command (the release-store of
-  /// the ack orders the hand-over against the teardown-side merge).
+  /// One ring per (program thread, shard): rings.at(thread, shard).
+  RingMatrix<ReportBatch> rings;
+  /// Recovery and detach commands, and each shard's beat for this session
+  /// (consumer.h).
+  Mailbox mailbox;
+  /// Each shard's consumer core for this session. A shard stops touching
+  /// its core once it acks the detach, whose release-store orders its last
+  /// writes before the teardown-side merge.
   std::vector<std::unique_ptr<TenantCore>> shard_cores;
+  /// Each shard's visits to this session (consumer.h), made only by that
+  /// shard's thread. Kept until the session state dies: a shard reads its
+  /// tenant once more right after acking the detach.
+  using ShardTenant = Tenant<ReportBatch, QuotaRelease>;
+  std::vector<std::unique_ptr<ShardTenant>> shard_tenants;
 
   /// Reports pushed but not yet processed, across all shards — the value
   /// the per-tenant quota gates on. Incremented by producers when a
@@ -124,10 +125,6 @@ struct SessionState {
   std::atomic<std::uint64_t> violation_count{0};
 
   std::atomic<int> phase{kActive};
-  /// Session-scoped recovery/teardown command mailbox (sequence
-  /// broadcast, per-shard acks in shard_slots).
-  std::atomic<int> cmd_kind{kCmdNone};
-  std::atomic<std::uint64_t> cmd_seq{0};
 
   /// Reports discarded from producer-side open batches by reset_epoch
   /// (caller-owned; producers quiescent by the recovery contract).
@@ -138,22 +135,6 @@ struct SessionState {
   std::vector<Violation> final_violations;
 
   SinkCells cells() { return {health, sampler, violation_count}; }
-
-  /// Broadcasts `command` to every shard; returns its sequence number.
-  std::uint64_t post(int command) {
-    cmd_kind.store(command, std::memory_order_relaxed);
-    return cmd_seq.fetch_add(1, std::memory_order_release) + 1;
-  }
-  bool acked(unsigned shard, std::uint64_t seq) const {
-    return shard_slots[shard].command_ack.load(std::memory_order_acquire) >=
-           seq;
-  }
-  bool all_acked(std::uint64_t seq) const {
-    for (unsigned k = 0; k < num_shards; ++k) {
-      if (!acked(k, seq)) return false;
-    }
-    return true;
-  }
 };
 
 }  // namespace detail
@@ -165,15 +146,15 @@ struct InFlightGuard {
   ~InFlightGuard() { count.fetch_sub(1, std::memory_order_release); }
 };
 
-/// Merge the shard cores handed over with detach `seq`, producer counters,
+/// Merge the shard cores that acked detach `seq`, producer counters,
 /// throttle accounting and sampling stats into the session's final
-/// MonitorStats, freeing each core. Runs on the teardown thread; a shard
-/// that never acked the detach handed nothing over and is skipped.
+/// MonitorStats, freeing each merged core. Runs on the teardown thread; a
+/// shard that never acked the detach may still be filing and is skipped.
 void merge_session_results(detail::SessionState& s, std::uint64_t seq) {
   MonitorStats m;
   s.final_violations.clear();
-  for (unsigned k = 0; k < s.num_shards; ++k) {
-    if (!s.acked(k, seq) || !s.shard_cores[k]) continue;
+  for (unsigned k = 0; k < s.shard_cores.size(); ++k) {
+    if (!s.mailbox.acked(k, seq)) continue;
     const TenantCore& core = *s.shard_cores[k];
     s.final_violations.insert(s.final_violations.end(),
                               core.table.violations().begin(),
@@ -193,7 +174,7 @@ void merge_session_results(detail::SessionState& s, std::uint64_t seq) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Shard side: one thread per shard, a private tenant map per shard.
+// Shard side: one thread per shard, visiting every session in turn.
 // ---------------------------------------------------------------------------
 
 struct MonitorService::Shard {
@@ -201,113 +182,11 @@ struct MonitorService::Shard {
   std::thread worker;
   std::uint64_t snapshot_version = ~std::uint64_t{0};
   std::vector<std::shared_ptr<detail::SessionState>> snapshot;
-
-  /// This shard's slice of one session: a consumer core over the
-  /// (session, key) pairs that route here, whose hook indices count this
-  /// session's pops on this shard. Handed to the session at detach, where
-  /// teardown merges and frees it.
-  struct Tenant {
-    Tenant(detail::SessionState* s, unsigned shard)
-        : core(std::make_unique<TenantCore>(
-              s->cells(), s->options.num_threads, s->options,
-              s->options.fault_hooks.shard_filter ==
-                      MonitorFaultHooks::kAllShards ||
-                  s->options.fault_hooks.shard_filter == shard)) {}
-    std::unique_ptr<TenantCore> core;
-    std::uint64_t command_seen = 0;
-    /// A session-scoped MonitorStall wedges only this tenant: the shard
-    /// stops draining it and stops bumping its progress counter, so only
-    /// this session's watchdog trips.
-    bool stalled = false;
-    /// Per-report delay hook, tenant-local: defers this tenant's next
-    /// drain visit instead of sleeping the shared shard thread.
-    std::chrono::steady_clock::time_point resume_at{};
-  };
-  std::unordered_map<detail::SessionState*, Tenant> tenants;
-
-  void drain_batch(Tenant& tenant, ReportBatch& batch);
-  std::uint64_t drain_rings(Tenant& tenant, detail::SessionState& s,
-                            bool file);
-  void run_command(Tenant& tenant, detail::SessionState& s, int command);
 };
-
-/// Files one batch through the tenant's core. Each shard is an independent
-/// consumer (narrowed to one by shard_filter), and every side effect lands
-/// on this session alone. A shard's reaction to the stall hook is to
-/// freeze this tenant, never the shared shard thread, and its delay hook
-/// defers the tenant's next visit by the whole batch.
-void MonitorService::Shard::drain_batch(Tenant& tenant, ReportBatch& batch) {
-  TenantCore& core = *tenant.core;
-  for (std::uint32_t i = 0; i < batch.count; ++i) {
-    if (tenant.stalled) {
-      // The stall hook fired on an earlier report (possibly mid-batch,
-      // possibly during a detach drain): nothing past it is ever
-      // processed, no matter which code path is popping. The remainder
-      // surfaces as this session's drops, under its own degraded health.
-      core.pops.dropped += batch.count - i;
-      core.sink.raise(MonitorHealth::Degraded);
-      return;
-    }
-    if (core.file(batch.reports[i]) == PopVerdict::Stall) {
-      tenant.stalled = true;
-    }
-  }
-  if (core.hooks_apply && core.hooks.delay_ns_per_report != 0) {
-    tenant.resume_at =
-        std::chrono::steady_clock::now() +
-        std::chrono::nanoseconds(core.hooks.delay_ns_per_report * batch.count);
-  }
-}
-
-/// Pops every batch queued for this tenant on this shard, filing it when
-/// `file`; returns how many reports were popped unfiled.
-std::uint64_t MonitorService::Shard::drain_rings(Tenant& tenant,
-                                                 detail::SessionState& s,
-                                                 bool file) {
-  ReportBatch batch;
-  std::uint64_t unfiled = 0;
-  for (unsigned t = 0; t < s.options.num_threads; ++t) {
-    SpscQueue<ReportBatch>& ring = *s.rings[t][index];
-    while (ring.try_pop(batch)) {
-      if (file) {
-        drain_batch(tenant, batch);
-      } else {
-        unfiled += batch.count;
-      }
-      s.queued_reports.fetch_sub(batch.count, std::memory_order_release);
-      s.released_reports.fetch_add(batch.count, std::memory_order_relaxed);
-    }
-  }
-  return unfiled;
-}
-
-void MonitorService::Shard::run_command(Tenant& tenant,
-                                        detail::SessionState& s,
-                                        int command) {
-  TenantCore& core = *tenant.core;
-  if (command == detail::kCmdReset) {
-    // Rollback: discard this session's in-flight timeline on this shard.
-    core.reset(drain_rings(tenant, s, /*file=*/false));
-  } else if (command == detail::kCmdFinalize) {
-    drain_rings(tenant, s, /*file=*/true);
-    core.finalize();
-  } else if (command == detail::kCmdDetach) {
-    // A stalled tenant is wedged by its own injected fault; counting its
-    // undrained reports as drops (under its own degraded health) keeps
-    // the session honest without replaying a faulted timeline. The stall
-    // may also first fire DURING this drain — drain_batch then discards
-    // the remainder — so the health raise comes after the drain.
-    core.pops.dropped += drain_rings(tenant, s, /*file=*/!tenant.stalled);
-    if (tenant.stalled) core.sink.raise(MonitorHealth::Degraded);
-    core.finalize();
-    s.shard_cores[index] = std::move(tenant.core);
-  }
-}
 
 void MonitorService::shard_run(Shard& shard) {
   telemetry::SpanScope span(telemetry::Phase::MonitorCheck,
                             "service.shard.drain");
-  ReportBatch batch;
   while (true) {
     if (registry_version_.load(std::memory_order_acquire) !=
         shard.snapshot_version) {
@@ -316,65 +195,20 @@ void MonitorService::shard_run(Shard& shard) {
       shard.snapshot_version =
           registry_version_.load(std::memory_order_relaxed);
     }
-    bool drained_any = false;
+    bool popped = false;
     for (auto& sp : shard.snapshot) {
       detail::SessionState& s = *sp;
-      const std::uint64_t seq = s.cmd_seq.load(std::memory_order_acquire);
-      const bool acked =
-          s.shard_slots[shard.index].command_ack.load(
-              std::memory_order_relaxed) >= seq;
-      if (acked &&
-          s.cmd_kind.load(std::memory_order_relaxed) == detail::kCmdDetach) {
-        // This shard already executed the session's detach, which freed
-        // its tenant slot: never resurrect one. A session that is still
-        // tearing down is drained like any other, so the residual batches
-        // close() flushes never wait on a ring nobody drains.
-        continue;
-      }
-      auto [it, inserted] = shard.tenants.try_emplace(&s, &s, shard.index);
-      Shard::Tenant& tenant = it->second;
-      if (seq != tenant.command_seen) {
-        const int cmd = s.cmd_kind.load(std::memory_order_acquire);
-        shard.run_command(tenant, s, cmd);
-        tenant.command_seen = seq;
-        s.shard_slots[shard.index].command_ack.store(
-            seq, std::memory_order_release);
-        if (cmd == detail::kCmdDetach) {
-          shard.tenants.erase(it);  // frees this tenant's tables
-          continue;
-        }
-      }
-      if (tenant.stalled) continue;  // frozen: no drain, no progress
-      s.shard_slots[shard.index].progress.fetch_add(
-          1, std::memory_order_release);
-      if (tenant.resume_at.time_since_epoch().count() != 0 &&
-          std::chrono::steady_clock::now() < tenant.resume_at) {
-        continue;  // delay hook: this tenant's visit is deferred
-      }
-      for (unsigned t = 0; t < s.options.num_threads; ++t) {
-        SpscQueue<ReportBatch>& ring = *s.rings[t][shard.index];
-        int burst = 32;
-        while (burst-- > 0 && ring.try_pop(batch)) {
-          drained_any = true;
-          shard.drain_batch(tenant, batch);
-          s.queued_reports.fetch_sub(batch.count, std::memory_order_release);
-          s.released_reports.fetch_add(batch.count,
-                                       std::memory_order_relaxed);
-          if (tenant.stalled) break;
-        }
-        if (tenant.stalled) break;
-      }
+      // A session still tearing down is visited like any other, so the
+      // residual batches close() flushes never wait on a ring nobody
+      // drains; one whose detach this shard executed is never visited
+      // again.
+      if (s.mailbox.detached(shard.index)) continue;
+      popped |= s.shard_tenants[shard.index]->visit();
     }
-    if (!drained_any) {
+    if (!popped) {
       if (shards_exit_.load(std::memory_order_acquire)) break;
       std::this_thread::yield();
     }
-  }
-  // Defensive: stop() detaches every registered session first, so this
-  // only fires for state kept alive by a leaked handle. Hand over anyway.
-  for (auto& [state, tenant] : shard.tenants) {
-    tenant.core->finalize();
-    state->shard_cores[shard.index] = std::move(tenant.core);
   }
 }
 
@@ -454,13 +288,18 @@ void MonitorService::flush_open(detail::SessionState& s,
   }
 }
 
-/// The per-tenant quota gate: claim (CAS), then the backoff ladder, which
-/// here also stops once the session leaves kActive, repeated (as on a
-/// full ring) while the shards released reports within the give-up grace.
-/// On failure the caller samples down and drops. Only this session's
-/// producers ever wait here; the quota counter is session-private.
+/// The per-tenant quota gate for a batch bound to `shard`: claim (CAS),
+/// then the backoff ladder, which here also stops once the session leaves
+/// kActive, repeated (as on a full ring) while the shards released reports
+/// within the give-up grace. A gate already seen stuck — released_reports
+/// frozen past the grace, and the shard's beat for this session standing
+/// still as long — gives up at once instead of re-running a ladder that
+/// cannot succeed, and a beat frozen for the watchdog deadline fails the
+/// session as the ring path does. On failure the caller samples down and
+/// drops. Only this session's producers ever wait here; the quota counter
+/// is session-private.
 bool MonitorService::acquire_quota(detail::SessionState& s,
-                                   std::uint32_t thread,
+                                   std::uint32_t thread, unsigned shard,
                                    std::uint32_t count) {
   auto try_claim = [&]() -> bool {
     std::uint64_t cur = s.queued_reports.load(std::memory_order_relaxed);
@@ -485,12 +324,26 @@ bool MonitorService::acquire_quota(detail::SessionState& s,
            s.phase.load(std::memory_order_acquire) != detail::kActive;
   };
   const std::uint64_t grace = give_up_grace_ns(options_.watchdog);
-  StallClock& clock = s.producers[thread].quota_stall;
+  detail::ProducerSlot& slot = s.producers[thread];
+  auto released = [&] {
+    return s.released_reports.load(std::memory_order_relaxed);
+  };
+  auto beat = [&] {
+    return s.mailbox.cells[shard].beat.load(std::memory_order_relaxed);
+  };
+  auto give_up = [&] {
+    if (slot.stall[shard].expired(beat(), options_.watchdog)) {
+      s.cells().raise(MonitorHealth::Failed);
+    }
+    return false;
+  };
+  // Both clocks are read on every refused claim, so they start together.
+  const bool released_frozen = slot.quota_stall.frozen_for(released(), grace);
+  const bool beat_frozen = slot.stall[shard].frozen_for(beat(), grace);
+  if (released_frozen && beat_frozen) return give_up();
   while (!run_backoff(options_.backoff, try_claim, stop)) {
-    if (stop() ||
-        clock.frozen_for(s.released_reports.load(std::memory_order_relaxed),
-                         grace)) {
-      return false;
+    if (stop() || slot.quota_stall.frozen_for(released(), grace)) {
+      return give_up();
     }
   }
   return true;
@@ -507,7 +360,7 @@ void MonitorService::flush_batch(detail::SessionState& s,
     batch.count = 0;
     return;
   }
-  if (!acquire_quota(s, thread, count)) {
+  if (!acquire_quota(s, thread, shard, count)) {
     // Over quota after the full ladder: the final rungs — sample down,
     // degrade, drop. All side effects are session-local; a noisy tenant
     // throttles itself while its neighbors keep full checking.
@@ -527,16 +380,16 @@ void MonitorService::flush_batch(detail::SessionState& s,
     return;
   }
   slot.throttling = false;
-  SpscQueue<ReportBatch>& queue = *s.rings[thread][shard];
+  SpscQueue<ReportBatch>& queue = s.rings.at(thread, shard);
   auto try_push = [&] { return queue.try_push(batch); };
-  // A give-up asks the watchdog about THIS session's progress counter on
-  // the refusing shard: one wedged shard trips Failed exactly like the
-  // legacy single consumer, and a tenant frozen by its own stall fault
-  // trips only its own Failed.
+  // A give-up asks the watchdog about THIS session's beat on the refusing
+  // shard: one wedged shard trips Failed exactly like the legacy single
+  // consumer, and a tenant frozen by its own stall fault trips only its
+  // own Failed.
   if (try_push() ||
       push_or_give_up(try_push, s.cells(), options_.backoff,
                       options_.watchdog, thread, shard, count, slot.dropped,
-                      slot.stall[shard], s.shard_slots[shard].progress)) {
+                      slot.stall[shard], s.mailbox.cells[shard].beat)) {
     telemetry::counter_add(telemetry::Counter::BatchesFlushed);
     telemetry::histogram_record(telemetry::Histogram::BatchFill, count);
   } else {
@@ -550,16 +403,13 @@ void MonitorService::flush_batch(detail::SessionState& s,
 // ---------------------------------------------------------------------------
 
 bool MonitorService::post_session_command(detail::SessionState& s,
-                                          int command) {
+                                          Command command) {
   if (!started_.load(std::memory_order_acquire)) return false;
   if (shards_exit_.load(std::memory_order_acquire)) return false;
   if (s.phase.load(std::memory_order_acquire) != detail::kActive) {
     return false;
   }
-  if (s.health.get() == MonitorHealth::Failed) return false;
-  const std::uint64_t seq = s.post(command);
-  return bounded_wait([&] { return s.all_acked(seq); }, options_.watchdog,
-                      &s.health);
+  return post_and_wait(s.mailbox, command, options_.watchdog, s.health);
 }
 
 bool MonitorService::session_quiesce(detail::SessionState& s) {
@@ -567,16 +417,11 @@ bool MonitorService::session_quiesce(detail::SessionState& s) {
   if (s.phase.load(std::memory_order_acquire) != detail::kActive) {
     return false;
   }
-  // queued_reports is decremented only AFTER a batch is fully filed, so
-  // zero means every pushed report of this session has been processed.
-  // A tenant frozen by its own stall fault never drains -> deadline.
-  return bounded_wait(
-      [&] { return s.queued_reports.load(std::memory_order_acquire) == 0; },
-      options_.watchdog, &s.health);
+  return quiesce_sink(s.rings, s.mailbox, options_.watchdog, s.health);
 }
 
 bool MonitorService::session_reset_epoch(detail::SessionState& s) {
-  if (!post_session_command(s, detail::kCmdReset)) return false;
+  if (!post_session_command(s, Command::Reset)) return false;
   // Shards discarded this session's in-ring reports and tables; now
   // discard what its producers still hold open and the detection flag.
   // Safe: this session's producers are quiescent by the recovery
@@ -613,15 +458,14 @@ void MonitorService::teardown(
     }
   }
   for (unsigned t = 0; t < s.options.num_threads; ++t) flush_open(s, t);
-  // Broadcast the detach; every shard drains (or, if its tenant slot is
-  // stalled, discards) this session's rings, finalizes its table, and
-  // hands its core over before acking. The wait ignores health: a Failed
-  // session still detaches.
-  const std::uint64_t seq = s.post(detail::kCmdDetach);
-  if (!bounded_wait([&] { return s.all_acked(seq); }, options_.watchdog,
-                    /*health=*/nullptr)) {
+  // Broadcast the detach; every shard drains this session's rings (a
+  // frozen tenant's as drops), finalizes its table and acks. The wait
+  // ignores health: a Failed session still detaches.
+  const std::uint64_t seq = s.mailbox.post(Command::Detach);
+  if (!bounded_wait([&] { return s.mailbox.all_acked(seq); },
+                    options_.watchdog, /*health=*/nullptr)) {
     // A shard thread is truly wedged (session stalls never wedge the
-    // shard). Merge only what was handed over; the session is Failed.
+    // shard). Merge only the acked cores; the session is Failed.
     s.health.raise(MonitorHealth::Failed);
   }
   merge_session_results(s, seq);
@@ -791,7 +635,7 @@ bool MonitorSession::quiesce() {
 }
 
 bool MonitorSession::finalize_section() {
-  return service_->post_session_command(*state_, detail::kCmdFinalize);
+  return service_->post_session_command(*state_, Command::Finalize);
 }
 
 bool MonitorSession::reset_epoch() {

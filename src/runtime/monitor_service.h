@@ -7,11 +7,12 @@
 // with monitor_shards >= 1 runs its program as the only session of a
 // private service; a long-lived service hosts many programs at once.
 //
-// Every (session, shard) tenant runs the consumer core the legacy Monitor
-// runs (consumer.h): the same filing, reset, finalize and counting, the
-// same producer give-up path and the same bounded recovery wait. Two
-// structural changes relative to the legacy Monitor, both invisible to
-// verdicts:
+// Every shard runs the consumer the legacy Monitor runs (consumer.h),
+// visiting each session's tenant on that shard in turn: the same visit,
+// beat, command mailbox, quiesce predicate, stall freeze, delay deferral
+// and burst drain, the same producer give-up path and the same bounded
+// recovery wait. Two structural changes relative to the legacy Monitor,
+// both invisible to verdicts:
 //
 //   * Batching. Producers accumulate reports into small per-thread,
 //     per-shard batches and push ONE ring entry per batch instead of per
@@ -40,13 +41,11 @@
 //     command mailbox. No table, counter, or health bit is shared
 //     between sessions, so a QueueCorrupt / ReportDrop / TargetedFlip
 //     fault in one session cannot flip another session's verdicts.
-//   * Time. A session-scoped MonitorStall does not wedge the shared
-//     shard thread (that would starve every tenant): the shard marks
-//     that (session, shard) tenant stalled, stops draining it, and
-//     freezes its per-session progress counter — so only the stalled
-//     session's watchdog trips Failed while its neighbors keep full
-//     checking. Per-report delay hooks likewise defer only their own
-//     tenant's next drain visit.
+//   * Time. A session-scoped MonitorStall freezes only its own tenant
+//     (no draining, no beat), never the shared shard thread, so only the
+//     stalled session's watchdog trips Failed while its neighbors keep
+//     full checking. The delay hook likewise defers only its own
+//     tenant's next visit.
 //   * Capacity. Each session holds a quota on queued (in-ring) reports.
 //     A producer over quota runs the backoff ladder generalized to
 //     per-tenant backpressure — spin, then yield (again while the shards
@@ -62,10 +61,10 @@
 // latches the session, waits for in-flight producer calls to retire (a
 // Dekker guard), flushes residual open batches (shards keep draining the
 // session meanwhile), broadcasts a detach command, and each shard drains
-// that tenant's rings, finalizes its table, hands its consumer core to
-// the session for the merge, and frees the tenant slot — all while other sessions'
-// producers keep sending. A producer call that
-// arrives after the latch is counted as a drop, never lost or raced.
+// that tenant's rings, finalizes its table and acks, after which teardown
+// merges the results — all while other sessions' producers keep sending.
+// A producer call that arrives after the latch is counted as a drop,
+// never lost or raced.
 //
 // Lifetime contract: MonitorSession handles must not outlive the
 // MonitorService that admitted them. MonitorService::stop() (and the
@@ -149,8 +148,8 @@ struct MonitorServiceOptions {
   /// Producer backoff ladder, applied per session (ring pushes and the
   /// quota gate).
   BackoffPolicy backoff;
-  /// Per-session watchdog: producers compare their session's per-shard
-  /// progress counter (not a global heartbeat) against this deadline.
+  /// Per-session watchdog: producers compare their session's beat on a
+  /// shard (not a global one) against this deadline.
   WatchdogOptions watchdog;
 };
 
@@ -166,6 +165,8 @@ struct ServiceStats {
 namespace detail {
 struct SessionState;
 }  // namespace detail
+
+enum class Command : int;  // consumer.h
 
 class MonitorService;
 
@@ -261,8 +262,8 @@ class MonitorService {
   void flush_batch(detail::SessionState& s, std::uint32_t thread,
                    unsigned shard);
   bool acquire_quota(detail::SessionState& s, std::uint32_t thread,
-                     std::uint32_t count);
-  bool post_session_command(detail::SessionState& s, int command);
+                     unsigned shard, std::uint32_t count);
+  bool post_session_command(detail::SessionState& s, Command command);
   bool session_quiesce(detail::SessionState& s);
   bool session_reset_epoch(detail::SessionState& s);
   void teardown(const std::shared_ptr<detail::SessionState>& state);

@@ -16,10 +16,9 @@
 //     Failed: the watchdog found the monitor heartbeat stalled past its
 //     deadline; producers stop queueing entirely and the program runs on
 //     unprotected (availability over coverage).
-//   * WatchdogOptions — heartbeat deadline. The Monitor thread bumps a
-//     heartbeat counter each drain cycle, and each MonitorService shard a
-//     per-session progress counter; the producer slow path trips Failed
-//     when that counter makes no progress for the whole deadline.
+//   * WatchdogOptions — heartbeat deadline. Every consumer moves a beat
+//     per sink it drains (consumer.h); the producer slow path trips
+//     Failed when that beat makes no progress for the whole deadline.
 //   * MonitorFaultHooks — consumer-side fault injection for the campaign's
 //     monitor-path fault models (FaultType::MonitorStall / QueueCorrupt /
 //     ReportDrop) and for the slow-consumer benchmark.
@@ -130,10 +129,10 @@ struct WatchdogOptions {
 /// These model faults in the detection path itself, mirroring how the
 /// campaign models faults in application branches.
 struct MonitorFaultHooks {
-  /// When the Nth popped report passes the screen, suspend the monitor
-  /// thread until stop() is requested — for a MonitorService session,
-  /// freeze that session's slice of the shard until close()
-  /// (FaultType::MonitorStall). The report itself is still processed.
+  /// When the Nth popped report passes the screen, freeze the consumer's
+  /// tenant: no draining, no beat; what is still queued at stop() or
+  /// close() is dropped (FaultType::MonitorStall). The report itself is
+  /// still processed.
   std::uint64_t stall_after_reports = 0;
   /// Flip `corrupt_bit` (mod 8*sizeof(BranchReport)) in the Nth popped
   /// report before processing it (FaultType::QueueCorrupt).
@@ -141,8 +140,8 @@ struct MonitorFaultHooks {
   unsigned corrupt_bit = 0;
   /// Silently discard the Nth popped report (FaultType::ReportDrop).
   std::uint64_t drop_report_index = 0;
-  /// Sleep this long after each processed report: a deterministic
-  /// slow-consumer load for the resilience benchmark.
+  /// Defer the consumer's next visit by this much per report it filed: a
+  /// deterministic slow-consumer load for the resilience benchmark.
   std::uint64_t delay_ns_per_report = 0;
   /// MonitorService sessions only: restrict the hooks above to the
   /// 0-based checker shard with this index (kAllShards applies them to
@@ -199,9 +198,9 @@ inline std::uint64_t give_up_grace_ns(const WatchdogOptions& watchdog) {
   return std::min<std::uint64_t>(stall / 4, 50'000'000);
 }
 
-/// One producer's clock against one consumer's beat counter (the Monitor
-/// heartbeat, or a session's progress counter on one shard). Read only
-/// from the give-up slow path, so successful sends never touch a clock.
+/// One producer's clock against one consumer's beat counter (consumer.h
+/// Mailbox). Read only from the give-up slow path, so successful sends
+/// never touch a clock.
 class StallClock {
  public:
   /// True once `beat` has not moved for `ns`, as seen by this clock's

@@ -21,6 +21,7 @@
 #include <memory>
 #include <new>
 #include <utility>
+#include <vector>
 
 namespace bw::runtime {
 
@@ -124,6 +125,38 @@ class SpscQueue {
   std::size_t head_cache_ = 0;   // consumer's view of head_
   // Keeps the consumer's line clear of neighbours.
   char pad_[64 - sizeof(std::atomic<std::size_t>) - sizeof(std::size_t)];
+};
+
+/// One ring per (producer, consumer) pair of a sink: every ring keeps
+/// exactly one producer and one consumer, so the whole fabric stays
+/// lock-free. The Monitor is the one-consumer case.
+template <typename T>
+class RingMatrix {
+ public:
+  RingMatrix(unsigned producers, unsigned consumers,
+             std::size_t capacity_hint)
+      : producers_(producers), consumers_(consumers) {
+    rings_.reserve(std::size_t{producers} * consumers);
+    for (std::size_t i = 0; i < std::size_t{producers} * consumers; ++i) {
+      rings_.push_back(std::make_unique<SpscQueue<T>>(capacity_hint));
+    }
+  }
+
+  SpscQueue<T>& at(unsigned producer, unsigned consumer) {
+    return *rings_[std::size_t{producer} * consumers_ + consumer];
+  }
+  unsigned producers() const { return producers_; }
+  bool empty() const {
+    for (const auto& ring : rings_) {
+      if (!ring->empty()) return false;
+    }
+    return true;
+  }
+
+ private:
+  unsigned producers_;
+  unsigned consumers_;
+  std::vector<std::unique_ptr<SpscQueue<T>>> rings_;
 };
 
 }  // namespace bw::runtime

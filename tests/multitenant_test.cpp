@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -363,6 +364,53 @@ TEST(MonitorServiceQuota, QuotaReleasesAsShardsDrain) {
   EXPECT_EQ(stats.dropped_reports, 0u);
   EXPECT_LE(stats.quota_peak, 64u);
   EXPECT_EQ(a.session->health(), MonitorHealth::Healthy);
+}
+
+// A tenant frozen by its own stall pays one backoff ladder at the quota
+// gate, not one per flush: once released_reports and the shard's beat for
+// the session have both stood still past the give-up grace, the gate
+// drops at once, and a beat frozen for the watchdog deadline fails the
+// session as a full ring would.
+TEST(MonitorServiceQuota, StalledTenantPaysOneLadderThenFails) {
+  MonitorServiceOptions options;
+  options.num_shards = 1;
+  options.batch_size = 1;  // every send is one flush through the gate
+  options.backoff.spins = 4;
+  options.backoff.yields = 1u << 19;  // tens of milliseconds per ladder
+  options.watchdog.stall_timeout_ns = 100'000'000;  // give-up grace 25 ms
+  MonitorService service(options);
+  service.start();
+  SessionOptions sopts;
+  sopts.num_threads = 1;
+  sopts.report_quota = 4;
+  sopts.fault_hooks.stall_after_reports = 1;
+  MonitorService::Admission a = service.admit(sopts);
+  ASSERT_EQ(a.error, AdmitError::None);
+  MonitorSession& session = *a.session;
+
+  // The quota fills after five sends. A gate that re-ran its ladder on
+  // every later flush would make nearly all of these 64 flushes slow.
+  using Clock = std::chrono::steady_clock;
+  int slow_flushes = 0;
+  std::uint64_t iter = 0;
+  for (; iter < 64; ++iter) {
+    const auto start = Clock::now();
+    session.send(consistent_report(0, 0, iter));
+    if (Clock::now() - start > std::chrono::milliseconds(10)) ++slow_flushes;
+  }
+  EXPECT_LE(slow_flushes, 2);
+
+  const auto deadline = Clock::now() + std::chrono::seconds(10);
+  while (session.health() != MonitorHealth::Failed &&
+         Clock::now() < deadline) {
+    session.send(consistent_report(0, 0, iter++));
+  }
+  EXPECT_EQ(session.health(), MonitorHealth::Failed);
+  session.close();
+  MonitorStats stats = session.stats();
+  EXPECT_GT(stats.reports_throttled, 0u);
+  EXPECT_EQ(stats.hooks_fired, 1u);
+  EXPECT_TRUE(session.violations().empty());
 }
 
 // ---------------------------------------------------------------------------

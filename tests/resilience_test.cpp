@@ -192,13 +192,13 @@ TEST_P(SharedResilience, StalledMonitorProducerReturnsAndDropsAreCounted) {
 }
 
 // A live consumer that is merely behind must backpressure, not drop: the
-// shard bumps its progress on every visit, even one the delay hook
-// defers, so a producer's spent ladder (a few dozen yields here, far
-// shorter than the 200 us deferral) is not yet a give-up.
-TEST(Resilience, SlowLiveShardBackpressuresWithoutDrops) {
+// consumer beats on every visit, even one the delay hook defers, so a
+// producer's spent ladder (a few dozen yields here, far shorter than the
+// deferral) is not yet a give-up.
+TEST_P(SharedResilience, SlowLiveShardBackpressuresWithoutDrops) {
   MonitorOptions options = tight_options();
   options.fault_hooks.delay_ns_per_report = 200'000;
-  Backed run(Backend::Service, 1, options);
+  Backed run(GetParam(), 1, options);
   for (std::uint64_t i = 0; i < 400; ++i) {
     run.send(report(0, 1, CheckCode::SharedOutcome, true, i));
   }
@@ -208,6 +208,26 @@ TEST(Resilience, SlowLiveShardBackpressuresWithoutDrops) {
   EXPECT_EQ(stats.reports_processed, 400u);
   EXPECT_EQ(run.health(), MonitorHealth::Healthy);
   EXPECT_TRUE(run.violations().empty());
+}
+
+// The stall freezes the consumer: the report that fired it is filed,
+// nothing after it is, and what is still queued at the end of the run is
+// counted as dropped under degraded health, never filed late.
+TEST_P(SharedResilience, StallFreezesAndFinishCountsTheRestAsDrops) {
+  MonitorOptions options = tight_options();
+  options.queue_capacity = 1024;  // the whole stream fits: no give-ups
+  options.fault_hooks.stall_after_reports = 10;
+  Backed run(GetParam(), 1, options);
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    run.send(report(0, 1, CheckCode::SharedOutcome, true, i));
+  }
+  run.finish();
+  MonitorStats stats = run.stats();
+  EXPECT_EQ(stats.reports_processed, 10u);
+  EXPECT_EQ(stats.dropped_reports, 90u);
+  EXPECT_EQ(run.health(), MonitorHealth::Degraded);
+  EXPECT_TRUE(run.violations().empty());
+  EXPECT_EQ(stats.hooks_fired, 1u);
 }
 
 TEST_P(SharedResilience, WatchdogTripsFailedAndSendsBecomeNoops) {
