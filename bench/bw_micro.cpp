@@ -16,6 +16,7 @@
 // BM_VmTier always benchmarks both tiers side by side regardless.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -51,6 +52,29 @@ void BM_SpscQueuePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_SpscQueuePushPop);
 
+// The Monitor's wire on one thread: a stride of staged pushes (the last
+// one publishes) and one burst consume that files them in place.
+void BM_SpscQueueStageConsume(benchmark::State& state) {
+  using Queue = runtime::SpscQueue<runtime::BranchReport>;
+  Queue queue(4096);
+  runtime::BranchReport report;
+  report.static_id = 7;
+  std::uint64_t sum = 0;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < Queue::kStride; ++i) {
+      report.iter_hash = i;
+      benchmark::DoNotOptimize(queue.try_stage(report));
+    }
+    queue.consume(Queue::kStride, [&](runtime::BranchReport& r) {
+      sum += r.iter_hash;
+      return true;
+    });
+  }
+  benchmark::DoNotOptimize(sum);
+  state.SetItemsProcessed(state.iterations() * Queue::kStride);
+}
+BENCHMARK(BM_SpscQueueStageConsume);
+
 // One producer thread streams reports to the consumer (the benchmark
 // thread) through a ring of the legacy Monitor's default size. The ring is
 // warmed by one full lap first, so first-touch page faults stay out of the
@@ -85,6 +109,45 @@ void BM_SpscQueueCrossThread(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SpscQueueCrossThread)->UseRealTime();
+
+// As BM_SpscQueueCrossThread, on the Monitor's wire: the producer stages
+// (publishing once per stride) and each iteration consumes one burst of
+// up to 256 reports in place, as the monitor thread does. Items are the
+// reports consumed.
+void BM_SpscQueueCrossThreadStaged(benchmark::State& state) {
+  runtime::SpscQueue<runtime::BranchReport> queue(
+      runtime::MonitorOptions{}.queue_capacity);
+  runtime::BranchReport report;
+  report.static_id = 7;
+  while (queue.try_push(report)) {
+  }
+  while (queue.consume(256, [](runtime::BranchReport&) { return true; })) {
+  }
+  queue.try_push(report);  // the one slot the first fill left untouched
+  queue.consume(1, [](runtime::BranchReport&) { return true; });
+  std::atomic<bool> done{false};
+  std::thread producer([&queue, &done, report]() mutable {
+    for (std::uint64_t i = 0; !done.load(std::memory_order_relaxed); ++i) {
+      report.iter_hash = i;
+      while (!queue.try_stage(report) &&
+             !done.load(std::memory_order_relaxed)) {
+      }
+    }
+  });
+  std::uint64_t items = 0;
+  std::uint64_t sum = 0;
+  for (auto _ : state) {
+    items += queue.consume(256, [&](runtime::BranchReport& r) {
+      sum += r.iter_hash;
+      return true;
+    });
+  }
+  done.store(true, std::memory_order_relaxed);
+  producer.join();
+  benchmark::DoNotOptimize(sum);
+  state.SetItemsProcessed(static_cast<std::int64_t>(items));
+}
+BENCHMARK(BM_SpscQueueCrossThreadStaged)->UseRealTime();
 
 void BM_ContextTrackerLoopKey(benchmark::State& state) {
   runtime::ContextTracker tracker;

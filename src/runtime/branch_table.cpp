@@ -53,21 +53,35 @@ BranchTable::BranchTable(unsigned num_threads,
                    std::size_t{num_threads} * sizeof(ThreadObservation)) {}
 
 std::uint32_t BranchTable::branch_for(const BranchReport& report) {
+  MemoEntry& memo = memo_[report.static_id & (kMemoEntries - 1)];
+  if (memo.branch != kNone && memo.static_id == report.static_id &&
+      memo.ctx_hash == report.ctx_hash) {
+    return memo.branch;
+  }
   const std::uint64_t key = level1_key(report.ctx_hash, report.static_id);
   if (2 * (branches_.size() + 1) > branch_index_.size()) grow_branch_index();
   const std::size_t mask = branch_index_.size() - 1;
   std::size_t pos = branch_home(key, branch_index_.size());
+  std::uint32_t b = kNone;
   for (;; pos = (pos + 1) & mask) {
     const std::uint32_t cell = branch_index_[pos];
     if (cell == 0) break;
-    if (branches_[cell - 1].key == key) return cell - 1;
+    if (branches_[cell - 1].key == key) {
+      b = cell - 1;
+      break;
+    }
   }
-  const auto b = static_cast<std::uint32_t>(branches_.size());
-  Branch& branch = branches_.emplace_back();
-  branch.key = key;
-  branch.ctx_hash = report.ctx_hash;
-  branch.static_id = report.static_id;
-  branch_index_[pos] = b + 1;
+  if (b == kNone) {
+    b = static_cast<std::uint32_t>(branches_.size());
+    Branch& branch = branches_.emplace_back();
+    branch.key = key;
+    branch.ctx_hash = report.ctx_hash;
+    branch.static_id = report.static_id;
+    branch_index_[pos] = b + 1;
+  }
+  memo = {.ctx_hash = report.ctx_hash,
+          .static_id = report.static_id,
+          .branch = b};
   return b;
 }
 
@@ -85,10 +99,11 @@ void BranchTable::grow_branch_index() {
 
 std::uint32_t BranchTable::find_instance(std::uint32_t branch,
                                          std::uint64_t iter_hash,
-                                         std::uint64_t hash) {
+                                         std::uint64_t hash,
+                                         std::size_t& pos) {
   const std::uint32_t tag = cell_tag(hash);
   const std::size_t mask = cells_.size() - 1;
-  for (std::size_t pos = home_of(tag, cell_bits_);; pos = (pos + 1) & mask) {
+  for (pos = home_of(tag, cell_bits_);; pos = (pos + 1) & mask) {
     const std::uint64_t cell = cells_[pos];
     if (cell == 0) return kNone;
     if (static_cast<std::uint32_t>(cell >> 32) != tag) continue;
@@ -100,9 +115,20 @@ std::uint32_t BranchTable::find_instance(std::uint32_t branch,
   }
 }
 
+std::size_t BranchTable::cell_of(std::uint32_t s, std::uint64_t hash) const {
+  const std::uint64_t slot_bits = std::uint64_t{s} + 1;
+  const std::size_t mask = cells_.size() - 1;
+  std::size_t pos = home_of(cell_tag(hash), cell_bits_);
+  while (static_cast<std::uint32_t>(cells_[pos]) != slot_bits) {
+    pos = (pos + 1) & mask;
+  }
+  return pos;
+}
+
 std::uint32_t BranchTable::insert_instance(std::uint32_t branch,
                                            const BranchReport& report,
-                                           std::uint64_t hash) {
+                                           std::uint64_t hash,
+                                           std::size_t pos) {
   std::uint32_t s = free_head_;
   if (s != kNone) {
     free_head_ = slot(s).next;
@@ -130,16 +156,12 @@ std::uint32_t BranchTable::insert_instance(std::uint32_t branch,
   owner.tail = s;
   ++owner.pending;
 
-  const std::uint32_t tag = cell_tag(hash);
-  const std::size_t mask = cells_.size() - 1;
-  std::size_t pos = home_of(tag, cell_bits_);
-  while (cells_[pos] != 0) pos = (pos + 1) & mask;
-  cells_[pos] = (std::uint64_t{tag} << 32) | (std::uint64_t{s} + 1);
+  cells_[pos] = (std::uint64_t{cell_tag(hash)} << 32) | (std::uint64_t{s} + 1);
   ++live_;
   return s;
 }
 
-void BranchTable::erase_instance(std::uint32_t s, std::uint64_t hash) {
+void BranchTable::erase_instance(std::uint32_t s, std::size_t hole) {
   Slot& gone = slot(s);
   Branch& owner = branches_[gone.branch];
   if (gone.prev != kNone) {
@@ -154,14 +176,9 @@ void BranchTable::erase_instance(std::uint32_t s, std::uint64_t hash) {
   }
   --owner.pending;
 
-  // Find the slot's cell, then close the gap by backward shifting: a later
-  // cell moves into the hole when the hole lies between its home and it.
-  const std::uint64_t slot_bits = std::uint64_t{s} + 1;
+  // Close the slot's cell by backward shifting: a later cell moves into
+  // the hole when the hole lies between its home and it.
   const std::size_t mask = cells_.size() - 1;
-  std::size_t hole = home_of(cell_tag(hash), cell_bits_);
-  while (static_cast<std::uint32_t>(cells_[hole]) != slot_bits) {
-    hole = (hole + 1) & mask;
-  }
   for (std::size_t next = (hole + 1) & mask; cells_[next] != 0;
        next = (next + 1) & mask) {
     const std::size_t home =
@@ -196,10 +213,14 @@ void BranchTable::process(const BranchReport& report, bool degraded) {
   const std::uint32_t branch = branch_for(report);
   const std::uint64_t hash = instance_hash(branch, report.iter_hash);
   if (2 * (std::size_t{live_} + 1) > cells_.size()) grow_cells();
-  std::uint32_t s = find_instance(branch, report.iter_hash, hash);
+  // One probe sequence: it ends at the instance's cell, or at the empty
+  // cell where a new instance goes.
+  std::size_t pos = 0;
+  std::uint32_t s = find_instance(branch, report.iter_hash, hash, pos);
+  bool evicted = false;
   if (s == kNone) {
-    s = insert_instance(branch, report, hash);
-    evict_oldest(branch, s, degraded);
+    s = insert_instance(branch, report, hash, pos);
+    evicted = evict_oldest(branch, s, degraded);
   }
   ThreadObservation& obs = observations(s)[report.thread];
   if (report.check == CheckCode::PartialValue) {
@@ -214,17 +235,18 @@ void BranchTable::process(const BranchReport& report, bool degraded) {
     // Eager path: everyone reported; check and evict. Complete
     // instances are fully trustworthy even when degraded.
     check_instance_now(branch, s);
-    erase_instance(s, hash);
+    // An eviction's backward shift may have moved the new instance's cell.
+    erase_instance(s, evicted ? cell_of(s, hash) : pos);
   }
 }
 
-void BranchTable::evict_oldest(std::uint32_t branch, std::uint32_t filing,
+bool BranchTable::evict_oldest(std::uint32_t branch, std::uint32_t filing,
                                bool degraded) {
   const Branch& owner = branches_[branch];
-  if (owner.pending <= max_pending_per_branch_) return;
+  if (owner.pending <= max_pending_per_branch_) return false;
   // Never evict the instance being filed: the caller still writes to it.
   const std::uint32_t oldest = owner.head;
-  if (oldest == filing) return;
+  if (oldest == filing) return false;
   // Evict the oldest pending instance after checking the subset of threads
   // that did report (sound: every check holds on subsets) — unless the
   // monitor is degraded, in which case the missing observations may be
@@ -237,7 +259,9 @@ void BranchTable::evict_oldest(std::uint32_t branch, std::uint32_t filing,
     }
   }
   ++instances_evicted_;
-  erase_instance(oldest, instance_hash(branch, slot(oldest).iter_hash));
+  erase_instance(oldest,
+                 cell_of(oldest, instance_hash(branch, slot(oldest).iter_hash)));
+  return true;
 }
 
 void BranchTable::check_instance_now(std::uint32_t branch, std::uint32_t s) {
@@ -286,6 +310,7 @@ void BranchTable::clear() {
 
 void BranchTable::reset() {
   // Emptied indexes and chunks keep their memory for the next section.
+  memo_.fill(MemoEntry{});
   if (live_ != 0) std::fill(cells_.begin(), cells_.end(), 0);
   live_ = 0;
   std::fill(branch_index_.begin(), branch_index_.end(), 0);

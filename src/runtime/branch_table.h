@@ -16,10 +16,15 @@
 // the table has grown to its working size:
 //   * Level 1: a small open-addressed index from the level-1 key to a
 //     dense Branch entry (static_id, ctx_hash, pending count, and the
-//     head/tail of an insertion-order list of its pending instances).
+//     head/tail of an insertion-order list of its pending instances),
+//     fronted by a 64-entry direct-mapped memo of recent (ctx_hash,
+//     static_id) -> branch lookups, so a hot branch skips the probe.
 //   * Level 2: an open-addressed index of 8-byte cells (32-bit hash tag,
 //     slot + 1) from (branch, iter_hash) to a slot; linear probing with
-//     backward-shift deletion, so there are no tombstones.
+//     backward-shift deletion, so there are no tombstones. Filing a
+//     report runs one probe sequence: a new instance takes the empty
+//     cell the lookup stopped at, and the eager erase starts from the
+//     found cell.
 //   * Slots: one per pending instance, holding its metadata (32 bytes)
 //     and num_threads ThreadObservations (16 bytes each) indexed by thread
 //     id, in fixed-size chunks of kChunkSlots. Freed slots go on a free
@@ -39,6 +44,7 @@
 // owner's job, via the on_violation hook.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -85,6 +91,13 @@ class BranchTable {
   static constexpr std::uint32_t kNone = 0xffffffffu;
   static constexpr std::uint32_t kChunkShift = 6;
   static constexpr std::uint32_t kChunkSlots = 1u << kChunkShift;
+  static constexpr std::size_t kMemoEntries = 64;
+
+  struct MemoEntry {  // a recent level-1 lookup, by static_id mod 64
+    std::uint64_t ctx_hash = 0;
+    std::uint32_t static_id = 0;
+    std::uint32_t branch = kNone;  // kNone: empty
+  };
 
   struct Branch {  // one level-1 key: a (ctx, static_id) pair
     std::uint64_t key = 0;
@@ -119,14 +132,21 @@ class BranchTable {
 
   std::uint32_t branch_for(const BranchReport& report);
   void grow_branch_index();
+  /// The slot of (branch, iter_hash), or kNone; either way `pos` is the
+  /// cell the probe stopped at: the instance's, or the empty one after it.
   std::uint32_t find_instance(std::uint32_t branch, std::uint64_t iter_hash,
-                              std::uint64_t hash);
+                              std::uint64_t hash, std::size_t& pos);
+  /// The cell holding slot `s`, whose instance hash is `hash`.
+  std::size_t cell_of(std::uint32_t s, std::uint64_t hash) const;
+  /// Files a new instance into the empty cell `pos` its probe ended at.
   std::uint32_t insert_instance(std::uint32_t branch,
                                 const BranchReport& report,
-                                std::uint64_t hash);
-  void erase_instance(std::uint32_t s, std::uint64_t hash);
+                                std::uint64_t hash, std::size_t pos);
+  /// Erases slot `s`, whose cell is `pos`.
+  void erase_instance(std::uint32_t s, std::size_t pos);
   void grow_cells();
-  void evict_oldest(std::uint32_t branch, std::uint32_t filing,
+  /// Returns whether an instance was evicted.
+  bool evict_oldest(std::uint32_t branch, std::uint32_t filing,
                     bool degraded);
   void check_instance_now(std::uint32_t branch, std::uint32_t s);
   void reset();
@@ -135,6 +155,7 @@ class BranchTable {
   std::size_t max_pending_per_branch_;
   ViolationHook on_violation_;
 
+  std::array<MemoEntry, kMemoEntries> memo_{};  // cleared by reset()
   std::vector<Branch> branches_;            // first-seen order
   std::vector<std::uint32_t> branch_index_;  // branch + 1, 0 = empty
   std::vector<std::uint64_t> cells_;        // tag << 32 | (slot + 1)

@@ -204,8 +204,8 @@ inline std::span<BranchReport> reports_in(ReportBatch& batch) {
 
 /// One consumer's visits to one sink: the rings it drains, `burst`
 /// elements at a time, the mailbox it serves and the core it files into,
-/// on that consumer's thread. `release(n)` runs after each popped element
-/// of n reports (the service's quota accounting).
+/// on that consumer's thread. `release(n)` runs after each burst of n
+/// popped reports (the service's quota accounting).
 template <typename Element, typename Release>
 class Tenant {
  public:
@@ -298,18 +298,20 @@ class Tenant {
     return popped;
   }
 
-  /// The one burst drain: pops up to `burst_` elements of `ring`, filing
-  /// their reports when `file` until the stall freezes the tenant.
-  /// Returns the reports popped.
+  /// The one burst drain: files, in place, up to `burst_` elements of
+  /// `ring` when `file`, stopping right after the element in which the
+  /// stall froze the tenant, and frees them with one store. Returns the
+  /// reports popped.
   std::uint64_t drain(SpscQueue<Element>& ring, bool file) {
+    if (file && frozen_) return 0;
     std::uint64_t popped = 0;
-    for (std::uint64_t n = 0;
-         n < burst_ && !(file && frozen_) && ring.try_pop(element_); ++n) {
-      const std::span<BranchReport> reports = reports_in(element_);
+    ring.consume(burst_, [&](Element& element) {
+      const std::span<BranchReport> reports = reports_in(element);
       if (file) file_reports(reports);
       popped += reports.size();
-      release_(static_cast<std::uint32_t>(reports.size()));
-    }
+      return !(file && frozen_);
+    });
+    if (popped != 0) release_(popped);
     return popped;
   }
 
@@ -338,7 +340,6 @@ class Tenant {
   RingMatrix<Element>& rings_;
   const std::uint64_t burst_;
   Release release_;
-  Element element_{};  // pop buffer, reused across drains
   std::uint64_t seen_ = 0;
   bool frozen_ = false;  // the stall hook fired: no draining, no beat
   bool detached_ = false;

@@ -27,9 +27,11 @@ void Monitor::start() {
 
 void Monitor::stop() {
   if (!started_.load()) return;
-  // Producers have stopped by contract, so the detach the monitor thread
-  // executes last drains every report sent.
+  // Producers have stopped by contract, so once their staged reports are
+  // published the detach the monitor thread executes last drains every
+  // report sent.
   if (!stopping_.exchange(true, std::memory_order_acq_rel)) {
+    rings_.publish();
     mailbox_->post(Command::Detach);
   }
   if (thread_.joinable()) thread_.join();
@@ -58,12 +60,17 @@ void Monitor::send(const BranchReport& report) {
     seal_report(sealed);
     payload = &sealed;
   }
-  auto try_push = [&] { return queue.try_push(*payload); };
+  auto try_push = [&] { return queue.try_stage(*payload); };
   if (try_push()) return;
   push_or_give_up(try_push, SinkCells{health_, sampler_, violation_count_},
                   options_.backoff, options_.watchdog, report.thread,
                   /*shard=*/0, /*reports=*/1, slot.dropped, slot.stall,
                   mailbox_->cells[0].beat);
+}
+
+void Monitor::flush(std::uint32_t thread) {
+  BW_INTERNAL_CHECK(thread < num_threads_, "flush from out-of-range thread");
+  rings_.at(thread, 0).publish();
 }
 
 void Monitor::run() {
@@ -78,20 +85,27 @@ void Monitor::run() {
   }
 }
 
+// The recovery calls run with every producer quiescent (the BranchSink
+// contract), so each first publishes what the producers staged: quiesce
+// and finalize must judge it, and reset must discard it with the epoch.
 bool Monitor::quiesce() {
   if (!started_.load(std::memory_order_acquire)) return true;
-  return running() &&
-         quiesce_sink(rings_, *mailbox_, options_.watchdog, health_);
+  if (!running()) return false;
+  rings_.publish();
+  return quiesce_sink(rings_, *mailbox_, options_.watchdog, health_);
 }
 
 bool Monitor::finalize_section() {
-  return running() && post_and_wait(*mailbox_, Command::Finalize,
-                                    options_.watchdog, health_);
+  if (!running()) return false;
+  rings_.publish();
+  return post_and_wait(*mailbox_, Command::Finalize, options_.watchdog,
+                       health_);
 }
 
 bool Monitor::reset_epoch() {
-  if (!running() ||
-      !post_and_wait(*mailbox_, Command::Reset, options_.watchdog, health_)) {
+  if (!running()) return false;
+  rings_.publish();
+  if (!post_and_wait(*mailbox_, Command::Reset, options_.watchdog, health_)) {
     return false;
   }
   violation_count_.store(0, std::memory_order_release);

@@ -11,6 +11,16 @@
 // runs too. What this class owns is its ring element: one ring of single
 // reports per program thread, drained 256 reports per burst.
 //
+// Publication. send() stages each report and the ring publishes its
+// thread's reports to the monitor thread every SpscQueue::kStride (32)
+// reports; flush(thread) publishes the rest, and the VM flushes at every
+// barrier arrival, at its periodic poll, and when the thread leaves the
+// section (normally, by a trap or at a phase exit). A full ring publishes
+// before its producer backs off, and stop() and the recovery calls publish
+// every ring, the producers being quiescent there. A report therefore
+// reaches the consumer within 32 reports of its thread or by the thread's
+// next barrier, whichever comes first.
+//
 // Resilience (see resilience.h): producers never block indefinitely on a
 // full queue — a bounded backoff gives up once the consumer's beat has
 // also stood still for the give-up grace, drops the report (counted
@@ -140,10 +150,15 @@ class Monitor : public BranchSink {
   /// residual instances, and join the monitor thread. Idempotent.
   void stop();
 
-  /// Producer API (called from program thread `thread`): enqueue a report,
-  /// backing off briefly if the ring is full and dropping the report once
-  /// the backoff budget is exhausted (never blocks indefinitely).
+  /// Producer API (called from program thread `thread`): stage a report
+  /// in the thread's ring, backing off briefly if the ring is full and
+  /// dropping the report once the backoff budget is exhausted (never
+  /// blocks indefinitely). The ring publishes staged reports to the
+  /// monitor thread every SpscQueue::kStride reports.
   void send(const BranchReport& report) override;
+
+  /// Publishes what program thread `thread` has staged (BranchSink).
+  void flush(std::uint32_t thread) override;
 
   /// True once any check has failed. Safe to poll from any thread; the
   /// program treats this as the paper's "raise an exception" signal.

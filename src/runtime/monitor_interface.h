@@ -27,11 +27,15 @@ class BranchSink {
   /// wedging the program thread.
   virtual void send(const BranchReport& report) = 0;
 
-  /// Flush any client-side buffering for program thread `thread`. Called
-  /// by the VM when the thread exits the parallel section (normally or
-  /// via a trap), so batching sinks (MonitorSession) never strand the
-  /// tail of a thread's reports in a half-full batch. The unbuffered
-  /// Monitor keeps the default no-op.
+  /// Make every report program thread `thread` has sent visible to the
+  /// consumer: a batching sink (MonitorSession) pushes its half-full
+  /// batches, the Monitor publishes the reports its ring has staged. A
+  /// sink that buffers must deliver what it holds here and may hold
+  /// reports only until here. Called by that thread; the VM calls it at
+  /// every barrier arrival, at its periodic poll, and when the thread
+  /// leaves the parallel section (normally, by a trap or at a phase
+  /// exit). A caller that sends reports outside the VM and then waits on
+  /// the consumer must call it first.
   virtual void flush(std::uint32_t thread) { (void)thread; }
 
   /// Cheap cross-thread poll: has any check failed so far?

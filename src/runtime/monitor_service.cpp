@@ -47,11 +47,11 @@ struct alignas(64) ProducerSlot {
   StallClock quota_stall;
 };
 
-/// Releases each popped batch's reports from the session's quota.
+/// Releases each burst's popped reports from the session's quota.
 struct QuotaRelease {
   std::atomic<std::uint64_t>& queued;
   std::atomic<std::uint64_t>& released;
-  void operator()(std::uint32_t count) const {
+  void operator()(std::uint64_t count) const {
     queued.fetch_sub(count, std::memory_order_release);
     released.fetch_add(count, std::memory_order_relaxed);
   }
@@ -110,7 +110,7 @@ struct SessionState {
 
   /// Reports pushed but not yet processed, across all shards — the value
   /// the per-tenant quota gates on. Incremented by producers when a
-  /// batch claims quota, decremented by shards after a batch is filed.
+  /// batch claims quota, decremented by shards after each burst is filed.
   std::atomic<std::uint64_t> queued_reports{0};
   /// Reports the shards have taken off queued_reports, ever: the beat a
   /// producer waiting at the quota gate reads (monotone, unlike the

@@ -73,6 +73,7 @@
 // readable.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -90,11 +91,24 @@
 namespace bw::runtime {
 
 /// The unit that crosses a producer->shard ring: up to kMax reports, in
-/// the producer's send order. Fixed-size so ring slots need no heap.
+/// the producer's send order. Fixed-size so ring slots need no heap; a
+/// copy carries only the `count` reports the batch holds, so a batch of
+/// one costs one report's bytes on the wire, not kMax.
 struct ReportBatch {
   static constexpr std::size_t kMax = 64;
   std::uint32_t count = 0;
   std::array<BranchReport, kMax> reports;
+
+  ReportBatch() = default;
+  ReportBatch(const ReportBatch& other) : count(other.count) {
+    std::copy_n(other.reports.begin(), count, reports.begin());
+  }
+  ReportBatch& operator=(const ReportBatch& other) {
+    if (this == &other) return *this;
+    count = other.count;
+    std::copy_n(other.reports.begin(), count, reports.begin());
+    return *this;
+  }
 };
 
 using SessionId = std::uint32_t;

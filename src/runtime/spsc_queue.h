@@ -1,13 +1,21 @@
 // Lock-free single-producer/single-consumer ring buffer, adapted from
 // Lamport's queue (paper Section III-B: one front-end queue per program
-// thread, drained by the monitor thread), with two changes that make it
-// cost per item carried rather than per ring built:
+// thread, drained by the monitor thread), with four changes that make it
+// cost per item carried rather than per ring built or per index bounce:
 //
 // - Cached opposite indices (FastForward / B-Queue style). The producer
 //   keeps a private copy of the consumer's index and re-reads the shared
 //   one only when its copy says the ring is full; the consumer does the
 //   same with the producer's index when its copy says empty. A push or pop
 //   that hits its cache touches only its own cache line.
+// - Stride publication. try_stage() writes a slot and advances only the
+//   producer's private head; the shared head_ is stored once per kStride
+//   staged items, by publish(), and by a staged push that finds the ring
+//   full. A consumer that keeps up therefore pulls the producer's line
+//   once per stride instead of once per item. try_push() publishes on
+//   every push.
+// - Burst consumption. consume() hands up to `max` slots to a callback in
+//   place and frees them all with one tail_ store.
 // - Slots built on first push. Storage is raw memory; the first lap
 //   constructs each slot in place and later laps assign to it, so a ring
 //   touches only the pages it actually carries items through, and T need
@@ -16,6 +24,7 @@
 // No locks, and no dynamic allocation after construction.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <memory>
@@ -48,24 +57,79 @@ class SpscQueue {
   SpscQueue(const SpscQueue&) = delete;
   SpscQueue& operator=(const SpscQueue&) = delete;
 
+  /// Staged items become visible to the consumer together, once this
+  /// many are staged.
+  static constexpr std::size_t kStride = 32;
+
   /// Producer side. Returns false when the ring is full (caller decides
-  /// whether to spin, back off, or drop).
-  bool try_push(const T& item) { return push(item); }
+  /// whether to spin, back off, or drop). The item is visible at once.
+  bool try_push(const T& item) {
+    if (!push(item)) return false;
+    publish_now();
+    return true;
+  }
 
   /// Move-in overload for payloads with an expensive copy. A refused push
   /// leaves `item` intact, so the caller can retry the same payload.
-  bool try_push(T&& item) { return push(std::move(item)); }
+  bool try_push(T&& item) {
+    if (!push(std::move(item))) return false;
+    publish_now();
+    return true;
+  }
+
+  /// Producer side: writes the item without publishing it, except that
+  /// every kStride-th staged item publishes the whole stride. A staged
+  /// push that finds the ring full publishes what it staged, so the
+  /// consumer can make room, then refuses.
+  bool try_stage(const T& item) {
+    if (!push(item)) {
+      publish();
+      return false;
+    }
+    if (++staged_ == kStride) publish_now();
+    return true;
+  }
+
+  /// Makes every staged item visible to the consumer. Called by the
+  /// producer, or by a thread that the producer's last push happens
+  /// before (the producer joined, or parked at a barrier).
+  void publish() {
+    if (staged_ != 0) publish_now();
+  }
 
   /// Consumer side. Returns false when empty.
   bool try_pop(T& out) {
-    const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail == head_cache_) {
+    bool popped = false;
+    consume(1, [&](T& item) {
+      out = item;
+      popped = true;
+      return true;
+    });
+    return popped;
+  }
+
+  /// Consumer side: hands up to `max` published items, oldest first, to
+  /// `f(T&)` in place, stopping early once `f` returns false; then frees
+  /// every slot it handed out, the one `f` refused included, with one
+  /// store. Returns the number handed out.
+  template <typename F>
+  std::size_t consume(std::size_t max, F&& f) {
+    std::size_t tail = tail_.load(std::memory_order_relaxed);
+    std::size_t ready = (head_cache_ - tail) & mask_;
+    if (ready < max) {
       head_cache_ = head_.load(std::memory_order_acquire);
-      if (tail == head_cache_) return false;
+      ready = (head_cache_ - tail) & mask_;
     }
-    out = slots_[tail];
-    tail_.store((tail + 1) & mask_, std::memory_order_release);
-    return true;
+    const std::size_t limit = std::min(ready, max);
+    std::size_t handed = 0;
+    while (handed < limit) {
+      T& item = slots_[tail];
+      tail = (tail + 1) & mask_;
+      ++handed;
+      if (!f(item)) break;
+    }
+    if (handed != 0) tail_.store(tail, std::memory_order_release);
+    return handed;
   }
 
   bool empty() const {
@@ -85,18 +149,20 @@ class SpscQueue {
 
  private:
   // Memory ordering. The owner of an index publishes it with a release
-  // store after writing (push) or reading (pop) the slot it covers, and
+  // store after writing (push) or reading (pop) the slots it covers, and
   // the other side only ever learns that index through an acquire load.
   // A cached copy is such an acquire-loaded value, possibly stale, and a
   // stale copy only ever lags the real index: the producer may think the
   // ring fuller than it is, the consumer emptier, so each side still only
-  // touches slots the other has handed over. The producer's slot writes
-  // (construction included) therefore happen before the consumer's read,
-  // and the consumer's read happens before the producer reuses the slot.
-  // `constructed_` is read only by the producer and the destructor.
+  // touches slots the other has handed over. Staged slots lie between the
+  // published head_ and the private next_, which the consumer never reads.
+  // The producer's slot writes (construction included) therefore happen
+  // before the consumer's read, and the consumer's read happens before the
+  // producer reuses the slot. `constructed_` is read only by the producer
+  // and the destructor.
   template <typename U>
   bool push(U&& item) {
-    const std::size_t head = head_.load(std::memory_order_relaxed);
+    const std::size_t head = next_;
     const std::size_t next = (head + 1) & mask_;
     if (next == tail_cache_) {
       tail_cache_ = tail_.load(std::memory_order_acquire);
@@ -108,23 +174,36 @@ class SpscQueue {
     } else {
       slots_[head] = std::forward<U>(item);
     }
-    head_.store(next, std::memory_order_release);
+    next_ = next;
     return true;
   }
 
+  void publish_now() {
+    staged_ = 0;
+    head_.store(next_, std::memory_order_release);
+  }
+
   // Layout: the cold, read-only-after-construction members (slots_, mask_)
-  // share one line; each side's index owns a full line together with the
-  // private state only that side touches, so a push that hits its cache
-  // writes only the producer's line and a pop only the consumer's.
-  alignas(64) T* slots_ = nullptr;
+  // share one group. The published head_ owns a group the producer writes
+  // once per stride; the producer's private state (its real head, its view
+  // of tail_) owns another that only it touches; and the consumer's index
+  // owns a third with the consumer's view of head_. So a staged push that
+  // hits its cache writes only the producer's private group, and a pop
+  // only the consumer's. A group is 128 bytes, not one 64-byte line: the
+  // adjacent-line prefetcher moves lines in pairs, and a private line
+  // paired with the other side's would still be pulled across.
+  static constexpr std::size_t kGroup = 128;
+  alignas(kGroup) T* slots_ = nullptr;
   std::size_t mask_ = 0;
-  alignas(64) std::atomic<std::size_t> head_{0};  // producer-owned
-  std::size_t tail_cache_ = 0;   // producer's view of tail_
-  std::size_t constructed_ = 0;  // slots [0, constructed_) hold a T
-  alignas(64) std::atomic<std::size_t> tail_{0};  // consumer-owned
-  std::size_t head_cache_ = 0;   // consumer's view of head_
-  // Keeps the consumer's line clear of neighbours.
-  char pad_[64 - sizeof(std::atomic<std::size_t>) - sizeof(std::size_t)];
+  alignas(kGroup) std::atomic<std::size_t> head_{0};  // published by producer
+  alignas(kGroup) std::size_t next_ = 0;  // producer's head, staged included
+  std::size_t staged_ = 0;                // pushed since the last publish
+  std::size_t tail_cache_ = 0;            // producer's view of tail_
+  std::size_t constructed_ = 0;           // slots [0, constructed_) hold a T
+  alignas(kGroup) std::atomic<std::size_t> tail_{0};  // consumer-owned
+  std::size_t head_cache_ = 0;  // consumer's view of head_
+  // Keeps the consumer's group clear of neighbours.
+  char pad_[kGroup - sizeof(std::atomic<std::size_t>) - sizeof(std::size_t)];
 };
 
 /// One ring per (producer, consumer) pair of a sink: every ring keeps
@@ -146,6 +225,10 @@ class RingMatrix {
     return *rings_[std::size_t{producer} * consumers_ + consumer];
   }
   unsigned producers() const { return producers_; }
+  /// Publishes every ring's staged items; the producers must be quiescent.
+  void publish() {
+    for (auto& ring : rings_) ring->publish();
+  }
   bool empty() const {
     for (const auto& ring : rings_) {
       if (!ring->empty()) return false;

@@ -955,6 +955,7 @@ RtValue ThreadRunner::call_threaded(std::uint32_t func_index,
   }
   BW_CASE(BarrierFast) {
     BW_SYNC();  // barrier wait may block or throw
+    if (monitor_ != nullptr) monitor_->flush(tid_);  // as barrier_sync()
     m_.coordinator_.barrier_wait(tid_);
     ++epoch_;  // the race oracle keys concurrency on barrier phases
     BW_NEXT();

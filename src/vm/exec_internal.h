@@ -543,12 +543,13 @@ class ThreadRunner {
   /// lockstep.
   void barrier_sync() {
     ++barriers_crossed_;
+    // Every barrier arrival publishes this thread's buffered reports, so
+    // none waits unseen behind the barrier (and a recovery commit's
+    // quiesce sees them all).
+    if (monitor_ != nullptr) monitor_->flush(tid_);
     if (parallel_ && m_.cut_wanted(barriers_crossed_)) {
-      // Push this thread's buffered reports to the monitor (a recovery
-      // commit's quiesce must see them), then stage the snapshot BEFORE
-      // arriving: the releasing thread assembles the cut while every
-      // stager is blocked inside the barrier.
-      if (monitor_ != nullptr) monitor_->flush(tid_);
+      // Stage the snapshot BEFORE arriving: the releasing thread assembles
+      // the cut while every stager is blocked inside the barrier.
       m_.stage_cut(tid_, barriers_crossed_, capture_snapshot());
     }
     m_.coordinator_.barrier_wait(tid_);
@@ -607,6 +608,9 @@ class ThreadRunner {
   // --- Execution -----------------------------------------------------------
 
   void poll() {
+    // The periodic poll is a flush point too: a thread that loops without
+    // reporting or reaching a barrier still publishes what it buffered.
+    if (monitor_ != nullptr) monitor_->flush(tid_);
     if (m_.coordinator_.abort_requested()) {
       trap(TrapKind::Aborted, "aborted by peer");
     }

@@ -8,7 +8,9 @@
 //     recorded as the monitor differential suite records them, and
 //   * seeded synthetic streams: 2-8 threads, shuffled interleavings, all
 //     four CheckCodes, several pending caps, `degraded` toggling, and
-//     finalize()/clear() calls in mid-stream.
+//     finalize()/clear() calls in mid-stream, and
+//   * the same over keys that alias in the table's 64-entry level-1 memo:
+//     static_ids equal mod 64, and one static_id under many contexts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -194,17 +196,32 @@ std::vector<BranchReport> shuffle_interleave(const Streams& streams,
   return order;
 }
 
+/// How synthetic_streams names its branch keys.
+enum class Keys {
+  Few,        // up to 6 keys over 3 static_ids and 2 contexts
+  MemoAlias,  // up to 12 keys that all share one level-1 memo entry
+};
+
 /// Synthetic streams: a handful of branch keys over every CheckCode, most
 /// threads reaching most instances, legal outcome patterns with sparse
 /// flips, now and then a repeated report, and partial values that are
 /// sometimes unique to their thread (a group of one, which never fires).
-Streams synthetic_streams(unsigned threads, support::SplitMixRng& rng) {
+/// MemoAlias keys alternate between static_ids 7, 71, 135, ... (equal
+/// mod 64) under one context and static_id 7 under a context per key.
+Streams synthetic_streams(unsigned threads, support::SplitMixRng& rng,
+                          Keys shape = Keys::Few) {
   Streams streams(threads);
-  const unsigned keys = 1 + static_cast<unsigned>(rng.next_below(6));
+  const bool alias = shape == Keys::MemoAlias;
+  const unsigned keys =
+      1 + static_cast<unsigned>(rng.next_below(alias ? 12 : 6));
   for (unsigned k = 0; k < keys; ++k) {
     const auto check = static_cast<CheckCode>(rng.next_below(4));
-    const std::uint32_t static_id = 1 + k % 3;
-    const std::uint64_t ctx = 100 + k / 3;
+    const std::uint32_t static_id = !alias       ? 1 + k % 3
+                                    : k % 2 == 0 ? 7 + 64 * (k / 2)
+                                                 : 7;
+    const std::uint64_t ctx = !alias       ? 100 + k / 3
+                              : k % 2 == 0 ? 100
+                                           : 100 + k;
     const unsigned iterations = 20 + static_cast<unsigned>(rng.next_below(80));
     for (unsigned i = 0; i < iterations; ++i) {
       const unsigned boundary =
@@ -233,14 +250,14 @@ Streams synthetic_streams(unsigned threads, support::SplitMixRng& rng) {
   return streams;
 }
 
-class BranchTableOracle : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(BranchTableOracle, SyntheticStreamsMatchTheTwoLevelModel) {
-  const std::uint64_t seed = GetParam();
+/// Replays seed `seed`'s synthetic streams of key shape `shape` through
+/// the table and the model at several pending caps, with `degraded`
+/// toggling and finalize()/clear() in mid-stream.
+void replay_synthetic(std::uint64_t seed, Keys shape) {
   support::SplitMixRng rng(seed);
   const unsigned threads = 2 + static_cast<unsigned>(rng.next_below(7));
   const std::vector<BranchReport> order =
-      shuffle_interleave(synthetic_streams(threads, rng), rng);
+      shuffle_interleave(synthetic_streams(threads, rng, shape), rng);
   for (std::size_t cap : {std::size_t{0}, std::size_t{1}, std::size_t{2},
                           std::size_t{4}, std::size_t{1} << 15}) {
     const std::string where = "seed=" + std::to_string(seed) +
@@ -270,6 +287,16 @@ TEST_P(BranchTableOracle, SyntheticStreamsMatchTheTwoLevelModel) {
     table.finalize(degraded);
     expect_same(oracle, table, where);
   }
+}
+
+class BranchTableOracle : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(BranchTableOracle, SyntheticStreamsMatchTheTwoLevelModel) {
+  replay_synthetic(GetParam(), Keys::Few);
+}
+
+TEST_P(BranchTableOracle, MemoAliasingStreamsMatchTheTwoLevelModel) {
+  replay_synthetic(GetParam(), Keys::MemoAlias);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BranchTableOracle,

@@ -108,6 +108,9 @@ class Backed {
     return monitor_ ? static_cast<BranchSink&>(*monitor_) : *session_;
   }
   void send(const BranchReport& r) { sink().send(r); }
+  /// Publishes what `thread` sent (BranchSink::flush): a wait on the
+  /// consumer must follow one.
+  void flush(std::uint32_t thread) { sink().flush(thread); }
   MonitorHealth health() { return sink().health(); }
   void finish() {
     if (monitor_) {
@@ -274,6 +277,7 @@ TEST_P(SharedResilience, DegradedSkipsUnverifiableIncompleteInstances) {
   options.fault_hooks.drop_report_index = 1;  // first popped report is lost
   Backed run(GetParam(), 4, options);
   run.send(report(0, 99, CheckCode::SharedOutcome, true));  // sacrificed
+  run.flush(0);
   ASSERT_TRUE(wait_for_health(run.sink(), MonitorHealth::Degraded));
   // An incomplete, divergent instance: in a healthy monitor the finalize
   // path would flag this subset (see Monitor.FinalizeChecksIncomplete-
@@ -295,6 +299,7 @@ TEST_P(SharedResilience, DegradedStillChecksCompleteInstances) {
   options.fault_hooks.drop_report_index = 1;
   Backed run(GetParam(), 4, options);
   run.send(report(0, 99, CheckCode::SharedOutcome, true));  // sacrificed
+  run.flush(0);
   ASSERT_TRUE(wait_for_health(run.sink(), MonitorHealth::Degraded));
   // All four threads report, one deviates: a complete instance carries no
   // ambiguity, so detection must still fire while degraded.
