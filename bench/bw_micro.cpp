@@ -5,7 +5,8 @@
 //  * per-category instance checks
 //  * branch-table filing (process + finalize) per CheckCode, and under
 //    eviction pressure
-//  * monitor end-to-end report throughput
+//  * monitor end-to-end report throughput, and the minor page faults of
+//    a monitor's whole start-send-stop lifetime and of a protected run
 //  * front-end compile, similarity analysis (paper: < 1 s per program),
 //    and instrumentation pass latency per benchmark kernel
 //  * VM throughput, baseline vs instrumented, and the interpreter-vs-
@@ -15,12 +16,14 @@
 // google-benchmark flags) to pin the tier the BM_VmExecute cases run on;
 // BM_VmTier always benchmarks both tiers side by side regardless.
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <thread>
+#include <vector>
 
 #include "analysis/similarity.h"
 #include "benchmarks/registry.h"
@@ -243,6 +246,96 @@ void BM_MonitorThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1024 * kThreads);
 }
 BENCHMARK(BM_MonitorThroughput);
+
+/// Minor page faults this process has taken so far.
+std::int64_t minor_faults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
+/// One protected run's monitor lifetime, as execute() drives it: construct
+/// and start a Monitor, send 40k synthetic reports from each of 3 producer
+/// threads, then stop. `minflt_per_run` counts the minor page faults per
+/// lifetime (ring slots and table slab faulted in, or reused warm).
+/// Between lifetimes, untimed, an unprotected 3-thread run of water_nsq
+/// comes and goes, as in perfbench's protect-steady loop, so the allocator
+/// may hand the freed rings' pages back to the kernel in between.
+void BM_MonitorRoundTrip(benchmark::State& state) {
+  constexpr unsigned kThreads = 3;
+  constexpr std::uint32_t kReports = 40'000;
+  const pipeline::CompiledProgram program =
+      pipeline::compile_program(benchmarks::find_benchmark("water_nsq")->source);
+  pipeline::ExecutionConfig unprotected;
+  unprotected.num_threads = kThreads;
+  unprotected.monitor = pipeline::MonitorMode::Off;
+  std::int64_t faults = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    benchmark::DoNotOptimize(pipeline::execute(program, unprotected).run.ok);
+    state.ResumeTiming();
+    const std::int64_t before = minor_faults();
+    runtime::Monitor monitor(kThreads);
+    monitor.start();
+    std::vector<std::thread> producers;
+    for (unsigned t = 0; t < kThreads; ++t) {
+      producers.emplace_back([&monitor, t] {
+        runtime::BranchReport report;
+        report.thread = t;
+        report.check = runtime::CheckCode::SharedOutcome;
+        report.outcome = true;
+        for (std::uint32_t i = 0; i < kReports; ++i) {
+          report.static_id = 1 + i % 8;
+          report.iter_hash = i / 8;
+          monitor.send(report);
+        }
+        monitor.flush(t);
+      });
+    }
+    for (std::thread& producer : producers) producer.join();
+    monitor.stop();
+    benchmark::DoNotOptimize(monitor.stats().reports_processed);
+    faults += minor_faults() - before;
+  }
+  state.SetItemsProcessed(state.iterations() * kReports * kThreads);
+  state.counters["minflt_per_run"] = benchmark::Counter(
+      static_cast<double>(faults), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_MonitorRoundTrip)->UseRealTime();
+
+/// A steady-state protected execute() of each kernel at 3 threads, in
+/// perfbench's protect-steady shape: every protected run follows an
+/// unprotected run of the same kernel, and one warm-up pair runs first.
+/// `minflt_per_run` counts the protected run's minor page faults.
+void BM_ProtectedExecuteFaults(benchmark::State& state) {
+  const benchmarks::Benchmark& bench =
+      benchmarks::all_benchmarks()[static_cast<std::size_t>(state.range(0))];
+  state.SetLabel(bench.name);
+  const pipeline::CompiledProgram baseline =
+      pipeline::compile_program(bench.source);
+  const pipeline::CompiledProgram program =
+      pipeline::protect_program(bench.source);
+  pipeline::ExecutionConfig unprotected;
+  unprotected.num_threads = 3;
+  unprotected.exec_tier = g_tier;
+  unprotected.monitor = pipeline::MonitorMode::Off;
+  pipeline::ExecutionConfig config = unprotected;
+  config.monitor = pipeline::MonitorMode::Full;
+  benchmark::DoNotOptimize(pipeline::execute(baseline, unprotected).run.ok);
+  benchmark::DoNotOptimize(pipeline::execute(program, config).run.ok);
+  std::int64_t faults = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    benchmark::DoNotOptimize(pipeline::execute(baseline, unprotected).run.ok);
+    state.ResumeTiming();
+    const std::int64_t before = minor_faults();
+    benchmark::DoNotOptimize(pipeline::execute(program, config).run.ok);
+    faults += minor_faults() - before;
+  }
+  state.counters["minflt_per_run"] = benchmark::Counter(
+      static_cast<double>(faults), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_ProtectedExecuteFaults)->DenseRange(0, 6)->UseRealTime();
 
 void BM_Compile(benchmark::State& state) {
   const benchmarks::Benchmark& bench =

@@ -4,6 +4,7 @@
 #include <bit>
 #include <span>
 
+#include "runtime/block_cache.h"
 #include "support/prng.h"
 #include "support/telemetry/telemetry.h"
 
@@ -51,6 +52,15 @@ BranchTable::BranchTable(unsigned num_threads,
       on_violation_(std::move(on_violation)),
       slot_stride_(sizeof(Slot) +
                    std::size_t{num_threads} * sizeof(ThreadObservation)) {}
+
+BranchTable::~BranchTable() {
+  BlockCache& cache = BlockCache::instance();
+  for (std::byte* chunk : chunks_) {
+    cache.release(chunk, kChunkSlots * slot_stride_, alignof(Slot));
+  }
+  cache.release(cells_, cell_count_ * sizeof(std::uint64_t),
+                alignof(std::uint64_t));
+}
 
 std::uint32_t BranchTable::branch_for(const BranchReport& report) {
   MemoEntry& memo = memo_[report.static_id & (kMemoEntries - 1)];
@@ -102,7 +112,7 @@ std::uint32_t BranchTable::find_instance(std::uint32_t branch,
                                          std::uint64_t hash,
                                          std::size_t& pos) {
   const std::uint32_t tag = cell_tag(hash);
-  const std::size_t mask = cells_.size() - 1;
+  const std::size_t mask = cell_count_ - 1;
   for (pos = home_of(tag, cell_bits_);; pos = (pos + 1) & mask) {
     const std::uint64_t cell = cells_[pos];
     if (cell == 0) return kNone;
@@ -117,7 +127,7 @@ std::uint32_t BranchTable::find_instance(std::uint32_t branch,
 
 std::size_t BranchTable::cell_of(std::uint32_t s, std::uint64_t hash) const {
   const std::uint64_t slot_bits = std::uint64_t{s} + 1;
-  const std::size_t mask = cells_.size() - 1;
+  const std::size_t mask = cell_count_ - 1;
   std::size_t pos = home_of(cell_tag(hash), cell_bits_);
   while (static_cast<std::uint32_t>(cells_[pos]) != slot_bits) {
     pos = (pos + 1) & mask;
@@ -135,8 +145,8 @@ std::uint32_t BranchTable::insert_instance(std::uint32_t branch,
   } else {
     s = slots_used_++;
     if ((s >> kChunkShift) == chunks_.size()) {
-      chunks_.push_back(std::make_unique<std::byte[]>(kChunkSlots *
-                                                      slot_stride_));
+      chunks_.push_back(static_cast<std::byte*>(BlockCache::instance().acquire(
+          kChunkSlots * slot_stride_, alignof(Slot))));
     }
   }
   Branch& owner = branches_[branch];
@@ -178,7 +188,7 @@ void BranchTable::erase_instance(std::uint32_t s, std::size_t hole) {
 
   // Close the slot's cell by backward shifting: a later cell moves into
   // the hole when the hole lies between its home and it.
-  const std::size_t mask = cells_.size() - 1;
+  const std::size_t mask = cell_count_ - 1;
   for (std::size_t next = (hole + 1) & mask; cells_[next] != 0;
        next = (next + 1) & mask) {
     const std::size_t home =
@@ -197,22 +207,30 @@ void BranchTable::erase_instance(std::uint32_t s, std::size_t hole) {
 
 void BranchTable::grow_cells() {
   const unsigned bits = std::max(cell_bits_ + 1, kMinCellBits);
-  std::vector<std::uint64_t> grown(std::size_t{1} << bits, 0);
-  const std::size_t mask = grown.size() - 1;
-  for (std::uint64_t cell : cells_) {
+  const std::size_t count = std::size_t{1} << bits;
+  BlockCache& cache = BlockCache::instance();
+  auto* grown = static_cast<std::uint64_t*>(
+      cache.acquire(count * sizeof(std::uint64_t), alignof(std::uint64_t)));
+  std::fill_n(grown, count, 0);
+  const std::size_t mask = count - 1;
+  for (std::size_t i = 0; i < cell_count_; ++i) {
+    const std::uint64_t cell = cells_[i];
     if (cell == 0) continue;
     std::size_t pos = home_of(static_cast<std::uint32_t>(cell >> 32), bits);
     while (grown[pos] != 0) pos = (pos + 1) & mask;
     grown[pos] = cell;
   }
-  cells_.swap(grown);
+  cache.release(cells_, cell_count_ * sizeof(std::uint64_t),
+                alignof(std::uint64_t));
+  cells_ = grown;
+  cell_count_ = count;
   cell_bits_ = bits;
 }
 
 void BranchTable::process(const BranchReport& report, bool degraded) {
   const std::uint32_t branch = branch_for(report);
   const std::uint64_t hash = instance_hash(branch, report.iter_hash);
-  if (2 * (std::size_t{live_} + 1) > cells_.size()) grow_cells();
+  if (2 * (std::size_t{live_} + 1) > cell_count_) grow_cells();
   // One probe sequence: it ends at the instance's cell, or at the empty
   // cell where a new instance goes.
   std::size_t pos = 0;
@@ -311,7 +329,7 @@ void BranchTable::clear() {
 void BranchTable::reset() {
   // Emptied indexes and chunks keep their memory for the next section.
   memo_.fill(MemoEntry{});
-  if (live_ != 0) std::fill(cells_.begin(), cells_.end(), 0);
+  if (live_ != 0) std::fill_n(cells_, cell_count_, 0);
   live_ = 0;
   std::fill(branch_index_.begin(), branch_index_.end(), 0);
   branches_.clear();

@@ -32,6 +32,13 @@
 //     so growth never copies. A pending instance costs
 //     32 + 16 * num_threads bytes of slot plus 16-32 bytes of index cells.
 //
+// Memory. The chunks and the cell index are the buffers that grow with a
+// run's traffic; they come from the process-wide BlockCache and go back to
+// it when the table is destroyed (or, for an outgrown cell index, when it
+// grows), so the next run's table reuses pages already faulted in. A
+// recycled block is raw memory: every slot and observation is placement-
+// built when handed out, and the cell index is zeroed when taken.
+//
 // Order. Eviction is FIFO per branch: the oldest pending instance (the
 // list head) goes first, in O(1), and the instance being filed is never
 // evicted. finalize() visits branches in first-seen order and each
@@ -47,7 +54,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <new>
 #include <vector>
 
@@ -64,6 +70,11 @@ class BranchTable {
 
   BranchTable(unsigned num_threads, std::size_t max_pending_per_branch,
               ViolationHook on_violation = {});
+  /// Gives the chunks and the cell index back to the BlockCache.
+  ~BranchTable();
+
+  BranchTable(const BranchTable&) = delete;
+  BranchTable& operator=(const BranchTable&) = delete;
 
   /// File one report. Eagerly checks-and-erases instances once every
   /// thread reported an outcome; evicts the oldest pending instance of an
@@ -119,7 +130,7 @@ class BranchTable {
 
   // A slot's metadata is followed directly by its observations.
   std::byte* slot_bytes(std::uint32_t s) {
-    return chunks_[s >> kChunkShift].get() +
+    return chunks_[s >> kChunkShift] +
            std::size_t{s & (kChunkSlots - 1)} * slot_stride_;
   }
   Slot& slot(std::uint32_t s) {
@@ -158,11 +169,12 @@ class BranchTable {
   std::array<MemoEntry, kMemoEntries> memo_{};  // cleared by reset()
   std::vector<Branch> branches_;            // first-seen order
   std::vector<std::uint32_t> branch_index_;  // branch + 1, 0 = empty
-  std::vector<std::uint64_t> cells_;        // tag << 32 | (slot + 1)
-  unsigned cell_bits_ = 0;                  // cells_.size() == 1 << bits
+  std::uint64_t* cells_ = nullptr;          // tag << 32 | (slot + 1)
+  std::size_t cell_count_ = 0;              // 0, or 1 << cell_bits_
+  unsigned cell_bits_ = 0;
   std::uint32_t live_ = 0;                  // pending instances
   std::size_t slot_stride_;  // sizeof(Slot) + observations
-  std::vector<std::unique_ptr<std::byte[]>> chunks_;
+  std::vector<std::byte*> chunks_;  // kChunkSlots * slot_stride_ each
   std::uint32_t slots_used_ = 0;  // slots ever handed out since reset()
   std::uint32_t free_head_ = kNone;
 

@@ -17,11 +17,15 @@
 // - Burst consumption. consume() hands up to `max` slots to a callback in
 //   place and frees them all with one tail_ store.
 // - Slots built on first push. Storage is raw memory; the first lap
-//   constructs each slot in place and later laps assign to it, so a ring
-//   touches only the pages it actually carries items through, and T need
-//   not be default-constructible.
+//   constructs each slot in place and later laps assign to it, so T need
+//   not be default-constructible and a run touches only the slots it
+//   carries items through.
+// - Recycled storage. The slot block comes from, and goes back to, the
+//   process-wide BlockCache, so the next ring of the same shape reuses
+//   pages an earlier run already faulted in. To the new ring the block is
+//   raw memory, built again on its first lap.
 //
-// No locks, and no dynamic allocation after construction.
+// No locks on the wire, and no dynamic allocation after construction.
 #pragma once
 
 #include <algorithm>
@@ -31,6 +35,8 @@
 #include <new>
 #include <utility>
 #include <vector>
+
+#include "runtime/block_cache.h"
 
 namespace bw::runtime {
 
@@ -43,7 +49,7 @@ class SpscQueue {
     std::size_t cap = 2;
     while (cap < capacity_hint + 1) cap <<= 1;
     slots_ = static_cast<T*>(
-        ::operator new(cap * sizeof(T), std::align_val_t{alignof(T)}));
+        BlockCache::instance().acquire(cap * sizeof(T), alignof(T)));
     mask_ = cap - 1;
   }
 
@@ -51,7 +57,8 @@ class SpscQueue {
   /// with the ring (joined, or otherwise ordered before the destructor).
   ~SpscQueue() {
     std::destroy_n(slots_, constructed_);
-    ::operator delete(slots_, std::align_val_t{alignof(T)});
+    BlockCache::instance().release(slots_, (mask_ + 1) * sizeof(T),
+                                   alignof(T));
   }
 
   SpscQueue(const SpscQueue&) = delete;

@@ -40,6 +40,8 @@ const char* to_string(Counter counter) {
     case Counter::SamplingSnapBacks: return "monitor.sampling_snap_backs";
     case Counter::DecodeCacheHits: return "vm.decode_cache_hits";
     case Counter::DecodeCacheMisses: return "vm.decode_cache_misses";
+    case Counter::BlockCacheHits: return "runtime.block_cache_hits";
+    case Counter::BlockCacheMisses: return "runtime.block_cache_misses";
     case Counter::SessionsAdmitted: return "service.sessions_admitted";
     case Counter::SessionsRejected: return "service.sessions_rejected";
     case Counter::SessionsEvicted: return "service.sessions_evicted";

@@ -79,6 +79,10 @@ enum class Counter : std::uint16_t {
   // Execution-tier decode cache (vm/dispatch.cpp).
   DecodeCacheHits,
   DecodeCacheMisses,
+  // Monitor buffer cache (runtime/block_cache.h): ring slots and table
+  // slabs served warm from an earlier run, or fresh from the allocator.
+  BlockCacheHits,
+  BlockCacheMisses,
   // Multi-tenant monitor service (runtime/monitor_service.h).
   SessionsAdmitted,
   SessionsRejected,   // admission refused: table full / stopped / bad config

@@ -21,6 +21,7 @@
 
 #include "kernel_generator.h"
 #include "pipeline/pipeline.h"
+#include "runtime/block_cache.h"
 #include "runtime/branch_table.h"
 #include "support/prng.h"
 #include "test_support.h"
@@ -250,9 +251,48 @@ Streams synthetic_streams(unsigned threads, support::SplitMixRng& rng,
   return streams;
 }
 
-/// Replays seed `seed`'s synthetic streams of key shape `shape` through
-/// the table and the model at several pending caps, with `degraded`
-/// toggling and finalize()/clear() in mid-stream.
+/// What a table replay ends with: its violations and counters.
+using ReplayResult = std::tuple<std::vector<ViolationTuple>, std::uint64_t,
+                                std::uint64_t, std::uint64_t>;
+
+/// Replays `order` through the table and the model at pending cap `cap`,
+/// with `degraded` toggling and finalize()/clear() in mid-stream as
+/// `events` rolls, and returns what the table ended with.
+ReplayResult replay_once(const std::vector<BranchReport>& order,
+                         unsigned threads, std::size_t cap,
+                         support::SplitMixRng events,
+                         const std::string& where) {
+  OracleTable oracle(threads, cap);
+  runtime::BranchTable table(threads, cap);
+  bool degraded = false;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    oracle.process(order[i], degraded);
+    table.process(order[i], degraded);
+    const std::uint64_t roll = events.next_below(1000);
+    if (roll < 4) degraded = !degraded;
+    if (roll == 4) {
+      oracle.finalize(degraded);
+      table.finalize(degraded);
+    }
+    if (roll == 5) {
+      expect_same(oracle, table,
+                  where + " before clear at " + std::to_string(i));
+      oracle.clear();
+      table.clear();
+    }
+  }
+  oracle.finalize(degraded);
+  table.finalize(degraded);
+  expect_same(oracle, table, where);
+  return {sorted_tuples(table.violations()), table.instances_checked(),
+          table.instances_evicted(), table.instances_skipped()};
+}
+
+/// Replays seed `seed`'s synthetic streams of key shape `shape` at several
+/// pending caps, each twice: the second table is built on the chunks and
+/// cell index the first one left in the BlockCache, and must end with the
+/// same violations and counters, so no observation of the first replay
+/// leaks into it.
 void replay_synthetic(std::uint64_t seed, Keys shape) {
   support::SplitMixRng rng(seed);
   const unsigned threads = 2 + static_cast<unsigned>(rng.next_below(7));
@@ -263,29 +303,14 @@ void replay_synthetic(std::uint64_t seed, Keys shape) {
     const std::string where = "seed=" + std::to_string(seed) +
                               " threads=" + std::to_string(threads) +
                               " cap=" + std::to_string(cap);
-    support::SplitMixRng events(seed * 31 + cap);
-    OracleTable oracle(threads, cap);
-    runtime::BranchTable table(threads, cap);
-    bool degraded = false;
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      oracle.process(order[i], degraded);
-      table.process(order[i], degraded);
-      const std::uint64_t roll = events.next_below(1000);
-      if (roll < 4) degraded = !degraded;
-      if (roll == 4) {
-        oracle.finalize(degraded);
-        table.finalize(degraded);
-      }
-      if (roll == 5) {
-        expect_same(oracle, table, where + " before clear at " +
-                                       std::to_string(i));
-        oracle.clear();
-        table.clear();
-      }
-    }
-    oracle.finalize(degraded);
-    table.finalize(degraded);
-    expect_same(oracle, table, where);
+    const support::SplitMixRng events(seed * 31 + cap);
+    const ReplayResult first = replay_once(order, threads, cap, events, where);
+    const std::uint64_t hits = runtime::BlockCache::instance().stats().hits;
+    const ReplayResult second =
+        replay_once(order, threads, cap, events, where + " recycled");
+    EXPECT_GT(runtime::BlockCache::instance().stats().hits, hits)
+        << where << ": the second table got no recycled block";
+    EXPECT_EQ(second, first) << where;
   }
 }
 

@@ -2,6 +2,8 @@
 // sets and on subsets, including parameterized sweeps over thread counts.
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "runtime/checker.h"
 
 namespace {
@@ -69,6 +71,32 @@ TEST(CheckerThreadIdEq, TwoDeviatorsFail) {
                              outcomes({1, 1, 0, 0})));
   EXPECT_TRUE(check_instance(CheckCode::ThreadIdEq,
                              outcomes({1, 0, 1, 0, 1, 1})));
+}
+
+// A violation needs two threads on each side, so an instance with fewer
+// than four reporters can never fire: at three program threads every
+// ThreadIdEq report is vacuous. Exhaustive over instance widths up to 6,
+// every reporting subset of at most 3 threads and every outcome pattern.
+TEST(CheckerThreadIdEq, NeverFiresWithFewerThanFourReporters) {
+  for (unsigned width = 1; width <= 6; ++width) {
+    for (unsigned reporters = 0; reporters < (1u << width); ++reporters) {
+      if (std::popcount(reporters) > 3) continue;
+      for (unsigned taken = 0; taken < (1u << width); ++taken) {
+        if ((taken & ~reporters) != 0) continue;  // outcomes of reporters
+        std::vector<int> pattern(width, -1);
+        for (unsigned t = 0; t < width; ++t) {
+          if (reporters >> t & 1u) pattern[t] = taken >> t & 1u;
+        }
+        EXPECT_FALSE(check_instance(CheckCode::ThreadIdEq, outcomes(pattern)))
+            << "width=" << width << " reporters=" << reporters
+            << " taken=" << taken;
+      }
+    }
+  }
+  // Four reporters split two against two is the smallest violation.
+  EXPECT_TRUE(check_instance(CheckCode::ThreadIdEq, outcomes({1, 1, 0, 0})));
+  EXPECT_TRUE(
+      check_instance(CheckCode::ThreadIdEq, outcomes({1, -1, 0, 1, 0})));
 }
 
 // --- ThreadIdMonotone -------------------------------------------------------------
