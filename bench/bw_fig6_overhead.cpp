@@ -31,8 +31,6 @@
 // instrumented build (analysis/similarity.h ElisionMode); comparing
 // syntactic against proof (the default) on these axes prices the checks
 // that proof-backed elision refuses to drop.
-#include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -41,6 +39,7 @@
 #include <vector>
 
 #include "bench_json.h"
+#include "execute_timing.h"
 #include "benchmarks/registry.h"
 #include "pipeline/pipeline.h"
 
@@ -53,37 +52,19 @@ std::size_t g_batch = 16;
 vm::ExecTier g_tier = vm::ExecTier::Auto;
 analysis::ElisionMode g_elision = analysis::ElisionMode::ProofBacked;
 
-/// Median seconds of `reps` runs: the parallel section, and the whole
-/// execute() call.
-struct Timing {
-  double parallel_s = 0.0;
-  double execute_s = 0.0;
-};
-
-Timing median_seconds(const pipeline::CompiledProgram& program,
-                      unsigned threads, pipeline::MonitorMode mode, int reps) {
-  std::vector<double> parallel;
-  std::vector<double> whole;
-  for (int r = 0; r < reps; ++r) {
-    pipeline::ExecutionConfig config;
-    config.num_threads = threads;
-    config.exec_tier = g_tier;
-    config.monitor = mode;
-    config.stop_on_detection = false;
-    if (mode != pipeline::MonitorMode::Off) {
-      config.monitor_shards = g_shards;
-      config.monitor_batch = g_batch;
-    }
-    const auto start = std::chrono::steady_clock::now();
-    pipeline::ExecutionResult result = pipeline::execute(program, config);
-    whole.push_back(std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - start)
-                        .count());
-    parallel.push_back(static_cast<double>(result.run.parallel_ns) * 1e-9);
+bench::Timing median_seconds(const pipeline::CompiledProgram& program,
+                             unsigned threads, pipeline::MonitorMode mode,
+                             int reps) {
+  pipeline::ExecutionConfig config;
+  config.num_threads = threads;
+  config.exec_tier = g_tier;
+  config.monitor = mode;
+  config.stop_on_detection = false;
+  if (mode != pipeline::MonitorMode::Off) {
+    config.monitor_shards = g_shards;
+    config.monitor_batch = g_batch;
   }
-  std::sort(parallel.begin(), parallel.end());
-  std::sort(whole.begin(), whole.end());
-  return {parallel[parallel.size() / 2], whole[whole.size() / 2]};
+  return bench::median_seconds(program, config, reps);
 }
 
 }  // namespace
@@ -147,9 +128,9 @@ int main(int argc, char** argv) {
     double e2e[2];
     unsigned thread_counts[2] = {4, 32};
     for (int i = 0; i < 2; ++i) {
-      const Timing base = median_seconds(
+      const bench::Timing base = median_seconds(
           baseline, thread_counts[i], pipeline::MonitorMode::Off, reps);
-      const Timing inst =
+      const bench::Timing inst =
           median_seconds(protected_program, thread_counts[i],
                          pipeline::MonitorMode::DrainOnly, reps);
       ratios[i] =

@@ -42,6 +42,8 @@ void publish_execution(const ExecutionResult& result,
                        const ExecutionConfig& config) {
   if (!telemetry::enabled()) return;
   telemetry::counter_add(telemetry::Counter::RunsExecuted);
+  telemetry::counter_add(telemetry::Counter::ReportsMuted,
+                         result.run.reports_muted);
   telemetry::counter_add(telemetry::Counter::ReportsProcessed,
                          result.monitor_stats.reports_processed);
   telemetry::counter_add(telemetry::Counter::InstancesChecked,

@@ -14,6 +14,7 @@ const char* to_string(Counter counter) {
     case Counter::ReportsDropped: return "monitor.reports_dropped";
     case Counter::BatchesFlushed: return "monitor.batches_flushed";
     case Counter::QueueFullEvents: return "monitor.queue_full_events";
+    case Counter::ReportsMuted: return "monitor.reports_muted";
     case Counter::ReportsProcessed: return "monitor.reports_processed";
     case Counter::InstancesChecked: return "monitor.instances_checked";
     case Counter::InstancesSkipped: return "monitor.instances_skipped";

@@ -48,6 +48,8 @@ enum class Counter : std::uint16_t {
   ReportsDropped,      // producer give-ups (backoff exhausted / Failed)
   BatchesFlushed,      // sharded: producer batches pushed across a ring
   QueueFullEvents,     // first-try push failures (ring momentarily full)
+  ReportsMuted,        // sends skipped: the site's check cannot fire at
+                       // the run's thread count (runtime::min_reporters)
   // Monitor verdicts (consumer side, folded in from MonitorStats).
   ReportsProcessed,
   InstancesChecked,

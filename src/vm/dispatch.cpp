@@ -911,7 +911,7 @@ RtValue ThreadRunner::call_threaded(std::uint32_t func_index,
   }
   // --- BLOCKWATCH instrumentation ------------------------------------------
   BW_CASE(BwSendCond) {
-    if (monitor_ != nullptr) {
+    if (monitor_ != nullptr && !muted(t->imm)) {
       std::uint64_t h = 0x6a09e667f3bcc909ULL;
       for (std::uint32_t k = 0; k < t->b; ++k) {
         h = support::hash_combine(

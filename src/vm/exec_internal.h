@@ -31,6 +31,7 @@
 #include <utility>
 #include <vector>
 
+#include "runtime/checker.h"
 #include "runtime/context_tracker.h"
 #include "support/diagnostics.h"
 #include "support/prng.h"
@@ -390,6 +391,8 @@ class ThreadRunner {
         tid_(tid),
         parallel_(parallel_section),
         monitor_(machine.options_.monitor),
+        muted_checks_(
+            runtime::unfireable_checks(machine.options_.num_threads)),
         recovery_(parallel_section ? machine.recovery_.get() : nullptr),
         phase_(parallel_section && machine.options_.phase.active
                    ? &machine.options_.phase
@@ -463,6 +466,7 @@ class ThreadRunner {
     }
     outcome_.instructions = instructions_;
     outcome_.branches = branches_;
+    outcome_.reports_muted = reports_muted_;
     outcome_.output = std::move(output_);
     return std::move(outcome_);
   }
@@ -923,6 +927,13 @@ class ThreadRunner {
 
   // --- Monitor client ----------------------------------------------------------
 
+  /// Does this site's check need more reporters than the run has threads?
+  /// Then no instance of it can fire (runtime::min_reporters), and the site
+  /// sends nothing: no hash, no report.
+  bool muted(std::uint32_t imm) const {
+    return (muted_checks_ >> (imm >> 24) & 1u) != 0;
+  }
+
   /// sendBranchCondition: hash the condition data before the branch and
   /// latch it for the edge report. It must be captured here, not re-read
   /// on the edge: a CondBit fault corrupts the operand inside cond_br.
@@ -948,6 +959,10 @@ class ThreadRunner {
   /// nothing to group by and sends nothing (sound: checks hold on
   /// subsets).
   void send_outcome(std::uint32_t imm, bool outcome_flag) {
+    if (muted(imm)) {
+      ++reports_muted_;
+      return;
+    }
     runtime::BranchReport report = base_report(imm);
     report.outcome = outcome_flag;
     const bool latched = latched_imm_ == imm;
@@ -974,6 +989,9 @@ class ThreadRunner {
   unsigned tid_;
   bool parallel_;
   runtime::BranchSink* monitor_;
+  /// Bit c set: CheckCode c cannot fire at this run's thread count
+  /// (RunOptions::num_threads), so its sites are muted.
+  std::uint8_t muted_checks_;
   RecoveryCoordinator* recovery_;  // null unless recovery is enabled
   const PhasePlan* phase_;  // null unless a phase plan is active
   /// Golden-capture block profiling is on (phase_->block_profile set).
@@ -989,6 +1007,9 @@ class ThreadRunner {
   std::uint64_t instructions_ = 0;
   std::uint64_t branches_ = 0;
   std::uint64_t barriers_crossed_ = 0;
+  /// Sends skipped at muted sites, across every timeline a rollback
+  /// replays (like the monitor's own report counts).
+  std::uint64_t reports_muted_ = 0;
   /// Condition data latched by bw.send_cond for the next edge report of
   /// the same site (imm 0 = none; a PartialValue imm is never 0).
   std::uint32_t latched_imm_ = 0;

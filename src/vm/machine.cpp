@@ -339,7 +339,9 @@ RtValue ThreadRunner::call(std::uint32_t func_index,
         break;
       // --- BLOCKWATCH instrumentation ------------------------------------------------
       case ir::Opcode::BwSendCond: {
-        if (monitor_ != nullptr) latch_condition(d, regs.data());
+        if (monitor_ != nullptr && !muted(d.imm)) {
+          latch_condition(d, regs.data());
+        }
         break;
       }
       case ir::Opcode::BwSendOutcome: {
@@ -409,6 +411,7 @@ RunResult Machine::run() {
     }
     result.output += init_outcome.output;
     result.total_instructions += init_outcome.instructions;
+    result.reports_muted += init_outcome.reports_muted;
   }
 
   std::uint32_t entry_index =
@@ -482,6 +485,7 @@ RunResult Machine::run() {
     result.output += t.output;
     result.total_instructions += t.instructions;
     result.total_branches += t.branches;
+    result.reports_muted += t.reports_muted;
     if (t.trap == TrapKind::Detected) result.detected = true;
     if (t.trap == TrapKind::Deadlock ||
         t.trap == TrapKind::InstructionBudget) {

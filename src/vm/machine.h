@@ -73,6 +73,7 @@ struct ThreadOutcome {
   std::uint64_t instructions = 0;
   std::uint64_t branches = 0;  // dynamic CondBr count (fault targeting)
   bool fault_applied = false;  // this thread reached its planned fault
+  std::uint64_t reports_muted = 0;  // sends skipped at muted sites
   std::string output;          // this thread's print log
 };
 
@@ -129,6 +130,9 @@ struct RunResult {
   std::string output;
   std::uint64_t total_instructions = 0;
   std::uint64_t total_branches = 0;
+  /// Reports not sent because their check cannot fire with this run's
+  /// thread count (runtime::min_reporters), summed over threads.
+  std::uint64_t reports_muted = 0;
   /// Wall-clock of the parallel section, nanoseconds.
   std::uint64_t parallel_ns = 0;
   /// Checkpoint/rollback accounting (all-zero when recovery is off).

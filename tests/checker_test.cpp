@@ -99,6 +99,62 @@ TEST(CheckerThreadIdEq, NeverFiresWithFewerThanFourReporters) {
       check_instance(CheckCode::ThreadIdEq, outcomes({1, -1, 0, 1, 0})));
 }
 
+// --- min_reporters ---------------------------------------------------------------
+
+// min_reporters is exact: with fewer observations no pattern fires, and at
+// that count some pattern does. Exhaustive over instance widths up to 6,
+// every reporting subset and every outcome pattern; partial checks also
+// try every split of the reporters into two condition-data groups.
+TEST(CheckerMinReporters, ExactForEveryCheckCode) {
+  using bw::runtime::min_reporters;
+  using bw::runtime::unfireable_checks;
+  for (CheckCode code : {CheckCode::SharedOutcome, CheckCode::ThreadIdEq,
+                         CheckCode::ThreadIdMonotone,
+                         CheckCode::PartialValue}) {
+    const unsigned need = min_reporters(code);
+    const bool grouped = code == CheckCode::PartialValue;
+    bool fires_at_need = false;
+    for (unsigned width = 1; width <= 6; ++width) {
+      for (unsigned reporters = 0; reporters < (1u << width); ++reporters) {
+        const unsigned count =
+            static_cast<unsigned>(std::popcount(reporters));
+        for (unsigned taken = 0; taken < (1u << width); ++taken) {
+          if ((taken & ~reporters) != 0) continue;  // outcomes of reporters
+          for (unsigned group = 0; group < (grouped ? 1u << width : 1u);
+               ++group) {
+            if ((group & ~reporters) != 0) continue;
+            std::vector<int> pattern(width, -1);
+            for (unsigned t = 0; t < width; ++t) {
+              if (reporters >> t & 1u) pattern[t] = taken >> t & 1u;
+            }
+            std::vector<ThreadObservation> obs = outcomes(pattern);
+            for (unsigned t = 0; t < width; ++t) {
+              obs[t].has_value = grouped;
+              obs[t].value = group >> t & 1u;
+            }
+            const bool fired = check_instance(code, obs).has_value();
+            if (count < need) {
+              EXPECT_FALSE(fired)
+                  << "code=" << static_cast<int>(code) << " width=" << width
+                  << " reporters=" << reporters << " taken=" << taken
+                  << " group=" << group;
+            }
+            if (count == need && fired) fires_at_need = true;
+          }
+        }
+      }
+    }
+    EXPECT_TRUE(fires_at_need) << "code=" << static_cast<int>(code);
+    for (unsigned threads = 0; threads <= 8; ++threads) {
+      EXPECT_EQ((unfireable_checks(threads) >> static_cast<unsigned>(code) &
+                 1u) != 0,
+                threads < need)
+          << "code=" << static_cast<int>(code) << " threads=" << threads;
+    }
+  }
+  EXPECT_EQ(unfireable_checks(4), 0u);
+}
+
 // --- ThreadIdMonotone -------------------------------------------------------------
 
 TEST(CheckerMonotone, PrefixAndSuffixPatternsPass) {

@@ -14,12 +14,18 @@
 // fault::auto_instruction_budget().
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
+#include <map>
 #include <string>
+#include <utility>
 
+#include "benchmarks/registry.h"
 #include "fault/campaign.h"
 #include "kernel_generator.h"
 #include "pipeline/pipeline.h"
+#include "runtime/checker.h"
+#include "test_support.h"
 #include "vm/dispatch.h"
 
 namespace {
@@ -338,6 +344,80 @@ TEST(TierCampaign, CheckpointWrittenByInterpreterResumesUnderThreaded) {
   expect_campaigns_identical(reference, resumed,
                              "interpreter checkpoint -> threaded resume");
   std::remove(ckpt.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Muted sites: below a check's min_reporters the VM sends none of its
+// reports, identically on both tiers.
+// ---------------------------------------------------------------------------
+
+/// One tier's report stream, counted per (check, static site).
+struct SiteCounts {
+  std::map<std::pair<int, std::uint32_t>, std::uint64_t> per_site;
+  std::array<std::uint64_t, 4> per_code{};
+  std::uint64_t muted = 0;
+};
+
+SiteCounts record_reports(const pipeline::CompiledProgram& program,
+                          unsigned threads, vm::ExecTier tier) {
+  test::RecorderSink sink(threads);
+  vm::RunOptions options;
+  options.num_threads = threads;
+  options.tier = tier;
+  options.monitor = &sink;
+  vm::RunResult run = vm::run_program(*program.module, options);
+  EXPECT_TRUE(run.ok) << vm::to_string(tier) << " threads=" << threads;
+  SiteCounts counts;
+  counts.muted = run.reports_muted;
+  for (const auto& stream : sink.streams()) {
+    for (const runtime::BranchReport& r : stream) {
+      const int code = static_cast<int>(r.check);
+      ++counts.per_site[{code, r.static_id}];
+      ++counts.per_code[static_cast<std::size_t>(code)];
+    }
+  }
+  return counts;
+}
+
+// fft carries monotone sites, water and fmm ThreadIdEq sites; together
+// they carry all four check codes. At 1-3 threads the codes that cannot
+// fire send nothing on either tier, the rest arrive site for site alike,
+// and at 4 threads nothing is muted.
+TEST(TierMute, MutedChecksSendNothingAndTiersAgree) {
+  std::array<std::uint64_t, 4> at_four{};
+  for (const char* name : {"fft", "water_nsq", "fmm"}) {
+    const benchmarks::Benchmark* bench = benchmarks::find_benchmark(name);
+    ASSERT_NE(bench, nullptr) << name;
+    pipeline::CompiledProgram program =
+        pipeline::protect_program(bench->source);
+    for (unsigned threads : {1u, 2u, 3u, 4u}) {
+      SCOPED_TRACE(std::string(name) + " threads=" + std::to_string(threads));
+      const SiteCounts interp =
+          record_reports(program, threads, vm::ExecTier::Interpreter);
+      const SiteCounts threaded =
+          record_reports(program, threads, vm::ExecTier::Threaded);
+      const std::uint8_t mask = runtime::unfireable_checks(threads);
+      for (std::size_t code = 0; code < 4; ++code) {
+        if ((mask >> code & 1u) != 0) {
+          EXPECT_EQ(interp.per_code[code], 0u) << "code " << code;
+          EXPECT_EQ(threaded.per_code[code], 0u) << "code " << code;
+        }
+      }
+      EXPECT_EQ(interp.per_site, threaded.per_site);
+      EXPECT_EQ(interp.muted, threaded.muted);
+      if (mask == 0) {
+        EXPECT_EQ(interp.muted, 0u);
+        for (std::size_t code = 0; code < 4; ++code) {
+          at_four[code] += interp.per_code[code];
+        }
+      } else {
+        EXPECT_GT(interp.muted, 0u);
+      }
+    }
+  }
+  for (std::size_t code = 0; code < 4; ++code) {
+    EXPECT_GT(at_four[code], 0u) << "code " << code << " never reported";
+  }
 }
 
 // ---------------------------------------------------------------------------
