@@ -6,9 +6,12 @@
 // (fault::run_clean_campaign) — each run is independent, so the experiment
 // parallelizes perfectly and the violation count is a plain sum. The
 // Wilson 95% upper bound on the per-run false-positive rate quantifies
-// what "zero violations in N runs" actually proves.
+// what "zero violations in N runs" actually proves. --shards=K runs each
+// program as the only session of a private K-shard MonitorService
+// (ExecutionConfig::monitor_shards; 0, the default, is the legacy Monitor).
 //
 //   usage: bw_false_positives [runs_per_program] [threads] [--workers=N]
+//          [--shards=K]
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -21,12 +24,15 @@
 int main(int argc, char** argv) {
   using namespace bw;
   unsigned workers = 0;  // 0 = hardware concurrency
+  unsigned shards = 0;   // 0 = legacy single-consumer monitor
   int runs = 100;
   unsigned threads = 4;
   int positional = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--workers=", 10) == 0) {
       workers = static_cast<unsigned>(std::atoi(argv[i] + 10));
+    } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
+      shards = static_cast<unsigned>(std::atoi(argv[i] + 9));
     } else if (positional++ == 0) {
       runs = std::atoi(argv[i]);
     } else {
@@ -35,7 +41,8 @@ int main(int argc, char** argv) {
   }
 
   std::printf("False-positive check: %d clean instrumented runs per "
-              "program, %u threads\n\n", runs, threads);
+              "program, %u threads, monitor shards %u\n\n",
+              runs, threads, shards);
   int total_violations = 0;
   int total_runs = 0;
   for (const benchmarks::Benchmark& bench : benchmarks::all_benchmarks()) {
@@ -43,6 +50,7 @@ int main(int argc, char** argv) {
         pipeline::protect_program(bench.source);
     pipeline::ExecutionConfig config;
     config.num_threads = threads;
+    config.monitor_shards = shards;
     fault::CleanRunResult clean =
         fault::run_clean_campaign(program, config, runs, workers);
     std::printf("%-22s %4d runs, %12llu reports, %12llu checks, "

@@ -12,13 +12,12 @@
 // finalize and stop included), which is what a user waits for. Median of
 // `reps` runs for each.
 //
-// The sharded/batched monitor adds an axis: with --shards=K the run is
-// the only session of a K-shard MonitorService, and with --batch=B
-// producers push one ring entry per B reports instead of per report (B=1
-// reproduces the legacy wire protocol over the sharded fabric). See
-// EXPERIMENTS.md for the recorded batch=1 vs batch=64 comparison.
+// The sharded monitor adds an axis: with --shards=K the run is the only
+// session of a K-shard MonitorService, over the same wire of staged
+// reports as the legacy Monitor (--shards=0, the default). See
+// EXPERIMENTS.md for the recorded comparison.
 //
-//   usage: bw_fig6_overhead [reps] [--shards=K] [--batch=B]
+//   usage: bw_fig6_overhead [reps] [--shards=K]
 //          [--tier=auto|interpreter|threaded]
 //          [--elision=none|syntactic|proof] [--json=<file>]
 //
@@ -48,7 +47,6 @@ namespace {
 using namespace bw;
 
 unsigned g_shards = 0;   // 0 = legacy single-consumer monitor
-std::size_t g_batch = 16;
 vm::ExecTier g_tier = vm::ExecTier::Auto;
 analysis::ElisionMode g_elision = analysis::ElisionMode::ProofBacked;
 
@@ -60,10 +58,7 @@ bench::Timing median_seconds(const pipeline::CompiledProgram& program,
   config.exec_tier = g_tier;
   config.monitor = mode;
   config.stop_on_detection = false;
-  if (mode != pipeline::MonitorMode::Off) {
-    config.monitor_shards = g_shards;
-    config.monitor_batch = g_batch;
-  }
+  if (mode != pipeline::MonitorMode::Off) config.monitor_shards = g_shards;
   return bench::median_seconds(program, config, reps);
 }
 
@@ -75,8 +70,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--shards=", 9) == 0) {
       g_shards = static_cast<unsigned>(std::atoi(argv[i] + 9));
-    } else if (std::strncmp(argv[i], "--batch=", 8) == 0) {
-      g_batch = static_cast<std::size_t>(std::atol(argv[i] + 8));
     } else if (std::strncmp(argv[i], "--tier=", 7) == 0) {
       if (!vm::parse_exec_tier(argv[i] + 7, g_tier)) {
         std::fprintf(stderr, "unknown tier '%s'\n", argv[i] + 7);
@@ -96,8 +89,7 @@ int main(int argc, char** argv) {
   std::printf("Figure 6: normalized execution time with BLOCKWATCH "
               "(lower is better; baseline = 1.0)\n");
   if (g_shards > 0) {
-    std::printf("monitor: sharded, %u shard(s), batch=%zu\n", g_shards,
-                g_batch);
+    std::printf("monitor: sharded, %u shard(s)\n", g_shards);
   } else {
     std::printf("monitor: legacy single consumer\n");
   }
@@ -158,7 +150,6 @@ int main(int argc, char** argv) {
     bench::JsonWriter json("bw_fig6_overhead");
     json.num("reps", reps);
     json.num("shards", g_shards);
-    json.num("batch", g_batch);
     json.str("tier", vm::to_string(vm::resolve_tier(g_tier)));
     json.str("elision", analysis::to_string(g_elision));
     json.begin_rows();

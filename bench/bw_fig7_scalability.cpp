@@ -9,7 +9,7 @@
 // threads some checks cannot fire (runtime::min_reporters), so their
 // sites send nothing: those points price only reports a check can use.
 //
-//   usage: bw_fig7_scalability [reps] [--shards=K] [--batch=B]
+//   usage: bw_fig7_scalability [reps] [--shards=K]
 //          [--json=<file>]
 #include <cmath>
 #include <cstdio>
@@ -28,7 +28,6 @@ namespace {
 using namespace bw;
 
 unsigned g_shards = 0;   // 0 = legacy single-consumer monitor
-std::size_t g_batch = 16;
 
 bench::Timing median_seconds(const pipeline::CompiledProgram& program,
                              unsigned threads, pipeline::MonitorMode mode,
@@ -37,10 +36,7 @@ bench::Timing median_seconds(const pipeline::CompiledProgram& program,
   config.num_threads = threads;
   config.monitor = mode;
   config.stop_on_detection = false;
-  if (mode != pipeline::MonitorMode::Off) {
-    config.monitor_shards = g_shards;
-    config.monitor_batch = g_batch;
-  }
+  if (mode != pipeline::MonitorMode::Off) config.monitor_shards = g_shards;
   return bench::median_seconds(program, config, reps);
 }
 
@@ -52,8 +48,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--shards=", 9) == 0) {
       g_shards = static_cast<unsigned>(std::atoi(argv[i] + 9));
-    } else if (std::strncmp(argv[i], "--batch=", 8) == 0) {
-      g_batch = static_cast<std::size_t>(std::atol(argv[i] + 8));
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
     } else {
@@ -64,8 +58,7 @@ int main(int argc, char** argv) {
 
   std::printf("Figure 7: geomean BLOCKWATCH overhead vs thread count\n");
   if (g_shards > 0) {
-    std::printf("monitor: sharded, %u shard(s), batch=%zu\n\n", g_shards,
-                g_batch);
+    std::printf("monitor: sharded, %u shard(s)\n\n", g_shards);
   } else {
     std::printf("monitor: legacy single consumer\n\n");
   }
@@ -114,7 +107,6 @@ int main(int argc, char** argv) {
     bench::JsonWriter json("bw_fig7_scalability");
     json.num("reps", reps);
     json.num("shards", g_shards);
-    json.num("batch", g_batch);
     json.begin_rows();
     for (const Row& r : rows) {
       json.begin_row();

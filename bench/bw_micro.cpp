@@ -55,8 +55,8 @@ void BM_SpscQueuePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_SpscQueuePushPop);
 
-// The Monitor's wire on one thread: a stride of staged pushes (the last
-// one publishes) and one burst consume that files them in place.
+// The Monitor's wire on one thread: a stride of staged pushes, one
+// publish, and one burst consume that files them in place.
 void BM_SpscQueueStageConsume(benchmark::State& state) {
   using Queue = runtime::SpscQueue<runtime::BranchReport>;
   Queue queue(4096);
@@ -68,6 +68,7 @@ void BM_SpscQueueStageConsume(benchmark::State& state) {
       report.iter_hash = i;
       benchmark::DoNotOptimize(queue.try_stage(report));
     }
+    queue.publish();
     queue.consume(Queue::kStride, [&](runtime::BranchReport& r) {
       sum += r.iter_hash;
       return true;
@@ -130,11 +131,14 @@ void BM_SpscQueueCrossThreadStaged(benchmark::State& state) {
   queue.consume(1, [](runtime::BranchReport&) { return true; });
   std::atomic<bool> done{false};
   std::thread producer([&queue, &done, report]() mutable {
+    using Queue = runtime::SpscQueue<runtime::BranchReport>;
     for (std::uint64_t i = 0; !done.load(std::memory_order_relaxed); ++i) {
       report.iter_hash = i;
       while (!queue.try_stage(report) &&
              !done.load(std::memory_order_relaxed)) {
+        queue.publish();
       }
+      if (queue.staged() == Queue::kStride) queue.publish();
     }
   });
   std::uint64_t items = 0;

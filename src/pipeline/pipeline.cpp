@@ -1,7 +1,7 @@
 #include "pipeline/pipeline.h"
 
 #include <algorithm>
-#include <bit>
+#include <limits>
 
 #include "ir/verifier.h"
 #include "support/telemetry/telemetry.h"
@@ -133,23 +133,10 @@ ExecutionResult execute(const CompiledProgram& program,
   if (config.monitor != MonitorMode::Off && config.monitor_shards >= 1) {
     runtime::MonitorServiceOptions sopts;
     sopts.num_shards = config.monitor_shards;
-    sopts.batch_size = config.monitor_batch;
     sopts.max_sessions = 1;
-    // Preserve the legacy option's buffering budget: queue_capacity is in
-    // reports, the service rings are in batches. Bounded so a 32-thread
-    // x K-shard fabric of 3 KiB slots stays within a sane footprint.
-    const std::size_t batch = std::max<std::size_t>(config.monitor_batch, 1);
-    sopts.batch_queue_capacity = std::clamp<std::size_t>(
-        config.monitor_options.queue_capacity / batch, 16, 256);
-    // Every ring full of full batches (SpscQueue rounds its usable slots
-    // up to a power of two minus one), plus one batch of headroom per ring
-    // for the batch a shard holds while filing it: the quota can never
-    // bind before the rings do.
-    const std::size_t ring_slots_plus_one =
-        std::bit_ceil(sopts.batch_queue_capacity + 1);
-    sopts.default_report_quota =
-        static_cast<std::uint64_t>(ring_slots_plus_one) * batch *
-        config.num_threads * config.monitor_shards;
+    sopts.queue_capacity = config.monitor_options.queue_capacity;
+    // Only the rings apply backpressure, as on the legacy Monitor.
+    sopts.default_report_quota = std::numeric_limits<std::uint64_t>::max();
     sopts.backoff = config.monitor_options.backoff;
     sopts.watchdog = config.monitor_options.watchdog;
     runtime::MonitorService service(sopts);

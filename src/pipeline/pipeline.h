@@ -64,18 +64,15 @@ struct ExecutionConfig {
   /// Checker shards for MonitorMode::Full / DrainOnly. 0 (default) keeps
   /// the legacy single-consumer Monitor; >= 1 runs the program as the only
   /// session of a private runtime::MonitorService with that many shards
-  /// (1 = legacy topology over the batched wire). monitor_options carries
-  /// over: perform_checks follows the mode, queue_capacity (reports) is
-  /// translated into an equivalent number of batches, backoff/watchdog
+  /// (1 = the legacy topology: the same wire of reports, staged and
+  /// published in runs of SpscQueue::kStride). monitor_options carries
+  /// over: perform_checks follows the mode, queue_capacity sizes every
+  /// (thread, shard) ring as it sizes the Monitor's, backoff/watchdog
   /// configure the service, and validation/sampling/fault hooks configure
   /// the session (fault hooks fire per shard unless shard_filter picks
-  /// one). The session's report quota defaults to the total ring capacity,
-  /// so only the rings ever apply backpressure.
+  /// one). The session's report quota defaults to unbounded, so only the
+  /// rings ever apply backpressure.
   unsigned monitor_shards = 0;
-  /// Reports per producer-side batch when monitor_shards >= 1 (clamped to
-  /// [1, runtime::ReportBatch::kMax]). 1 = one ring push per report, the
-  /// legacy protocol.
-  std::size_t monitor_batch = 16;
   /// Entry points (must match the names used at analysis time).
   std::string parallel_entry = "slave";
   std::string init_function = "init";
@@ -129,8 +126,9 @@ ExecutionResult execute(const CompiledProgram& program,
 /// down back into) a caller-owned multi-tenant MonitorService instead of
 /// a monitor owned by this run. The service must be started; many
 /// execute_in_session calls may run concurrently against one service.
-/// The service, not the config, fixes shards, batching, backoff and the
-/// watchdog; monitor_shards/monitor_batch are ignored here.
+/// The service, not the config, fixes shards, ring size, backoff and the
+/// watchdog; monitor_shards and monitor_options.queue_capacity are
+/// ignored here.
 /// MonitorMode::Off is not meaningful here and maps to a checking session
 /// (Full). Admission failure is reported in ExecutionResult::admit_error
 /// without running the program.

@@ -8,9 +8,10 @@
 // freeze, delay deferral, burst drain and command executor (Tenant); the
 // quiesce predicate (quiesce_sink); the recovery caller's post
 // (post_and_wait); the producer give-up path (push_or_give_up) and the
-// recovery wait (bounded_wait). What stays per topology is the ring
-// element (single reports, or a ReportBatch) and its burst size, plus the
-// service's routing, quota and session registry.
+// recovery wait (bounded_wait). Both wires are the same too: each producer
+// stages single reports into its ring and publishes them in runs, and the
+// consumer drains 256 reports per ring per visit. What stays per topology
+// is the service's routing, quota and session registry.
 //
 // Internal: only monitor.cpp and monitor_service.cpp include this header.
 #pragma once
@@ -19,13 +20,11 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <span>
 #include <thread>
 #include <vector>
 
 #include "runtime/branch_table.h"
-#include "runtime/monitor.h"          // MonitorStats
-#include "runtime/monitor_service.h"  // ReportBatch
+#include "runtime/monitor.h"  // MonitorStats
 #include "runtime/resilience.h"
 #include "runtime/spsc_queue.h"
 #include "support/telemetry/telemetry.h"
@@ -196,26 +195,23 @@ struct Mailbox {
   std::vector<Cell> cells;
 };
 
-/// The reports a ring element carries.
-inline std::span<BranchReport> reports_in(BranchReport& r) { return {&r, 1}; }
-inline std::span<BranchReport> reports_in(ReportBatch& batch) {
-  return {batch.reports.data(), batch.count};
-}
-
-/// One consumer's visits to one sink: the rings it drains, `burst`
-/// elements at a time, the mailbox it serves and the core it files into,
-/// on that consumer's thread. `release(n)` runs after each burst of n
-/// popped reports (the service's quota accounting).
-template <typename Element, typename Release>
+/// One consumer's visits to one sink: the rings it drains, kBurst reports
+/// at a time, the mailbox it serves and the core it files into, on that
+/// consumer's thread. `release(n)` runs after each burst of n popped
+/// reports (the service's quota accounting).
+template <typename Release>
 class Tenant {
  public:
+  /// Reports drained from one ring per visit: a bound that keeps the
+  /// round-robin over the rings fair.
+  static constexpr std::size_t kBurst = 256;
+
   Tenant(TenantCore& core, Mailbox& mailbox, unsigned consumer,
-         RingMatrix<Element>& rings, std::uint64_t burst, Release release)
+         RingMatrix<BranchReport>& rings, Release release)
       : core_(core),
         mailbox_(mailbox),
         consumer_(consumer),
         rings_(rings),
-        burst_(burst),
         release_(release) {}
 
   /// One visit: serve the mailbox, then, unless frozen or deferred, a
@@ -298,34 +294,19 @@ class Tenant {
     return popped;
   }
 
-  /// The one burst drain: files, in place, up to `burst_` elements of
-  /// `ring` when `file`, stopping right after the element in which the
-  /// stall froze the tenant, and frees them with one store. Returns the
-  /// reports popped.
-  std::uint64_t drain(SpscQueue<Element>& ring, bool file) {
+  /// The one burst drain: files, in place, up to kBurst reports of `ring`
+  /// when `file`, stopping right after the report on which the stall froze
+  /// the tenant, and frees them with one store. Returns the reports popped.
+  std::uint64_t drain(SpscQueue<BranchReport>& ring, bool file) {
     if (file && frozen_) return 0;
-    std::uint64_t popped = 0;
-    ring.consume(burst_, [&](Element& element) {
-      const std::span<BranchReport> reports = reports_in(element);
-      if (file) file_reports(reports);
-      popped += reports.size();
-      return !(file && frozen_);
-    });
+    const std::uint64_t popped =
+        ring.consume(kBurst, [&](BranchReport& report) {
+          if (!file) return true;
+          if (core_.file(report) == PopVerdict::Stall) frozen_ = true;
+          return !frozen_;
+        });
     if (popped != 0) release_(popped);
     return popped;
-  }
-
-  /// Nothing past the report that fired the stall is ever filed: the rest
-  /// of its element are this sink's drops, under degraded health.
-  void file_reports(std::span<BranchReport> reports) {
-    for (std::size_t i = 0; i < reports.size(); ++i) {
-      if (frozen_) {
-        core_.pops.dropped += reports.size() - i;
-        core_.sink.raise(MonitorHealth::Degraded);
-        return;
-      }
-      if (core_.file(reports[i]) == PopVerdict::Stall) frozen_ = true;
-    }
   }
 
   void beat() {  // one writer per cell: a store, no read-modify-write
@@ -337,8 +318,7 @@ class Tenant {
   TenantCore& core_;
   Mailbox& mailbox_;
   const unsigned consumer_;
-  RingMatrix<Element>& rings_;
-  const std::uint64_t burst_;
+  RingMatrix<BranchReport>& rings_;
   Release release_;
   std::uint64_t seen_ = 0;
   bool frozen_ = false;  // the stall hook fired: no draining, no beat
@@ -346,19 +326,19 @@ class Tenant {
   std::chrono::steady_clock::time_point resume_at_{};
 };
 
-/// The producer slow path once `try_push()` of `reports` reports from
-/// `thread` to consumer `shard` has failed: count and log the pressure,
-/// then the backoff ladder (cut short by Failed health under a bounded
-/// policy), repeated while `beat` has moved within the give-up grace. On
-/// give-up the reports are drops, health degrades, and fails once `beat`
-/// has been frozen for the watchdog deadline. Returns whether the push
-/// went through.
+/// The producer slow path once `try_push()` of one report from `thread`
+/// to consumer `shard` has failed on a full ring: count and log the
+/// pressure, then the backoff ladder (cut short by Failed health under a
+/// bounded policy), repeated while `beat` has moved within the give-up
+/// grace. On give-up the report is a drop, health degrades, and fails once
+/// `beat` has been frozen for the watchdog deadline. Returns whether the
+/// push went through.
 template <typename TryPush>
 bool push_or_give_up(TryPush&& try_push, SinkCells sink,
                      const BackoffPolicy& backoff,
                      const WatchdogOptions& watchdog, std::uint32_t thread,
-                     unsigned shard, std::uint32_t reports,
-                     std::atomic<std::uint64_t>& dropped, StallClock& stall,
+                     unsigned shard, std::atomic<std::uint64_t>& dropped,
+                     StallClock& stall,
                      const std::atomic<std::uint64_t>& beat) {
   telemetry::counter_add(telemetry::Counter::QueueFullEvents);
   telemetry::record_event(telemetry::EventKind::QueueHighWater,
@@ -374,8 +354,8 @@ bool push_or_give_up(TryPush&& try_push, SinkCells sink,
   while (!run_backoff(backoff, try_push, failed)) {
     if (failed() ||
         stall.frozen_for(beat.load(std::memory_order_relaxed), grace)) {
-      dropped.fetch_add(reports, std::memory_order_relaxed);
-      telemetry::counter_add(telemetry::Counter::ReportsDropped, reports);
+      dropped.fetch_add(1, std::memory_order_relaxed);
+      telemetry::counter_add(telemetry::Counter::ReportsDropped);
       sink.raise(MonitorHealth::Degraded);
       if (stall.expired(beat.load(std::memory_order_relaxed), watchdog)) {
         sink.raise(MonitorHealth::Failed);
@@ -413,9 +393,10 @@ bool bounded_wait(Done&& done, const WatchdogOptions& watchdog,
 /// consumer's beat advanced twice, so any report popped before the rings
 /// emptied has been filed and checked. A frozen consumer never beats: its
 /// sink runs out the deadline. Requires quiescent producers.
-template <typename Element>
-bool quiesce_sink(const RingMatrix<Element>& rings, const Mailbox& mailbox,
-                  const WatchdogOptions& watchdog, const HealthCell& health) {
+inline bool quiesce_sink(const RingMatrix<BranchReport>& rings,
+                         const Mailbox& mailbox,
+                         const WatchdogOptions& watchdog,
+                         const HealthCell& health) {
   std::vector<std::uint64_t> empty_beats;
   return bounded_wait(
       [&] {

@@ -60,12 +60,18 @@ void Monitor::send(const BranchReport& report) {
     seal_report(sealed);
     payload = &sealed;
   }
-  auto try_push = [&] { return queue.try_stage(*payload); };
-  if (try_push()) return;
-  push_or_give_up(try_push, SinkCells{health_, sampler_, violation_count_},
-                  options_.backoff, options_.watchdog, report.thread,
-                  /*shard=*/0, /*reports=*/1, slot.dropped, slot.stall,
-                  mailbox_->cells[0].beat);
+  auto try_stage = [&] { return queue.try_stage(*payload); };
+  if (!try_stage()) {
+    queue.publish();  // the consumer can only make room behind what it sees
+    if (!push_or_give_up(try_stage,
+                         SinkCells{health_, sampler_, violation_count_},
+                         options_.backoff, options_.watchdog, report.thread,
+                         /*shard=*/0, slot.dropped, slot.stall,
+                         mailbox_->cells[0].beat)) {
+      return;
+    }
+  }
+  if (queue.staged() == SpscQueue<BranchReport>::kStride) queue.publish();
 }
 
 void Monitor::flush(std::uint32_t thread) {
@@ -77,9 +83,8 @@ void Monitor::run() {
   // One span for the monitor thread's whole drain-and-check lifetime: in a
   // trace it sits on its own tid row, bracketing every violation event.
   telemetry::SpanScope span(telemetry::Phase::MonitorCheck, "monitor.drain");
-  // A bounded burst per ring keeps the round-robin fair.
-  Tenant tenant(*core_, *mailbox_, /*consumer=*/0, rings_, /*burst=*/256,
-                [](std::uint32_t) {});
+  Tenant tenant(*core_, *mailbox_, /*consumer=*/0, rings_,
+                [](std::uint64_t) {});
   while (!tenant.detached()) {
     if (!tenant.visit()) std::this_thread::yield();
   }

@@ -8,18 +8,18 @@
 // The monitor thread runs the one consumer of consumer.h — filing, the
 // beat, the command mailbox, the quiesce predicate, the stall freeze, the
 // delay deferral and the burst drain — which every MonitorService shard
-// runs too. What this class owns is its ring element: one ring of single
-// reports per program thread, drained 256 reports per burst.
+// runs too, over the same wire: one ring of single reports per program
+// thread (per shard, on the service), drained 256 reports per burst.
 //
-// Publication. send() stages each report and the ring publishes its
-// thread's reports to the monitor thread every SpscQueue::kStride (32)
-// reports; flush(thread) publishes the rest, and the VM flushes at every
-// barrier arrival, at its periodic poll, and when the thread leaves the
-// section (normally, by a trap or at a phase exit). A full ring publishes
-// before its producer backs off, and stop() and the recovery calls publish
-// every ring, the producers being quiescent there. A report therefore
-// reaches the consumer within 32 reports of its thread or by the thread's
-// next barrier, whichever comes first.
+// Publication. send() stages each report and publishes its thread's run
+// to the monitor thread every SpscQueue::kStride (32) reports;
+// flush(thread) publishes the rest, and the VM flushes at every barrier
+// arrival, at its periodic poll, and when the thread leaves the section
+// (normally, by a trap or at a phase exit). A producer that finds its
+// ring full publishes before it backs off, and stop() and the recovery
+// calls publish every ring, the producers being quiescent there. A
+// report therefore reaches the consumer within 32 reports of its thread
+// or by the thread's next barrier, whichever comes first.
 //
 // Resilience (see resilience.h): producers never block indefinitely on a
 // full queue — a bounded backoff gives up once the consumer's beat has
@@ -153,7 +153,7 @@ class Monitor : public BranchSink {
   /// Producer API (called from program thread `thread`): stage a report
   /// in the thread's ring, backing off briefly if the ring is full and
   /// dropping the report once the backoff budget is exhausted (never
-  /// blocks indefinitely). The ring publishes staged reports to the
+  /// blocks indefinitely). Publishes the thread's staged reports to the
   /// monitor thread every SpscQueue::kStride reports.
   void send(const BranchReport& report) override;
 

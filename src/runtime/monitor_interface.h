@@ -1,7 +1,7 @@
 // Abstract interface between instrumented program threads and whichever
 // monitor implementation is attached: the flat single-consumer Monitor of
-// the paper's implementation, or a MonitorSession of the sharded,
-// batched MonitorService. The VM talks only to this.
+// the paper's implementation, or a MonitorSession of the sharded
+// MonitorService. The VM talks only to this.
 #pragma once
 
 #include "runtime/report.h"
@@ -28,8 +28,8 @@ class BranchSink {
   virtual void send(const BranchReport& report) = 0;
 
   /// Make every report program thread `thread` has sent visible to the
-  /// consumer: a batching sink (MonitorSession) pushes its half-full
-  /// batches, the Monitor publishes the reports its ring has staged. A
+  /// consumer: the Monitor and a MonitorSession publish the reports the
+  /// thread's rings have staged (a session's after claiming quota). A
   /// sink that buffers must deliver what it holds here and may hold
   /// reports only until here. Called by that thread; the VM calls it at
   /// every barrier arrival, at its periodic poll, and when the thread

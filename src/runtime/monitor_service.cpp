@@ -31,13 +31,12 @@ struct alignas(64) ProducerSlot {
   std::atomic<std::uint64_t> dropped{0};
   /// Dekker-style teardown guard: a producer call increments (seq_cst)
   /// then checks the session phase; teardown latches the phase then
-  /// waits for zero, so the open batches are never mutated from two
+  /// waits for zero, so the staged runs are never mutated from two
   /// threads.
   std::atomic<std::uint32_t> in_flight{0};
-  std::vector<ReportBatch> open;  // one open batch per shard
   MonitorHealth last_health = MonitorHealth::Healthy;
   /// Edge-detector for throttle episodes (one event per entry into the
-  /// over-quota regime, not per dropped batch).
+  /// over-quota regime, not per discarded run).
   bool throttling = false;
   /// Per-shard watchdog, run against this SESSION's beat on that shard (a
   /// frozen tenant fails only its own session). The quota gate reads it
@@ -67,14 +66,13 @@ struct SessionState {
       : id(id_),
         options(opts),
         quota(quota_),
+        publish_at(static_cast<std::size_t>(std::clamp<std::uint64_t>(
+            quota_, 1, SpscQueue<BranchReport>::kStride))),
         producers(opts.num_threads),
         rings(opts.num_threads, num_shards_, ring_capacity),
         mailbox(num_shards_),
         sampler(opts.sampling) {
-    for (ProducerSlot& slot : producers) {
-      slot.open.resize(num_shards_);
-      slot.stall.resize(num_shards_);
-    }
+    for (ProducerSlot& slot : producers) slot.stall.resize(num_shards_);
     for (unsigned k = 0; k < num_shards_; ++k) {
       // Hook indices count this session's pops on one shard; a shard
       // outside shard_filter screens without them.
@@ -83,7 +81,7 @@ struct SessionState {
           opts.fault_hooks.shard_filter == MonitorFaultHooks::kAllShards ||
               opts.fault_hooks.shard_filter == k));
       shard_tenants.push_back(std::make_unique<ShardTenant>(
-          *shard_cores.back(), mailbox, k, rings, /*burst=*/32,
+          *shard_cores.back(), mailbox, k, rings,
           QuotaRelease{queued_reports, released_reports}));
     }
   }
@@ -91,10 +89,16 @@ struct SessionState {
   const SessionId id;
   const SessionOptions options;
   const std::uint64_t quota;
+  /// A lane's staged run is published once it holds this many reports:
+  /// a stride, or the whole quota when that is smaller, so that one run
+  /// can always claim it.
+  const std::size_t publish_at;
 
   std::vector<ProducerSlot> producers;
-  /// One ring per (program thread, shard): rings.at(thread, shard).
-  RingMatrix<ReportBatch> rings;
+  /// One ring per (program thread, shard): rings.at(thread, shard). The
+  /// reports its producer staged but has not published are the lane's
+  /// run.
+  RingMatrix<BranchReport> rings;
   /// Recovery and detach commands, and each shard's beat for this session
   /// (consumer.h).
   Mailbox mailbox;
@@ -105,12 +109,12 @@ struct SessionState {
   /// Each shard's visits to this session (consumer.h), made only by that
   /// shard's thread. Kept until the session state dies: a shard reads its
   /// tenant once more right after acking the detach.
-  using ShardTenant = Tenant<ReportBatch, QuotaRelease>;
+  using ShardTenant = Tenant<QuotaRelease>;
   std::vector<std::unique_ptr<ShardTenant>> shard_tenants;
 
-  /// Reports pushed but not yet processed, across all shards — the value
+  /// Reports published but not yet filed, across all shards — the value
   /// the per-tenant quota gates on. Incremented by producers when a
-  /// batch claims quota, decremented by shards after each burst is filed.
+  /// run claims quota, decremented by shards after each burst is filed.
   std::atomic<std::uint64_t> queued_reports{0};
   /// Reports the shards have taken off queued_reports, ever: the beat a
   /// producer waiting at the quota gate reads (monotone, unlike the
@@ -126,10 +130,6 @@ struct SessionState {
 
   std::atomic<int> phase{kActive};
 
-  /// Reports discarded from producer-side open batches by reset_epoch
-  /// (caller-owned; producers quiescent by the recovery contract).
-  std::uint64_t producer_reports_rolled_back = 0;
-
   // Final merged results; written by teardown before phase -> Detached.
   MonitorStats final_stats;
   std::vector<Violation> final_violations;
@@ -141,9 +141,15 @@ struct SessionState {
 
 namespace {
 
+/// Retires a producer call. A slot's count has one writer, its program
+/// thread, so the release is a plain store: no read-modify-write, which
+/// would wait for the report just staged to leave the store buffer.
 struct InFlightGuard {
   std::atomic<std::uint32_t>& count;
-  ~InFlightGuard() { count.fetch_sub(1, std::memory_order_release); }
+  ~InFlightGuard() {
+    count.store(count.load(std::memory_order_relaxed) - 1,
+                std::memory_order_release);
+  }
 };
 
 /// Merge the shard cores that acked detach `seq`, producer counters,
@@ -163,7 +169,6 @@ void merge_session_results(detail::SessionState& s, std::uint64_t seq) {
     s.shard_cores[k].reset();
   }
   m.violations = s.final_violations.size();
-  m.reports_rolled_back += s.producer_reports_rolled_back;
   m.reports_throttled = s.reports_throttled.load(std::memory_order_relaxed);
   m.throttle_events = s.throttle_events.load(std::memory_order_relaxed);
   m.quota_peak = s.quota_peak.load(std::memory_order_relaxed);
@@ -199,7 +204,7 @@ void MonitorService::shard_run(Shard& shard) {
     for (auto& sp : shard.snapshot) {
       detail::SessionState& s = *sp;
       // A session still tearing down is visited like any other, so the
-      // residual batches close() flushes never wait on a ring nobody
+      // residual runs close() publishes never wait on a ring nobody
       // drains; one whose detach this shard executed is never visited
       // again.
       if (s.mailbox.detached(shard.index)) continue;
@@ -245,7 +250,7 @@ void MonitorService::session_send(detail::SessionState& s,
   }
   if (slot.last_health != now_health) {
     slot.last_health = now_health;
-    flush_open(s, report.thread);
+    publish_runs(s, report.thread);
   }
   if (s.sampler.active() &&
       !s.sampler.should_check(report.ctx_hash, report.static_id,
@@ -254,13 +259,30 @@ void MonitorService::session_send(detail::SessionState& s,
   }
   telemetry::counter_add(telemetry::Counter::ReportsSent);
   const unsigned shard = shard_of(s, report);
-  ReportBatch& batch = slot.open[shard];
-  BranchReport& dest = batch.reports[batch.count++];
-  dest = report;
-  if (s.options.validate_reports) seal_report(dest);
-  if (batch.count >= options_.batch_size) {
-    flush_batch(s, report.thread, shard);
+  SpscQueue<BranchReport>& ring = s.rings.at(report.thread, shard);
+  BranchReport sealed;
+  const BranchReport* payload = &report;
+  if (s.options.validate_reports) {
+    sealed = report;
+    seal_report(sealed);
+    payload = &sealed;
   }
+  auto try_stage = [&] { return ring.try_stage(*payload); };
+  if (!try_stage()) {
+    // The shard can only make room behind what it sees. A give-up asks
+    // the watchdog about THIS session's beat on the refusing shard: one
+    // wedged shard trips Failed exactly like the legacy single consumer,
+    // and a tenant frozen by its own stall fault trips only its own
+    // Failed.
+    publish_run(s, report.thread, shard);
+    if (!push_or_give_up(try_stage, s.cells(), options_.backoff,
+                         options_.watchdog, report.thread, shard,
+                         slot.dropped, slot.stall[shard],
+                         s.mailbox.cells[shard].beat)) {
+      return;
+    }
+  }
+  if (ring.staged() >= s.publish_at) publish_run(s, report.thread, shard);
 }
 
 void MonitorService::session_flush(detail::SessionState& s,
@@ -271,24 +293,17 @@ void MonitorService::session_flush(detail::SessionState& s,
   slot.in_flight.fetch_add(1, std::memory_order_seq_cst);
   InFlightGuard guard{slot.in_flight};
   if (s.phase.load(std::memory_order_seq_cst) != detail::kActive) {
-    return;  // teardown owns the open batches from here on
+    return;  // teardown owns the staged runs from here on
   }
-  flush_open(s, thread);
+  publish_runs(s, thread);
 }
 
-void MonitorService::flush_open(detail::SessionState& s,
-                                std::uint32_t thread) {
-  for (unsigned k = 0; k < num_shards_; ++k) {
-    const std::uint32_t pending = s.producers[thread].open[k].count;
-    if (pending == 0) continue;
-    telemetry::record_event(telemetry::EventKind::ShardFlush,
-                            telemetry::Phase::MonitorCheck, thread, k,
-                            pending);
-    flush_batch(s, thread, k);
-  }
+void MonitorService::publish_runs(detail::SessionState& s,
+                                  std::uint32_t thread) {
+  for (unsigned k = 0; k < num_shards_; ++k) publish_run(s, thread, k);
 }
 
-/// The per-tenant quota gate for a batch bound to `shard`: claim (CAS),
+/// The per-tenant quota gate for a run bound to `shard`: claim (CAS),
 /// then the backoff ladder, which here also stops once the session leaves
 /// kActive, repeated (as on a full ring) while the shards released reports
 /// within the give-up grace. A gate already seen stuck — released_reports
@@ -349,21 +364,22 @@ bool MonitorService::acquire_quota(detail::SessionState& s,
   return true;
 }
 
-void MonitorService::flush_batch(detail::SessionState& s,
+void MonitorService::publish_run(detail::SessionState& s,
                                  std::uint32_t thread, unsigned shard) {
-  detail::ProducerSlot& slot = s.producers[thread];
-  ReportBatch& batch = slot.open[shard];
-  const std::uint32_t count = batch.count;
+  SpscQueue<BranchReport>& ring = s.rings.at(thread, shard);
+  const std::uint32_t count = static_cast<std::uint32_t>(ring.staged());
   if (count == 0) return;
+  detail::ProducerSlot& slot = s.producers[thread];
   if (s.health.get() == MonitorHealth::Failed) {
     slot.dropped.fetch_add(count, std::memory_order_relaxed);
-    batch.count = 0;
+    ring.discard_staged();
     return;
   }
   if (!acquire_quota(s, thread, shard, count)) {
     // Over quota after the full ladder: the final rungs — sample down,
-    // degrade, drop. All side effects are session-local; a noisy tenant
-    // throttles itself while its neighbors keep full checking.
+    // degrade, discard the run. All side effects are session-local; a
+    // noisy tenant throttles itself while its neighbors keep full
+    // checking.
     s.reports_throttled.fetch_add(count, std::memory_order_relaxed);
     if (!slot.throttling) {
       slot.throttling = true;
@@ -376,26 +392,11 @@ void MonitorService::flush_batch(detail::SessionState& s,
                             count);
     s.sampler.note_pressure();
     raise_health(s.health, s.sampler, MonitorHealth::Degraded);
-    batch.count = 0;
+    ring.discard_staged();
     return;
   }
   slot.throttling = false;
-  SpscQueue<ReportBatch>& queue = s.rings.at(thread, shard);
-  auto try_push = [&] { return queue.try_push(batch); };
-  // A give-up asks the watchdog about THIS session's beat on the refusing
-  // shard: one wedged shard trips Failed exactly like the legacy single
-  // consumer, and a tenant frozen by its own stall fault trips only its
-  // own Failed.
-  if (try_push() ||
-      push_or_give_up(try_push, s.cells(), options_.backoff,
-                      options_.watchdog, thread, shard, count, slot.dropped,
-                      slot.stall[shard], s.mailbox.cells[shard].beat)) {
-    telemetry::counter_add(telemetry::Counter::BatchesFlushed);
-    telemetry::histogram_record(telemetry::Histogram::BatchFill, count);
-  } else {
-    s.queued_reports.fetch_sub(count, std::memory_order_release);
-  }
-  batch.count = 0;
+  ring.publish();
 }
 
 // ---------------------------------------------------------------------------
@@ -422,14 +423,17 @@ bool MonitorService::session_quiesce(detail::SessionState& s) {
 
 bool MonitorService::session_reset_epoch(detail::SessionState& s) {
   if (!post_session_command(s, Command::Reset)) return false;
-  // Shards discarded this session's in-ring reports and tables; now
-  // discard what its producers still hold open and the detection flag.
-  // Safe: this session's producers are quiescent by the recovery
-  // contract (neighbor sessions keep running; their state is disjoint).
-  for (detail::ProducerSlot& slot : s.producers) {
-    for (ReportBatch& batch : slot.open) {
-      s.producer_reports_rolled_back += batch.count;
-      batch.count = 0;
+  // Shards discarded this session's published reports and tables; now
+  // take back the runs its producers staged, counted as rolled back on
+  // their shard, and the detection flag. Safe: this session's producers
+  // are quiescent by the recovery contract (neighbor sessions keep
+  // running; their state is disjoint), and every shard acked the reset,
+  // so none writes its core's counters until the next command.
+  for (unsigned t = 0; t < s.options.num_threads; ++t) {
+    for (unsigned k = 0; k < num_shards_; ++k) {
+      SpscQueue<BranchReport>& ring = s.rings.at(t, k);
+      s.shard_cores[k]->reports_rolled_back += ring.staged();
+      ring.discard_staged();
     }
   }
   s.violation_count.store(0, std::memory_order_release);
@@ -451,13 +455,13 @@ void MonitorService::teardown(
   }
   // Dekker wait, paired with the seq_cst in_flight bump in
   // session_send/session_flush: once this clears, no producer call will
-  // touch the open batches again.
+  // touch the staged runs again.
   for (detail::ProducerSlot& slot : s.producers) {
     while (slot.in_flight.load(std::memory_order_seq_cst) != 0) {
       std::this_thread::yield();
     }
   }
-  for (unsigned t = 0; t < s.options.num_threads; ++t) flush_open(s, t);
+  for (unsigned t = 0; t < s.options.num_threads; ++t) publish_runs(s, t);
   // Broadcast the detach; every shard drains this session's rings (a
   // frozen tenant's as drops), finalizes its table and acks. The wait
   // ignores health: a Failed session still detaches.
@@ -494,11 +498,7 @@ void MonitorService::teardown(
 MonitorService::MonitorService(MonitorServiceOptions options)
     : options_(options) {
   if (options_.num_shards == 0) options_.num_shards = 1;
-  if (options_.batch_size == 0) options_.batch_size = 1;
-  if (options_.batch_size > ReportBatch::kMax) {
-    options_.batch_size = ReportBatch::kMax;
-  }
-  if (options_.batch_queue_capacity == 0) options_.batch_queue_capacity = 1;
+  if (options_.queue_capacity == 0) options_.queue_capacity = 1;
   if (options_.max_sessions == 0) options_.max_sessions = 1;
   num_shards_ = options_.num_shards;
   shards_.reserve(num_shards_);
@@ -566,7 +566,7 @@ MonitorService::Admission MonitorService::admit(
                                       : options_.default_report_quota;
       state = std::make_shared<detail::SessionState>(
           next_session_id_++, options, quota, num_shards_,
-          options_.batch_queue_capacity);
+          options_.queue_capacity);
       sessions_.push_back(state);
       ++sessions_admitted_;
       registry_version_.fetch_add(1, std::memory_order_release);

@@ -11,21 +11,23 @@
 // visiting each session's tenant on that shard in turn: the same visit,
 // beat, command mailbox, quiesce predicate, stall freeze, delay deferral
 // and burst drain, the same producer give-up path and the same bounded
-// recovery wait. Two structural changes relative to the legacy Monitor,
-// both invisible to verdicts:
+// recovery wait, over the same wire: each producer stages single reports
+// into a ring of reports and publishes them in runs. One structural change
+// relative to the legacy Monitor, invisible to verdicts:
 //
-//   * Batching. Producers accumulate reports into small per-thread,
-//     per-shard batches and push ONE ring entry per batch instead of per
-//     report. Batches flush on size, on parallel-section exit
-//     (BranchSink::flush), on health transitions, and at session close.
 //   * Sharding. K checker shards each own the branch keys that hash to
 //     them. Routing happens on the producer, so every ring keeps exactly
-//     one producer and one consumer and the fabric stays lock-free.
+//     one producer and one consumer and the fabric stays lock-free. Each
+//     (thread, shard) lane stages into its own ring and publishes its run
+//     once it holds min(SpscQueue::kStride, session quota) reports, on
+//     BranchSink::flush (the VM's barriers, polls and section exits), on a
+//     health transition, on a full ring, and at session close; before
+//     publishing, the run claims its count from the session quota.
 //
 // Verdict invariance: a (session, branch) pair maps wholly to one shard,
 // so the per-branch instance lifecycle is the legacy algorithm run on a
-// partition of the key space, and batching only changes *when* reports
-// cross the ring, never their per-producer order or content.
+// partition of the key space, and publication only changes *when*
+// reports cross the ring, never their per-producer order or content.
 // tests/monitor_differential_test.cpp checks this against a
 // single-threaded BranchTable replay over randomized kernels.
 //
@@ -46,12 +48,12 @@
 //     stalled session's watchdog trips Failed while its neighbors keep
 //     full checking. The delay hook likewise defers only its own
 //     tenant's next visit.
-//   * Capacity. Each session holds a quota on queued (in-ring) reports.
-//     A producer over quota runs the backoff ladder generalized to
-//     per-tenant backpressure — spin, then yield (again while the shards
-//     keep releasing the session's reports), then sample-down
-//     (SamplingController::note_pressure) and drop, degrading only its
-//     own session's health. Other tenants' rings and quotas are
+//   * Capacity. Each session holds a quota on queued (published, not yet
+//     filed) reports. A run over quota runs the backoff ladder generalized
+//     to per-tenant backpressure — spin, then yield (again while the
+//     shards keep releasing the session's reports), then sample-down
+//     (SamplingController::note_pressure) and discard the run, degrading
+//     only its own session's health. Other tenants' rings and quotas are
 //     untouched, so a noisy neighbor throttles itself.
 //
 // Admission is explicit and bounded: admit() returns a typed AdmitError
@@ -59,8 +61,8 @@
 // silently-degraded session. Teardown (MonitorSession::close, or the
 // session handle's destructor) may race the session's own producers: it
 // latches the session, waits for in-flight producer calls to retire (a
-// Dekker guard), flushes residual open batches (shards keep draining the
-// session meanwhile), broadcasts a detach command, and each shard drains
+// Dekker guard), publishes the residual staged runs (shards keep draining
+// the session meanwhile), broadcasts a detach command, and each shard drains
 // that tenant's rings, finalizes its table and acks, after which teardown
 // merges the results — all while other sessions' producers keep sending.
 // A producer call that arrives after the latch is counted as a drop,
@@ -73,8 +75,6 @@
 // readable.
 #pragma once
 
-#include <algorithm>
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -89,27 +89,6 @@
 #include "runtime/sampling.h"
 
 namespace bw::runtime {
-
-/// The unit that crosses a producer->shard ring: up to kMax reports, in
-/// the producer's send order. Fixed-size so ring slots need no heap; a
-/// copy carries only the `count` reports the batch holds, so a batch of
-/// one costs one report's bytes on the wire, not kMax.
-struct ReportBatch {
-  static constexpr std::size_t kMax = 64;
-  std::uint32_t count = 0;
-  std::array<BranchReport, kMax> reports;
-
-  ReportBatch() = default;
-  ReportBatch(const ReportBatch& other) : count(other.count) {
-    std::copy_n(other.reports.begin(), count, reports.begin());
-  }
-  ReportBatch& operator=(const ReportBatch& other) {
-    if (this == &other) return *this;
-    count = other.count;
-    std::copy_n(other.reports.begin(), count, reports.begin());
-    return *this;
-  }
-};
 
 using SessionId = std::uint32_t;
 
@@ -127,7 +106,7 @@ const char* to_string(AdmitError error);
 struct SessionOptions {
   /// Program threads of this session (producer slots / ring lanes).
   unsigned num_threads = 2;
-  /// Cap on this session's queued (pushed-not-yet-processed) reports
+  /// Cap on this session's queued (published-not-yet-filed) reports
   /// across all shards. 0 = the service's default_report_quota.
   std::uint64_t report_quota = 0;
   /// As MonitorOptions: false drains without checking.
@@ -150,12 +129,11 @@ struct MonitorServiceOptions {
   unsigned num_shards = 2;
   /// Bound on concurrently-admitted sessions (the session table).
   std::size_t max_sessions = 64;
-  /// Reports per producer-side batch; clamped to [1, ReportBatch::kMax].
-  std::size_t batch_size = 16;
-  /// Ring capacity of each producer->shard queue, in batches. Rings are
-  /// per session and, by default, the quota rather than the ring is the
-  /// binding capacity limit.
-  std::size_t batch_queue_capacity = 64;
+  /// Ring size hint of each producer->shard queue, in reports (as
+  /// MonitorOptions::queue_capacity). Rings are per session and, by
+  /// default, the quota rather than the ring is the binding capacity
+  /// limit.
+  std::size_t queue_capacity = 1024;
   /// Default per-session queued-report quota (SessionOptions can
   /// override per session).
   std::uint64_t default_report_quota = 1 << 16;
@@ -211,7 +189,7 @@ class MonitorSession : public BranchSink {
   bool finalize_section() override;
   bool reset_epoch() override;
 
-  /// Tear the session down: drain in-flight batches, detach the
+  /// Tear the session down: publish the staged runs, detach the
   /// per-shard tenant tables, free the session slot. Idempotent; called
   /// by the destructor if the caller did not. After close(),
   /// violations()/stats() hold the session's final merged results.
@@ -272,8 +250,8 @@ class MonitorService {
                     const BranchReport& report) const;
   void session_send(detail::SessionState& s, const BranchReport& report);
   void session_flush(detail::SessionState& s, std::uint32_t thread);
-  void flush_open(detail::SessionState& s, std::uint32_t thread);
-  void flush_batch(detail::SessionState& s, std::uint32_t thread,
+  void publish_runs(detail::SessionState& s, std::uint32_t thread);
+  void publish_run(detail::SessionState& s, std::uint32_t thread,
                    unsigned shard);
   bool acquire_quota(detail::SessionState& s, std::uint32_t thread,
                      unsigned shard, std::uint32_t count);

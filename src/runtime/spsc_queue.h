@@ -9,11 +9,12 @@
 //   same with the producer's index when its copy says empty. A push or pop
 //   that hits its cache touches only its own cache line.
 // - Stride publication. try_stage() writes a slot and advances only the
-//   producer's private head; the shared head_ is stored once per kStride
-//   staged items, by publish(), and by a staged push that finds the ring
-//   full. A consumer that keeps up therefore pulls the producer's line
-//   once per stride instead of once per item. try_push() publishes on
-//   every push.
+//   producer's private head; the shared head_ is stored only by publish(),
+//   which a producer calls once its staged run reaches kStride items, and
+//   before it backs off on a full ring. A consumer that keeps up therefore
+//   pulls the producer's line once per stride instead of once per item.
+//   discard_staged() takes a staged run back unseen. try_push() publishes
+//   on every push.
 // - Burst consumption. consume() hands up to `max` slots to a callback in
 //   place and frees them all with one tail_ store.
 // - Slots built on first push. Storage is raw memory; the first lap
@@ -33,7 +34,6 @@
 #include <cstddef>
 #include <memory>
 #include <new>
-#include <utility>
 #include <vector>
 
 #include "runtime/block_cache.h"
@@ -64,8 +64,8 @@ class SpscQueue {
   SpscQueue(const SpscQueue&) = delete;
   SpscQueue& operator=(const SpscQueue&) = delete;
 
-  /// Staged items become visible to the consumer together, once this
-  /// many are staged.
+  /// The run a producer stages before it publishes: staged items become
+  /// visible to the consumer together, once this many are staged.
   static constexpr std::size_t kStride = 32;
 
   /// Producer side. Returns false when the ring is full (caller decides
@@ -76,32 +76,32 @@ class SpscQueue {
     return true;
   }
 
-  /// Move-in overload for payloads with an expensive copy. A refused push
-  /// leaves `item` intact, so the caller can retry the same payload.
-  bool try_push(T&& item) {
-    if (!push(std::move(item))) return false;
-    publish_now();
+  /// Producer side: writes the item without publishing it, adding it to
+  /// the staged run. Returns false when the ring is full; the staged run
+  /// stays in the ring, so a producer publishes it (the consumer can only
+  /// make room behind what it sees) before it retries.
+  bool try_stage(const T& item) {
+    if (!push(item)) return false;
+    ++staged_;
     return true;
   }
 
-  /// Producer side: writes the item without publishing it, except that
-  /// every kStride-th staged item publishes the whole stride. A staged
-  /// push that finds the ring full publishes what it staged, so the
-  /// consumer can make room, then refuses.
-  bool try_stage(const T& item) {
-    if (!push(item)) {
-      publish();
-      return false;
-    }
-    if (++staged_ == kStride) publish_now();
-    return true;
-  }
+  /// Items staged since the last publish or discard (producer side).
+  std::size_t staged() const { return staged_; }
 
   /// Makes every staged item visible to the consumer. Called by the
   /// producer, or by a thread that the producer's last push happens
   /// before (the producer joined, or parked at a barrier).
   void publish() {
     if (staged_ != 0) publish_now();
+  }
+
+  /// Takes the staged run back: the private head rewinds to the published
+  /// one, so the consumer never sees the run and its slots take the next
+  /// items. Same callers as publish().
+  void discard_staged() {
+    next_ = head_.load(std::memory_order_relaxed);
+    staged_ = 0;
   }
 
   /// Consumer side. Returns false when empty.
@@ -166,9 +166,9 @@ class SpscQueue {
   // The producer's slot writes (construction included) therefore happen
   // before the consumer's read, and the consumer's read happens before the
   // producer reuses the slot. `constructed_` is read only by the producer
-  // and the destructor.
-  template <typename U>
-  bool push(U&& item) {
+  // and the destructor; a discarded run leaves its slots built, so a push
+  // builds a slot only when it reaches the first raw one.
+  bool push(const T& item) {
     const std::size_t head = next_;
     const std::size_t next = (head + 1) & mask_;
     if (next == tail_cache_) {
@@ -176,10 +176,10 @@ class SpscQueue {
       if (next == tail_cache_) return false;
     }
     if (head == constructed_) {  // first lap: the slot is raw memory
-      ::new (static_cast<void*>(slots_ + head)) T(std::forward<U>(item));
+      ::new (static_cast<void*>(slots_ + head)) T(item);
       ++constructed_;
     } else {
-      slots_[head] = std::forward<U>(item);
+      slots_[head] = item;
     }
     next_ = next;
     return true;

@@ -42,7 +42,6 @@ ArgNames arg_names(EventKind kind) {
     case EventKind::Rollback:
       return {"generation", "retries", "to_section_start"};
     case EventKind::Checkpoint: return {"generation", "heap_words", "unused"};
-    case EventKind::ShardFlush: return {"thread", "shard", "reports"};
     case EventKind::QueueHighWater: return {"thread", "shard", "unused"};
     case EventKind::FaultOutcome: return {"outcome", "thread", "target"};
     case EventKind::CampaignInjection:

@@ -12,7 +12,6 @@ const char* to_string(Counter counter) {
   switch (counter) {
     case Counter::ReportsSent: return "monitor.reports_sent";
     case Counter::ReportsDropped: return "monitor.reports_dropped";
-    case Counter::BatchesFlushed: return "monitor.batches_flushed";
     case Counter::QueueFullEvents: return "monitor.queue_full_events";
     case Counter::ReportsMuted: return "monitor.reports_muted";
     case Counter::ReportsProcessed: return "monitor.reports_processed";
@@ -81,7 +80,6 @@ const char* to_string(Gauge gauge) {
 
 const char* to_string(Histogram histogram) {
   switch (histogram) {
-    case Histogram::BatchFill: return "monitor.batch_fill";
     case Histogram::CheckpointNs: return "recovery.checkpoint_ns";
     case Histogram::RestoreNs: return "recovery.restore_ns";
     case Histogram::kCount: break;
@@ -109,7 +107,6 @@ const char* to_string(EventKind kind) {
     case EventKind::HealthTransition: return "health_transition";
     case EventKind::Rollback: return "rollback";
     case EventKind::Checkpoint: return "checkpoint";
-    case EventKind::ShardFlush: return "shard_flush";
     case EventKind::QueueHighWater: return "queue_high_water";
     case EventKind::FaultOutcome: return "fault_outcome";
     case EventKind::CampaignInjection: return "campaign_injection";

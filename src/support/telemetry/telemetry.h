@@ -46,7 +46,6 @@ enum class Counter : std::uint16_t {
   // Monitor wire (producer side).
   ReportsSent = 0,     // BranchSink::send admissions (counted at entry)
   ReportsDropped,      // producer give-ups (backoff exhausted / Failed)
-  BatchesFlushed,      // sharded: producer batches pushed across a ring
   QueueFullEvents,     // first-try push failures (ring momentarily full)
   ReportsMuted,        // sends skipped: the site's check cannot fire at
                        // the run's thread count (runtime::min_reporters)
@@ -123,9 +122,8 @@ enum class Gauge : std::uint16_t {
 };
 
 enum class Histogram : std::uint16_t {
-  BatchFill = 0,   // reports per flushed batch (sharded monitor)
-  CheckpointNs,    // per-checkpoint commit latency
-  RestoreNs,       // per-rollback restore latency
+  CheckpointNs = 0,  // per-checkpoint commit latency
+  RestoreNs,         // per-rollback restore latency
   kCount,
 };
 
@@ -147,7 +145,6 @@ enum class EventKind : std::uint8_t {
   HealthTransition,  // a0=from       a1=to          a2=0
   Rollback,          // a0=generation a1=retries     a2=to_section_start
   Checkpoint,        // a0=generation a1=heap_words  a2=0
-  ShardFlush,        // a0=thread     a1=shard       a2=reports
   QueueHighWater,    // a0=thread     a1=shard       a2=0
   FaultOutcome,      // a0=outcome(FaultOutcomeCode) a1=thread a2=target
   CampaignInjection,  // a0=plan index a1=verdict     a2=worker id

@@ -421,8 +421,8 @@ class ThreadRunner {
         } else {
           invoke(entry_index, {}, /*callsite_id=*/0);
         }
-        // Parallel-section exit is a batch flush point: a batching monitor
-        // (a MonitorSession) must not strand this thread's tail reports.
+        // Parallel-section exit is a publish point: a monitor that stages
+        // reports must not strand this thread's tail reports.
         if (monitor_ != nullptr) monitor_->flush(tid_);
         if (parallel_) m_.coordinator_.thread_finished(tid_);
         running = false;

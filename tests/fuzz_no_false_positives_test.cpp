@@ -7,9 +7,8 @@
 //
 // The suite alternates monitor backends per seed — even seeds run the
 // legacy single-consumer Monitor, odd seeds a one-session MonitorService
-// whose shard count and batch size also rotate with the seed — so the
-// clean-run guarantee covers both the legacy and the sharded/batched
-// check paths.
+// whose shard count also rotates with the seed — so the clean-run
+// guarantee covers both the legacy and the sharded check paths.
 // The VM execution tier rotates on a different cadence (seed/2 parity:
 // interpreter vs direct-threaded, vm/dispatch.h), decorrelated from the
 // backend choice so all four backend x tier combinations appear; zero
@@ -44,8 +43,6 @@ TEST_P(FuzzNoFalsePositives, CleanRunNeverFlagged) {
 
   const bool sharded = (seed % 2) == 1;
   const unsigned shards = 1u << (seed % 3);           // 1, 2, 4
-  const std::size_t batches[] = {1, 8, 64};
-  const std::size_t batch = batches[(seed / 3) % 3];
   const vm::ExecTier tier = ((seed / 2) % 2) == 0
                                 ? vm::ExecTier::Interpreter
                                 : vm::ExecTier::Threaded;
@@ -54,10 +51,7 @@ TEST_P(FuzzNoFalsePositives, CleanRunNeverFlagged) {
     pipeline::ExecutionConfig config;
     config.num_threads = threads;
     config.exec_tier = tier;
-    if (sharded) {
-      config.monitor_shards = shards;
-      config.monitor_batch = batch;
-    }
+    if (sharded) config.monitor_shards = shards;
     fault::CleanRunResult clean =
         fault::run_clean_campaign(program, config, /*runs=*/2, /*workers=*/2);
     ASSERT_EQ(clean.runs, 2) << "threads=" << threads;
@@ -65,7 +59,7 @@ TEST_P(FuzzNoFalsePositives, CleanRunNeverFlagged) {
     EXPECT_EQ(clean.violations, 0)
         << "FALSE POSITIVE at " << threads << " threads, "
         << (sharded ? "sharded" : "legacy") << " backend (shards=" << shards
-        << " batch=" << batch << "), " << vm::to_string(tier) << " tier";
+        << "), " << vm::to_string(tier) << " tier";
     EXPECT_EQ(clean.failed_health, 0) << "threads=" << threads;
     EXPECT_EQ(clean.dropped, 0u) << "threads=" << threads;
   }

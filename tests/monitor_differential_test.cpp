@@ -1,7 +1,7 @@
 // Differential oracle for the two monitor backends: the legacy
 // single-consumer Monitor and a one-session MonitorService (the engine
 // pipeline::execute() runs for monitor_shards >= 1) at every shard-count
-// x batch-size configuration must be VERDICT-EQUIVALENT to a reference
+// x ring-capacity configuration must be VERDICT-EQUIVALENT to a reference
 // that is not a backend at all. The harness makes the comparison exact
 // by removing execution nondeterminism from the equation:
 //
@@ -10,10 +10,13 @@
 //      thread's report stream verbatim.
 //   2. The reference verdict replays those streams single-threaded, in
 //      round-robin producer order, straight into one runtime::BranchTable
-//      and then finalize()s it: no queues, no threads, no batching.
+//      and then finalize()s it: no queues, no threads, no staging.
 //   3. The SAME streams are replayed in the same order into a legacy
 //      Monitor and into one-session MonitorService instances at K in
-//      {1,2,4} x batch in {1,8,64}. The canonicalized violation set
+//      {1,2,4} x ring capacity in {8,64,1024} reports. The 8-report ring
+//      (15 slots) is smaller than one stride, so its runs are published
+//      by a full ring; the larger ones publish at the stride. The
+//      canonicalized violation set
 //      (sorted, order-free) and the checked / skipped / evicted /
 //      processed counters must match the reference exactly. Producers use
 //      an unbounded backoff, so no replay drops a report (asserted on
@@ -28,8 +31,8 @@
 // Why verdicts are partition-invariant — and hence why this must pass:
 // a branch key (ctx_hash, static_id) maps wholly to one shard, so the
 // per-branch instance lifecycle is the reference table's algorithm run on
-// a key subspace; batching preserves per-producer report order and
-// content. See DESIGN.md §4.2.
+// a key subspace; staging and publishing in runs preserve per-producer
+// report order and content. See DESIGN.md §4.2.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -139,10 +142,10 @@ Verdict legacy_verdict(const Streams& streams, unsigned num_threads) {
 }
 
 Verdict service_verdict(const Streams& streams, unsigned num_threads,
-                        unsigned shards, std::size_t batch) {
+                        unsigned shards, std::size_t ring_capacity) {
   runtime::MonitorServiceOptions options;
   options.num_shards = shards;
-  options.batch_size = batch;
+  options.queue_capacity = ring_capacity;
   options.max_sessions = 1;
   options.backoff = kLossless;
   runtime::MonitorService service(options);
@@ -174,7 +177,7 @@ void expect_equivalent(const Verdict& reference, const Verdict& backend,
 
 constexpr unsigned kThreads = 4;
 constexpr unsigned kShardCounts[] = {1, 2, 4};
-constexpr std::size_t kBatchSizes[] = {1, 8, 64};
+constexpr std::size_t kRingCapacities[] = {8, 64, 1024};
 
 /// Deterministic stream-level faults: flip the outcome of a sparse subset
 /// of one thread's Outcome reports (models a corrupted flag register seen
@@ -245,14 +248,14 @@ TEST_P(MonitorDifferential, ShardedVerdictsMatchLegacyOnRandomKernels) {
   expect_equivalent(reference_faulted, legacy_verdict(faulted, kThreads),
                     "legacy, faulted");
   for (unsigned shards : kShardCounts) {
-    for (std::size_t batch : kBatchSizes) {
+    for (std::size_t ring : kRingCapacities) {
       const std::string label = "service shards=" + std::to_string(shards) +
-                                " batch=" + std::to_string(batch);
+                                " ring=" + std::to_string(ring);
       expect_equivalent(reference_clean,
-                        service_verdict(clean, kThreads, shards, batch),
+                        service_verdict(clean, kThreads, shards, ring),
                         label + ", clean");
       expect_equivalent(reference_faulted,
-                        service_verdict(faulted, kThreads, shards, batch),
+                        service_verdict(faulted, kThreads, shards, ring),
                         label + ", faulted");
     }
   }

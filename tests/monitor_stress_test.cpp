@@ -1,6 +1,6 @@
-// Concurrency stress for the sharded, batched MonitorService, designed to
-// run under ThreadSanitizer (reproduce.sh --tsan): N real producer
-// threads x K checker shards with RANDOMIZED batch flush timing, under
+// Concurrency stress for the sharded MonitorService, designed to run
+// under ThreadSanitizer (reproduce.sh --tsan): N real producer threads x
+// K checker shards with RANDOMIZED flush timing, under
 // clean conditions and under the MonitorStall / ReportDrop fault hooks.
 // The first group drives one session per service — the topology
 // pipeline::execute() builds for monitor_shards >= 1 — and the second
@@ -15,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <tuple>
@@ -90,19 +91,20 @@ struct OneSession {
 };
 
 /// The service shape pipeline::execute() derives for monitor_shards >= 1
-/// at its default queue_capacity: one session, 256-batch rings.
-MonitorServiceOptions shard_options(unsigned shards, std::size_t batch) {
+/// at the default MonitorOptions: one session, rings of the Monitor's
+/// queue_capacity, and a quota that never binds.
+MonitorServiceOptions shard_options(unsigned shards) {
   MonitorServiceOptions options;
   options.num_shards = shards;
-  options.batch_size = batch;
   options.max_sessions = 1;
-  options.batch_queue_capacity = 256;
+  options.queue_capacity = MonitorOptions{}.queue_capacity;
+  options.default_report_quota = std::numeric_limits<std::uint64_t>::max();
   return options;
 }
 
 TEST(MonitorServiceStress, CleanRunManyShardsRandomFlushNoFalseAlarms) {
   for (unsigned shards : {1u, 2u, 4u}) {
-    OneSession one(4, shard_options(shards, 16));
+    OneSession one(4, shard_options(shards));
     MonitorSession& session = *one.session;
     run_producers(session, 4, /*branches=*/8, /*iters=*/500, shards);
     session.close();
@@ -123,7 +125,7 @@ TEST(MonitorServiceStress, CleanRunManyShardsRandomFlushNoFalseAlarms) {
 TEST(MonitorServiceStress, ValidationOnCleanRunRejectsNothing) {
   SessionOptions session_options;
   session_options.validate_reports = true;
-  OneSession one(4, shard_options(4, 8), session_options);
+  OneSession one(4, shard_options(4), session_options);
   MonitorSession& session = *one.session;
   run_producers(session, 4, /*branches=*/6, /*iters=*/300, 99);
   session.close();
@@ -137,8 +139,8 @@ TEST(MonitorServiceStress, ValidationOnCleanRunRejectsNothing) {
 // monitor — producers never deadlock, no false alarm appears — while
 // sibling shards keep draining their own key ranges.
 TEST(MonitorServiceStress, SingleStalledShardDegradesWithoutFalseAlarms) {
-  MonitorServiceOptions options = shard_options(4, 8);
-  options.batch_queue_capacity = 16;  // small rings so the stall bites
+  MonitorServiceOptions options = shard_options(4);
+  options.queue_capacity = 16;  // small rings so the stall bites
   options.backoff.spins = 8;
   options.backoff.yields = 32;
   options.watchdog.stall_timeout_ns = 10'000'000'000ULL;  // stay Degraded
@@ -163,8 +165,8 @@ TEST(MonitorServiceStress, SingleStalledShardDegradesWithoutFalseAlarms) {
 }
 
 TEST(MonitorServiceStress, AllShardsStalledWatchdogTripsFailed) {
-  MonitorServiceOptions options = shard_options(2, 4);
-  options.batch_queue_capacity = 16;
+  MonitorServiceOptions options = shard_options(2);
+  options.queue_capacity = 16;
   options.backoff.spins = 8;
   options.backoff.yields = 16;
   options.watchdog.stall_timeout_ns = 1'000'000;  // 1 ms
@@ -193,7 +195,7 @@ TEST(MonitorServiceStress, AllShardsStalledWatchdogTripsFailed) {
 TEST(MonitorServiceStress, ReportDropFaultDegradesWithoutFalseAlarms) {
   SessionOptions session_options;
   session_options.fault_hooks.drop_report_index = 5;  // each shard's 5th
-  OneSession one(4, shard_options(2, 8), session_options);
+  OneSession one(4, shard_options(2), session_options);
   MonitorSession& session = *one.session;
   run_producers(session, 4, /*branches=*/8, /*iters=*/200, 31,
                 /*with_conditions=*/false);
@@ -211,10 +213,10 @@ TEST(MonitorServiceStress, ReportDropFaultDegradesWithoutFalseAlarms) {
 }
 
 TEST(MonitorServiceStress, CloseFlushesResidualOpenBatches) {
-  // Send fewer reports than one batch and never flush explicitly: close()
-  // must push the residue before detaching the shards, so no report is
-  // stranded producer-side.
-  OneSession one(2, shard_options(2, 64));
+  // Send fewer reports than one stride and never flush explicitly: close()
+  // must publish the staged runs before detaching the shards, so no report
+  // is stranded producer-side.
+  OneSession one(2, shard_options(2));
   MonitorSession& session = *one.session;
   for (unsigned t = 0; t < 2; ++t) {
     for (std::uint32_t b = 0; b < 4; ++b) {
@@ -228,15 +230,15 @@ TEST(MonitorServiceStress, CloseFlushesResidualOpenBatches) {
   EXPECT_TRUE(session.violations().empty());
 }
 
-// close() flushes residual open batches before it broadcasts the detach,
-// so a shard must keep draining a session that is tearing down: here the
-// one-slot ring is full and the shard is deferring its next visit (delay
-// hook) when close() flushes the last, partial batch. If the shard
-// skipped closing sessions, that flush would spin out its whole backoff
-// budget and drop the batch.
+// A producer whose one-slot ring is full publishes its staged report and
+// waits for the shard, which is deferring its next visit (delay hook),
+// and close() publishes the last staged report before it broadcasts the
+// detach, so a shard must keep draining a session that is tearing down.
+// If either wait gave up early, or the shard skipped closing sessions, a
+// report would be dropped.
 TEST(MonitorServiceStress, CloseFlushIntoAFullRingWaitsForTheShard) {
-  MonitorServiceOptions options = shard_options(1, 2);
-  options.batch_queue_capacity = 1;
+  MonitorServiceOptions options = shard_options(1);
+  options.queue_capacity = 1;
   options.backoff.yields = 1u << 22;  // far longer than the 20 ms deferral
   SessionOptions session_options;
   session_options.fault_hooks.delay_ns_per_report = 10'000'000;  // 10 ms
@@ -245,12 +247,12 @@ TEST(MonitorServiceStress, CloseFlushIntoAFullRingWaitsForTheShard) {
   auto send = [&](std::uint64_t iter) {
     session.send(consistent_report(0, 0, iter, /*with_conditions=*/false));
   };
-  send(0);
-  send(1);  // batch 1 pushed; draining it defers the shard's next visit
+  send(0);  // staged: fills the one-slot ring
+  send(1);  // publishes 0 and waits; draining it defers the shard's visit
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  send(2);
-  send(3);  // batch 2 fills the one-slot ring
-  send(4);  // left open for close() to flush
+  send(2);  // publishes 1 into the deferred shard's ring and waits
+  send(3);
+  send(4);  // left staged for close() to publish
   session.close();
   MonitorStats stats = session.stats();
   EXPECT_EQ(stats.dropped_reports, 0u);
@@ -259,8 +261,8 @@ TEST(MonitorServiceStress, CloseFlushIntoAFullRingWaitsForTheShard) {
 }
 
 // Regression for the stop-vs-flush race: teardown used to assume
-// producers had quiesced, so a concurrent flush could touch the open
-// batches it was draining. Now close() latches the session, Dekker-waits
+// producers had quiesced, so a concurrent flush could touch the staged
+// runs it was publishing. Now close() latches the session, Dekker-waits
 // for in-flight producer calls, and only then flushes residues; producer
 // calls arriving after the latch become counted drops. Producers here
 // keep sending/flushing THROUGH the close with no handshake at all; every
@@ -268,7 +270,7 @@ TEST(MonitorServiceStress, CloseFlushIntoAFullRingWaitsForTheShard) {
 TEST(MonitorServiceStress, CloseWhileProducersStillFlushing) {
   constexpr unsigned kThreads = 4;
   constexpr std::uint64_t kReports = 20'000;
-  OneSession one(kThreads, shard_options(2, 8));
+  OneSession one(kThreads, shard_options(2));
   MonitorSession& session = *one.session;
 
   std::atomic<std::uint32_t> started{0};
@@ -301,8 +303,8 @@ TEST(MonitorServiceStress, CloseWhileProducersStillFlushing) {
 
 TEST(MonitorServiceStress, RealViolationIsStillDetectedUnderConcurrency) {
   // Not a false-alarm case: thread 2 genuinely deviates on one instance.
-  // Detection must survive sharding, batching, and concurrent producers.
-  OneSession one(4, shard_options(4, 8));
+  // Detection must survive sharding, staged runs, and concurrent producers.
+  OneSession one(4, shard_options(4));
   MonitorSession& session = *one.session;
   std::vector<std::thread> producers;
   for (unsigned t = 0; t < 4; ++t) {
@@ -338,7 +340,6 @@ TEST(MonitorServiceStress, RealViolationIsStillDetectedUnderConcurrency) {
 TEST(MonitorServiceStress, SessionChurnUnderLoadNoFalseAlarms) {
   MonitorServiceOptions options;
   options.num_shards = 2;
-  options.batch_size = 8;
   options.max_sessions = 16;
   MonitorService service(options);
   service.start();
@@ -401,7 +402,6 @@ TEST(MonitorServiceStress, NoisyNeighborLeavesVerdictsByteIdentical) {
   auto service_options = [] {
     MonitorServiceOptions options;
     options.num_shards = 2;
-    options.batch_size = 4;
     options.backoff.spins = 16;
     options.backoff.yields = 1024;
     options.watchdog.stall_timeout_ns = 60'000'000'000ULL;

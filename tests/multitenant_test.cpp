@@ -159,7 +159,6 @@ TEST(MonitorServiceAdmission, AdmitBeforeStartIsRefused) {
 TEST(MonitorServiceVerdicts, CleanSessionNeverFlagsAndCountsExactly) {
   MonitorServiceOptions options;
   options.num_shards = 4;
-  options.batch_size = 8;
   MonitorService service(options);
   service.start();
   SessionOptions sopts;
@@ -254,7 +253,20 @@ TEST(MonitorServiceVerdicts, ResetEpochDiscardsOnlyThisSessionsTimeline) {
   ASSERT_TRUE(victim.session->quiesce());
   EXPECT_TRUE(victim.session->violation_detected());
 
-  // Rollback the victim's epoch: its detection flag and tables clear.
+  // A run the victim staged but never published belongs to the rolled
+  // back timeline too: fewer reports than a stride per (thread, shard)
+  // lane, with thread 1 deviating, none flushed.
+  constexpr std::uint64_t kStaged = 5;
+  for (std::uint64_t i = 0; i < kStaged; ++i) {
+    for (std::uint32_t t = 0; t < 2; ++t) {
+      BranchReport r = consistent_report(t, 0, 1000 + i);
+      if (t == 1) r.outcome = !r.outcome;
+      victim.session->send(r);
+    }
+  }
+
+  // Rollback the victim's epoch: its detection flag and tables clear, and
+  // the staged run is discarded unfiled.
   ASSERT_TRUE(victim.session->reset_epoch());
   EXPECT_FALSE(victim.session->violation_detected());
 
@@ -266,6 +278,11 @@ TEST(MonitorServiceVerdicts, ResetEpochDiscardsOnlyThisSessionsTimeline) {
   victim.session->close();
   neighbor.session->close();
   EXPECT_TRUE(victim.session->violations().empty());
+  // Every published report was filed before the reset (quiesce), so the
+  // staged run is all that was rolled back, and it was never filed.
+  const MonitorStats vstats = victim.session->stats();
+  EXPECT_EQ(vstats.reports_rolled_back, 2 * kStaged);
+  EXPECT_EQ(vstats.reports_processed, 2u * 2u * 4u * 20u);
   ASSERT_EQ(neighbor.session->violations().size(), 1u);
   EXPECT_EQ(neighbor.session->violations()[0].suspect_thread, 0u);
 }
@@ -282,7 +299,6 @@ TEST(MonitorServiceQuota, OverQuotaTenantThrottlesItselfOnly) {
   // the shard and must stay Healthy with zero throttling.
   MonitorServiceOptions options;
   options.num_shards = 1;
-  options.batch_size = 1;  // one ring push per report
   options.backoff.spins = 4;
   // Enough yield budget that the HEALTHY neighbor never ring-drops on a
   // single core, small enough that the victim's doomed quota ladder
@@ -343,27 +359,30 @@ TEST(MonitorServiceQuota, QuotaReleasesAsShardsDrain) {
   // No stall: a quota far below the total stream length must NOT
   // throttle, because the shard keeps draining and the producer-side
   // ladder absorbs transient fullness. Proves quota gates in-flight
-  // depth, not throughput.
-  MonitorServiceOptions options;
-  options.num_shards = 2;
-  options.batch_size = 4;
-  MonitorService service(options);
-  service.start();
-  SessionOptions sopts;
-  sopts.num_threads = 2;
-  sopts.report_quota = 64;  // stream is 2 * 4 * 400 = 3200 reports
-  MonitorService::Admission a = service.admit(sopts);
-  ASSERT_EQ(a.error, AdmitError::None);
+  // depth, not throughput. A quota below one stride (4) caps every run
+  // at the quota, so a run can always claim it.
+  for (const std::uint64_t quota : {std::uint64_t{64}, std::uint64_t{4}}) {
+    MonitorServiceOptions options;
+    options.num_shards = 2;
+    MonitorService service(options);
+    service.start();
+    SessionOptions sopts;
+    sopts.num_threads = 2;
+    sopts.report_quota = quota;  // stream is 2 * 4 * 400 = 3200 reports
+    MonitorService::Admission a = service.admit(sopts);
+    ASSERT_EQ(a.error, AdmitError::None);
 
-  send_stream(*a.session, 4, 400);
-  a.session->close();
+    send_stream(*a.session, 4, 400);
+    a.session->close();
 
-  MonitorStats stats = a.session->stats();
-  EXPECT_EQ(stats.reports_processed, 2u * 4u * 400u);
-  EXPECT_EQ(stats.reports_throttled, 0u);
-  EXPECT_EQ(stats.dropped_reports, 0u);
-  EXPECT_LE(stats.quota_peak, 64u);
-  EXPECT_EQ(a.session->health(), MonitorHealth::Healthy);
+    MonitorStats stats = a.session->stats();
+    EXPECT_EQ(stats.reports_processed, 2u * 4u * 400u) << "quota " << quota;
+    EXPECT_EQ(stats.reports_throttled, 0u) << "quota " << quota;
+    EXPECT_EQ(stats.dropped_reports, 0u) << "quota " << quota;
+    EXPECT_LE(stats.quota_peak, quota);
+    EXPECT_EQ(a.session->health(), MonitorHealth::Healthy)
+        << "quota " << quota;
+  }
 }
 
 // A tenant frozen by its own stall pays one backoff ladder at the quota
@@ -374,7 +393,6 @@ TEST(MonitorServiceQuota, QuotaReleasesAsShardsDrain) {
 TEST(MonitorServiceQuota, StalledTenantPaysOneLadderThenFails) {
   MonitorServiceOptions options;
   options.num_shards = 1;
-  options.batch_size = 1;  // every send is one flush through the gate
   options.backoff.spins = 4;
   options.backoff.yields = 1u << 19;  // tens of milliseconds per ladder
   options.watchdog.stall_timeout_ns = 100'000'000;  // give-up grace 25 ms
@@ -388,14 +406,16 @@ TEST(MonitorServiceQuota, StalledTenantPaysOneLadderThenFails) {
   ASSERT_EQ(a.error, AdmitError::None);
   MonitorSession& session = *a.session;
 
-  // The quota fills after five sends. A gate that re-ran its ladder on
-  // every later flush would make nearly all of these 64 flushes slow.
+  // Every send is flushed, so each goes through the gate alone. The
+  // quota fills after five sends. A gate that re-ran its ladder on every
+  // later flush would make nearly all of these 64 flushes slow.
   using Clock = std::chrono::steady_clock;
   int slow_flushes = 0;
   std::uint64_t iter = 0;
   for (; iter < 64; ++iter) {
     const auto start = Clock::now();
     session.send(consistent_report(0, 0, iter));
+    session.flush(0);
     if (Clock::now() - start > std::chrono::milliseconds(10)) ++slow_flushes;
   }
   EXPECT_LE(slow_flushes, 2);
@@ -404,6 +424,7 @@ TEST(MonitorServiceQuota, StalledTenantPaysOneLadderThenFails) {
   while (session.health() != MonitorHealth::Failed &&
          Clock::now() < deadline) {
     session.send(consistent_report(0, 0, iter++));
+    session.flush(0);
   }
   EXPECT_EQ(session.health(), MonitorHealth::Failed);
   session.close();

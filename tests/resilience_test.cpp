@@ -67,9 +67,9 @@ std::ostream& operator<<(std::ostream& os, Backend backend) {
 }
 
 /// One scenario on either backend: the legacy Monitor, or the only
-/// session of a MonitorService with one shard and batch 1 whose rings,
-/// backoff and watchdog come from the same MonitorOptions. finish() ends
-/// the run: stop() on the Monitor, close() on the session.
+/// session of a one-shard MonitorService whose rings, backoff and watchdog
+/// come from the same MonitorOptions: one ring shape on both. finish()
+/// ends the run: stop() on the Monitor, close() on the session.
 class Backed {
  public:
   Backed(Backend backend, unsigned num_threads,
@@ -81,12 +81,8 @@ class Backed {
     }
     MonitorServiceOptions service_options;
     service_options.num_shards = 1;
-    service_options.batch_size = 1;
     service_options.max_sessions = 1;
-    // The ring budget pipeline::execute() derives at batch 1 (bounded,
-    // since a ring slot holds a whole ReportBatch).
-    service_options.batch_queue_capacity =
-        std::clamp<std::size_t>(options.queue_capacity, 16, 256);
+    service_options.queue_capacity = options.queue_capacity;
     // Never binds: the rings apply the backpressure, as in the Monitor.
     service_options.default_report_quota = std::uint64_t{1} << 40;
     service_options.backoff = options.backoff;

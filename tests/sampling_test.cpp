@@ -214,10 +214,7 @@ TEST(SamplingController, TriggerNamesAreStable) {
 pipeline::ExecutionConfig backend_config(bool sharded) {
   pipeline::ExecutionConfig config;
   config.num_threads = 4;
-  if (sharded) {
-    config.monitor_shards = 2;
-    config.monitor_batch = 8;
-  }
+  if (sharded) config.monitor_shards = 2;
   return config;
 }
 

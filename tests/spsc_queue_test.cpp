@@ -86,20 +86,6 @@ TEST(SpscQueue, SizeStaysConsistentAcrossWraps) {
   }
 }
 
-TEST(SpscQueue, MovePushMovesThePayload) {
-  SpscQueue<std::string> queue(4);
-  std::string big(4096, 'x');
-  const char* storage = big.data();
-  ASSERT_TRUE(queue.try_push(std::move(big)));
-  std::string out;
-  ASSERT_TRUE(queue.try_pop(out));
-  EXPECT_EQ(out.size(), 4096u);
-  // The heap allocation travelled through the ring instead of being copied
-  // (pop copies out of the slot; the push itself must not).
-  EXPECT_EQ(queue.size(), 0u);
-  (void)storage;
-}
-
 TEST(SpscQueue, MovePushRejectsWhenFullWithoutConsuming) {
   SpscQueue<std::string> queue(2);
   while (queue.try_push(std::string("filler"))) {
@@ -254,10 +240,10 @@ TEST(SpscQueue, SizeIsBoundedUnderConcurrentContention) {
 }
 
 TEST(SpscQueue, ConcurrentMovePushWraparoundStress) {
-  // The move-push overload under real producer/consumer concurrency on a
-  // ring small enough to wrap constantly: order, content, and the
-  // acquire/release pairing must all hold (TSan lane validates the
-  // latter).
+  // Pushes of heap-owning rvalues under real producer/consumer
+  // concurrency on a ring small enough to wrap constantly: order, content,
+  // and the acquire/release pairing must all hold (TSan lane validates
+  // the latter).
   constexpr std::uint64_t kItems = 20'000;
   SpscQueue<std::string> queue(16);
   std::thread producer([&] {
@@ -310,20 +296,56 @@ TEST(SpscQueue, StagedItemsStayInvisibleUntilPublished) {
   EXPECT_TRUE(queue.empty());
 }
 
-TEST(SpscQueue, EveryStrideOfStagedItemsPublishesItself) {
-  constexpr int kStride = static_cast<int>(SpscQueue<int>::kStride);
+TEST(SpscQueue, StagedRunGrowsUntilThePublisherPublishes) {
+  // Staging never publishes by itself: the producer decides when its run
+  // is published (the Monitor at every kStride items, a session lane once
+  // its run has claimed quota).
+  constexpr int kRun = 2 * static_cast<int>(SpscQueue<int>::kStride);
   SpscQueue<int> queue(4 * SpscQueue<int>::kStride);
-  for (int i = 0; i < kStride - 1; ++i) ASSERT_TRUE(queue.try_stage(i));
-  EXPECT_TRUE(queue.empty());
-  ASSERT_TRUE(queue.try_stage(kStride - 1));  // completes the stride
-  EXPECT_EQ(queue.size(), SpscQueue<int>::kStride);
-  ASSERT_TRUE(queue.try_stage(kStride));  // starts the next one
-  const std::vector<int> seen = consume_all(queue);
-  ASSERT_EQ(seen.size(), SpscQueue<int>::kStride);
-  for (int i = 0; i < kStride; ++i) EXPECT_EQ(seen[i], i);
+  for (int i = 0; i < kRun; ++i) {
+    ASSERT_TRUE(queue.try_stage(i));
+    EXPECT_EQ(queue.staged(), static_cast<std::size_t>(i + 1));
+  }
   EXPECT_TRUE(queue.empty());
   queue.publish();
-  EXPECT_EQ(consume_all(queue), (std::vector<int>{kStride}));
+  EXPECT_EQ(queue.staged(), 0u);
+  const std::vector<int> seen = consume_all(queue);
+  ASSERT_EQ(seen.size(), static_cast<std::size_t>(kRun));
+  for (int i = 0; i < kRun; ++i) EXPECT_EQ(seen[i], i);
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST(SpscQueue, DiscardStagedRewindsToThePublishedHead) {
+  SpscQueue<int> queue(64);
+  ASSERT_TRUE(queue.try_stage(1));
+  ASSERT_TRUE(queue.try_stage(2));
+  queue.publish();
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(queue.try_stage(100 + i));
+  queue.discard_staged();
+  EXPECT_EQ(queue.staged(), 0u);
+  queue.publish();  // nothing staged: a no-op
+  EXPECT_EQ(queue.size(), 2u);
+  ASSERT_TRUE(queue.try_stage(3));  // takes the first discarded slot
+  queue.publish();
+  EXPECT_EQ(consume_all(queue), (std::vector<int>{1, 2, 3}));
+
+  // A discarded run's slots stay built: the next run assigns to them and
+  // builds only the slots past them, and the ring destroys each once.
+  Counted::live = 0;
+  {
+    SpscQueue<Counted> ring(16);
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(ring.try_stage(Counted(i)));
+    ring.discard_staged();
+    for (int i = 0; i < 5; ++i) ASSERT_TRUE(ring.try_stage(Counted(10 + i)));
+    EXPECT_EQ(Counted::live, 5);
+    ring.publish();
+    Counted out(-1);
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(ring.try_pop(out));
+      EXPECT_EQ(out.value, 10 + i);
+    }
+  }
+  EXPECT_EQ(Counted::live, 0);
 }
 
 TEST(SpscQueue, PushIsVisibleAtOnceAndCarriesStagedItems) {
@@ -336,7 +358,7 @@ TEST(SpscQueue, PushIsVisibleAtOnceAndCarriesStagedItems) {
   EXPECT_EQ(consume_all(queue), (std::vector<int>{2, 3}));
 }
 
-TEST(SpscQueue, FullRingStagedPushPublishesThenRefuses) {
+TEST(SpscQueue, FullRingStageRefusesUntilPublished) {
   SpscQueue<int> queue(8);  // 15 slots: less than one stride
   ASSERT_LT(queue.capacity(), SpscQueue<int>::kStride);
   for (int i = 0; i < static_cast<int>(queue.capacity()); ++i) {
@@ -344,7 +366,10 @@ TEST(SpscQueue, FullRingStagedPushPublishesThenRefuses) {
   }
   EXPECT_TRUE(queue.empty());  // all staged, none published
   EXPECT_FALSE(queue.try_stage(99));
-  EXPECT_EQ(queue.size(), queue.capacity());  // the refusal published
+  EXPECT_TRUE(queue.empty());  // a refusal publishes nothing
+  EXPECT_EQ(queue.staged(), queue.capacity());
+  queue.publish();  // what a producer does before it backs off
+  EXPECT_EQ(queue.size(), queue.capacity());
   int out = -1;
   ASSERT_TRUE(queue.try_pop(out));
   EXPECT_EQ(out, 0);
@@ -394,7 +419,10 @@ TEST(SpscQueue, ConcurrentStagedPublishStress) {
   std::thread producer([&] {
     std::uint64_t state = 0x9e3779b97f4a7c15ULL;
     for (std::uint64_t i = 0; i < kItems; ++i) {
-      while (!queue.try_stage(i)) std::this_thread::yield();
+      while (!queue.try_stage(i)) {
+        queue.publish();  // the consumer can only free what it sees
+        std::this_thread::yield();
+      }
       state ^= state << 13;
       state ^= state >> 7;
       state ^= state << 17;

@@ -171,7 +171,7 @@ TEST_F(TelemetryTest, CountersAggregateAcrossThreads) {
       for (std::uint64_t i = 0; i < kPerThread; ++i) {
         tel::counter_add(tel::Counter::ReportsSent);
         tel::counter_add(tel::Counter::InstancesChecked, 3);
-        tel::histogram_record(tel::Histogram::BatchFill, i % 64);
+        tel::histogram_record(tel::Histogram::CheckpointNs, i % 64);
       }
     });
   }
@@ -181,7 +181,7 @@ TEST_F(TelemetryTest, CountersAggregateAcrossThreads) {
   EXPECT_EQ(snap.counter(tel::Counter::ReportsSent), kThreads * kPerThread);
   EXPECT_EQ(snap.counter(tel::Counter::InstancesChecked),
             kThreads * kPerThread * 3);
-  EXPECT_EQ(snap.histogram_count(tel::Histogram::BatchFill),
+  EXPECT_EQ(snap.histogram_count(tel::Histogram::CheckpointNs),
             kThreads * kPerThread);
 }
 

@@ -193,10 +193,7 @@ TEST_P(TierDifferential, TiersAreObservationallyIdentical) {
   for (bool sharded : {false, true}) {
     pipeline::ExecutionConfig config;
     config.num_threads = 4;
-    if (sharded) {
-      config.monitor_shards = 1u << (seed % 3);  // 1, 2, 4
-      config.monitor_batch = (seed % 2) ? 8 : 1;
-    }
+    if (sharded) config.monitor_shards = 1u << (seed % 3);  // 1, 2, 4
     if (seed % 5 == 0) config.monitor_options.sampling.forced_rate = 4;
     pipeline::ExecutionResult interp =
         run_tier(program, config, vm::ExecTier::Interpreter);
