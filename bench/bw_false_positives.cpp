@@ -13,9 +13,9 @@
 //   usage: bw_false_positives [runs_per_program] [threads] [--workers=N]
 //          [--shards=K]
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
+#include "bench_args.h"
 #include "benchmarks/registry.h"
 #include "fault/campaign.h"
 #include "fault/stats.h"
@@ -30,13 +30,20 @@ int main(int argc, char** argv) {
   int positional = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--workers=", 10) == 0) {
-      workers = static_cast<unsigned>(std::atoi(argv[i] + 10));
+      workers = static_cast<unsigned>(support::count_arg_or_exit(
+          "bw_false_positives", "--workers", argv[i] + 10, 0,
+          bench::kMaxThreads));
     } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      shards = static_cast<unsigned>(std::atoi(argv[i] + 9));
+      shards = static_cast<unsigned>(support::count_arg_or_exit(
+          "bw_false_positives", "--shards", argv[i] + 9, 0,
+          bench::kMaxShards));
     } else if (positional++ == 0) {
-      runs = std::atoi(argv[i]);
+      runs = static_cast<int>(support::count_arg_or_exit(
+          "bw_false_positives", "run count", argv[i], 1, bench::kMaxReps));
     } else {
-      threads = static_cast<unsigned>(std::atoi(argv[i]));
+      threads = static_cast<unsigned>(support::count_arg_or_exit(
+          "bw_false_positives", "thread count", argv[i], 1,
+          bench::kMaxThreads));
     }
   }
 

@@ -9,8 +9,12 @@
 // measured is the instrumentation's client-side cost. The paper's ratio
 // times the parallel section only; the "e2e" columns time the whole
 // pipeline::execute() call (monitor start, the drain after the section,
-// finalize and stop included), which is what a user waits for. Median of
-// `reps` runs for each.
+// finalize and stop included), which is what a user waits for. Each rep
+// runs the baseline and the instrumented build back to back, alternating
+// which goes first (bench/execute_timing.h); every ratio is the median
+// over the reps' ratios, with its quartiles in brackets. The geomean row
+// takes the geomean across programs rep by rep, then its median and
+// quartiles.
 //
 // The sharded monitor adds an axis: with --shards=K the run is the only
 // session of a K-shard MonitorService, over the same wire of staged
@@ -30,13 +34,12 @@
 // instrumented build (analysis/similarity.h ElisionMode); comparing
 // syntactic against proof (the default) on these axes prices the checks
 // that proof-backed elision refuses to drop.
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_args.h"
 #include "bench_json.h"
 #include "execute_timing.h"
 #include "benchmarks/registry.h"
@@ -50,16 +53,28 @@ unsigned g_shards = 0;   // 0 = legacy single-consumer monitor
 vm::ExecTier g_tier = vm::ExecTier::Auto;
 analysis::ElisionMode g_elision = analysis::ElisionMode::ProofBacked;
 
-bench::Timing median_seconds(const pipeline::CompiledProgram& program,
-                             unsigned threads, pipeline::MonitorMode mode,
-                             int reps) {
+pipeline::ExecutionConfig run_config(unsigned threads,
+                                     pipeline::MonitorMode mode) {
   pipeline::ExecutionConfig config;
   config.num_threads = threads;
   config.exec_tier = g_tier;
   config.monitor = mode;
   config.stop_on_detection = false;
   if (mode != pipeline::MonitorMode::Off) config.monitor_shards = g_shards;
-  return bench::median_seconds(program, config, reps);
+  return config;
+}
+
+/// "2.15x [2.01-2.30]": the median ratio and its quartiles.
+void print_ratio(const bench::Quartiles& q) {
+  std::printf(" %6.2fx [%4.2f-%4.2f]", q.median, q.q1, q.q3);
+}
+
+/// `key`, `key_q1` and `key_q3` in the JSON row.
+void json_ratio(bench::JsonWriter& json, const std::string& key,
+                const bench::Quartiles& q) {
+  json.real(key.c_str(), q.median);
+  json.real((key + "_q1").c_str(), q.q1);
+  json.real((key + "_q3").c_str(), q.q3);
 }
 
 }  // namespace
@@ -69,7 +84,8 @@ int main(int argc, char** argv) {
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      g_shards = static_cast<unsigned>(std::atoi(argv[i] + 9));
+      g_shards = static_cast<unsigned>(support::count_arg_or_exit(
+          "bw_fig6_overhead", "--shards", argv[i] + 9, 0, bench::kMaxShards));
     } else if (std::strncmp(argv[i], "--tier=", 7) == 0) {
       if (!vm::parse_exec_tier(argv[i] + 7, g_tier)) {
         std::fprintf(stderr, "unknown tier '%s'\n", argv[i] + 7);
@@ -83,7 +99,8 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
     } else {
-      reps = std::atoi(argv[i]);
+      reps = static_cast<int>(support::count_arg_or_exit(
+          "bw_fig6_overhead", "rep count", argv[i], 1, bench::kMaxReps));
     }
   }
   std::printf("Figure 6: normalized execution time with BLOCKWATCH "
@@ -95,19 +112,21 @@ int main(int argc, char** argv) {
   }
   std::printf("vm tier: %s\n", vm::to_string(vm::resolve_tier(g_tier)));
   std::printf("elision: %s\n\n", analysis::to_string(g_elision));
-  std::printf("%-22s %12s %12s %12s %12s\n", "Program", "4 threads",
-              "32 threads", "4t e2e", "32t e2e");
+  // Columns: parallel ratio at 4 and 32 threads, then e2e at 4 and 32.
+  const char* const kColumns[4] = {"4 threads", "32 threads", "4t e2e",
+                                   "32t e2e"};
+  const char* const kKeys[4] = {"ratio_4t", "ratio_32t", "e2e_ratio_4t",
+                                "e2e_ratio_32t"};
+  std::printf("%-22s", "Program");
+  for (const char* column : kColumns) std::printf(" %19s", column);
+  std::printf("\n");
 
-  double log_sum4 = 0.0;
-  double log_sum32 = 0.0;
-  double log_e2e4 = 0.0;
-  double log_e2e32 = 0.0;
-  int count = 0;
   struct Row {
     std::string name;
-    double ratio4, ratio32, e2e4, e2e32;
+    bench::Quartiles columns[4];
   };
   std::vector<Row> rows;
+  bench::RepGeomean geomeans[4];
   for (const benchmarks::Benchmark& bench : benchmarks::all_benchmarks()) {
     pipeline::CompiledProgram baseline =
         pipeline::compile_program(bench.source);
@@ -116,36 +135,32 @@ int main(int argc, char** argv) {
     pipeline::CompiledProgram protected_program =
         pipeline::protect_program(bench.source, popts);
 
-    double ratios[2];
-    double e2e[2];
-    unsigned thread_counts[2] = {4, 32};
+    Row row;
+    row.name = bench.name;
+    const unsigned thread_counts[2] = {4, 32};
     for (int i = 0; i < 2; ++i) {
-      const bench::Timing base = median_seconds(
-          baseline, thread_counts[i], pipeline::MonitorMode::Off, reps);
-      const bench::Timing inst =
-          median_seconds(protected_program, thread_counts[i],
-                         pipeline::MonitorMode::DrainOnly, reps);
-      ratios[i] =
-          base.parallel_s > 0.0 ? inst.parallel_s / base.parallel_s : 1.0;
-      e2e[i] = base.execute_s > 0.0 ? inst.execute_s / base.execute_s : 1.0;
+      const bench::RatioSamples samples = bench::overhead_samples(
+          baseline, run_config(thread_counts[i], pipeline::MonitorMode::Off),
+          protected_program,
+          run_config(thread_counts[i], pipeline::MonitorMode::DrainOnly),
+          reps);
+      row.columns[i] = bench::quartiles(samples.parallel);
+      row.columns[2 + i] = bench::quartiles(samples.execute);
+      geomeans[i].add(samples.parallel);
+      geomeans[2 + i].add(samples.execute);
     }
-    std::printf("%-22s %11.2fx %11.2fx %11.2fx %11.2fx\n",
-                bench.paper_name.c_str(), ratios[0], ratios[1], e2e[0],
-                e2e[1]);
-    log_sum4 += std::log(ratios[0]);
-    log_sum32 += std::log(ratios[1]);
-    log_e2e4 += std::log(e2e[0]);
-    log_e2e32 += std::log(e2e[1]);
-    rows.push_back({bench.name, ratios[0], ratios[1], e2e[0], e2e[1]});
-    ++count;
+    std::printf("%-22s", bench.paper_name.c_str());
+    for (const bench::Quartiles& q : row.columns) print_ratio(q);
+    std::printf("\n");
+    rows.push_back(row);
   }
-  const double geomean4 = std::exp(log_sum4 / count);
-  const double geomean32 = std::exp(log_sum32 / count);
-  const double e2e_geomean4 = std::exp(log_e2e4 / count);
-  const double e2e_geomean32 = std::exp(log_e2e32 / count);
-  std::printf("%-22s %11.2fx %11.2fx %11.2fx %11.2fx   "
-              "(paper: 2.15x / 1.16x)\n",
-              "geomean", geomean4, geomean32, e2e_geomean4, e2e_geomean32);
+  bench::Quartiles geomean[4];
+  std::printf("%-22s", "geomean");
+  for (int c = 0; c < 4; ++c) {
+    geomean[c] = bench::quartiles(geomeans[c].values());
+    print_ratio(geomean[c]);
+  }
+  std::printf("   (paper: 2.15x / 1.16x)\n");
   if (!json_path.empty()) {
     bench::JsonWriter json("bw_fig6_overhead");
     json.num("reps", reps);
@@ -156,17 +171,15 @@ int main(int argc, char** argv) {
     for (const Row& r : rows) {
       json.begin_row();
       json.str("program", r.name);
-      json.real("ratio_4t", r.ratio4);
-      json.real("ratio_32t", r.ratio32);
-      json.real("e2e_ratio_4t", r.e2e4);
-      json.real("e2e_ratio_32t", r.e2e32);
+      for (int c = 0; c < 4; ++c) json_ratio(json, kKeys[c], r.columns[c]);
       json.end_row();
     }
     json.end_rows();
-    json.real("geomean_4t", geomean4);
-    json.real("geomean_32t", geomean32);
-    json.real("e2e_geomean_4t", e2e_geomean4);
-    json.real("e2e_geomean_32t", e2e_geomean32);
+    const char* const kGeomeanKeys[4] = {"geomean_4t", "geomean_32t",
+                                         "e2e_geomean_4t", "e2e_geomean_32t"};
+    for (int c = 0; c < 4; ++c) {
+      json_ratio(json, kGeomeanKeys[c], geomean[c]);
+    }
     if (!json.write(json_path)) return 1;
   }
   return 0;

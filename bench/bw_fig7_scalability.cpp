@@ -5,19 +5,22 @@
 //
 // As in bw_fig6_overhead, "overhead" is the paper's parallel-section
 // ratio and "e2e" times the whole pipeline::execute() call (monitor start,
-// the drain after the section, finalize and stop included). Below 4
-// threads some checks cannot fire (runtime::min_reporters), so their
-// sites send nothing: those points price only reports a check can use.
+// the drain after the section, finalize and stop included). Each rep runs
+// every program's baseline and instrumented build back to back,
+// alternating which goes first (bench/execute_timing.h); a point is the
+// median over reps of that rep's geomean across programs, with its
+// quartiles in brackets. Below 4 threads some checks cannot fire
+// (runtime::min_reporters), so their sites send nothing: those points
+// price only reports a check can use.
 //
 //   usage: bw_fig7_scalability [reps] [--shards=K]
 //          [--json=<file>]
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_args.h"
 #include "bench_json.h"
 #include "execute_timing.h"
 #include "benchmarks/registry.h"
@@ -29,15 +32,14 @@ using namespace bw;
 
 unsigned g_shards = 0;   // 0 = legacy single-consumer monitor
 
-bench::Timing median_seconds(const pipeline::CompiledProgram& program,
-                             unsigned threads, pipeline::MonitorMode mode,
-                             int reps) {
+pipeline::ExecutionConfig run_config(unsigned threads,
+                                     pipeline::MonitorMode mode) {
   pipeline::ExecutionConfig config;
   config.num_threads = threads;
   config.monitor = mode;
   config.stop_on_detection = false;
   if (mode != pipeline::MonitorMode::Off) config.monitor_shards = g_shards;
-  return bench::median_seconds(program, config, reps);
+  return config;
 }
 
 }  // namespace
@@ -47,11 +49,14 @@ int main(int argc, char** argv) {
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      g_shards = static_cast<unsigned>(std::atoi(argv[i] + 9));
+      g_shards = static_cast<unsigned>(support::count_arg_or_exit(
+          "bw_fig7_scalability", "--shards", argv[i] + 9, 0,
+          bench::kMaxShards));
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
     } else {
-      reps = std::atoi(argv[i]);
+      reps = static_cast<int>(support::count_arg_or_exit(
+          "bw_fig7_scalability", "rep count", argv[i], 1, bench::kMaxReps));
     }
   }
   const unsigned thread_counts[] = {1, 2, 4, 8, 16, 32};
@@ -62,40 +67,35 @@ int main(int argc, char** argv) {
   } else {
     std::printf("monitor: legacy single consumer\n\n");
   }
-  std::printf("%8s %10s %10s\n", "threads", "overhead", "e2e");
+  std::printf("%8s %19s %19s\n", "threads", "overhead", "e2e");
   struct Row {
     unsigned threads;
-    double geomean;
-    double e2e_geomean;
+    bench::Quartiles overhead;
+    bench::Quartiles e2e;
   };
   std::vector<Row> rows;
   for (unsigned threads : thread_counts) {
-    double log_sum = 0.0;
-    double log_e2e = 0.0;
-    int count = 0;
+    bench::RepGeomean overhead;
+    bench::RepGeomean e2e;
     for (const benchmarks::Benchmark& bench :
          benchmarks::all_benchmarks()) {
       pipeline::CompiledProgram baseline =
           pipeline::compile_program(bench.source);
       pipeline::CompiledProgram protected_program =
           pipeline::protect_program(bench.source);
-      const bench::Timing base = median_seconds(baseline, threads,
-                                         pipeline::MonitorMode::Off, reps);
-      const bench::Timing inst = median_seconds(protected_program, threads,
-                                         pipeline::MonitorMode::DrainOnly,
-                                         reps);
-      if (base.parallel_s > 0.0) {
-        log_sum += std::log(inst.parallel_s / base.parallel_s);
-        log_e2e += std::log(base.execute_s > 0.0
-                                ? inst.execute_s / base.execute_s
-                                : 1.0);
-        ++count;
-      }
+      const bench::RatioSamples samples = bench::overhead_samples(
+          baseline, run_config(threads, pipeline::MonitorMode::Off),
+          protected_program,
+          run_config(threads, pipeline::MonitorMode::DrainOnly), reps);
+      overhead.add(samples.parallel);
+      e2e.add(samples.execute);
     }
-    const double geomean = std::exp(log_sum / count);
-    const double e2e_geomean = std::exp(log_e2e / count);
-    std::printf("%8u %9.2fx %9.2fx\n", threads, geomean, e2e_geomean);
-    rows.push_back({threads, geomean, e2e_geomean});
+    Row row{threads, bench::quartiles(overhead.values()),
+            bench::quartiles(e2e.values())};
+    std::printf("%8u %6.2fx [%4.2f-%4.2f] %6.2fx [%4.2f-%4.2f]\n", threads,
+                row.overhead.median, row.overhead.q1, row.overhead.q3,
+                row.e2e.median, row.e2e.q1, row.e2e.q3);
+    rows.push_back(row);
   }
   std::printf(
       "\nPaper anchors: 2.15x @4 threads, 1.16x @32 threads; shape: the\n"
@@ -111,8 +111,12 @@ int main(int argc, char** argv) {
     for (const Row& r : rows) {
       json.begin_row();
       json.num("threads", r.threads);
-      json.real("geomean_overhead", r.geomean);
-      json.real("e2e_geomean_overhead", r.e2e_geomean);
+      json.real("geomean_overhead", r.overhead.median);
+      json.real("geomean_overhead_q1", r.overhead.q1);
+      json.real("geomean_overhead_q3", r.overhead.q3);
+      json.real("e2e_geomean_overhead", r.e2e.median);
+      json.real("e2e_geomean_overhead_q1", r.e2e.q1);
+      json.real("e2e_geomean_overhead_q3", r.e2e.q3);
       json.end_row();
     }
     json.end_rows();

@@ -17,15 +17,12 @@
 //                                         run a parallel fault-injection
 //                                         campaign and print the outcome
 //                                         partition with Wilson 95% CIs
-//   bwc serve <prog> [sessions] [threads] [--shards=K] [--max-sessions=N]
-//             [--quota=N] [--runners=R]
-//                                         host many protected runs of the
-//                                         program as sessions of ONE
-//                                         shared multi-tenant
-//                                         MonitorService (R concurrent
-//                                         runners), then print service
-//                                         admission and per-tenant
-//                                         aggregate stats
+//   bwc serve <prog> [sessions] [threads] [--shards=K] [--quota=N]
+//                                         run many protected runs of the
+//                                         program, one after another, as
+//                                         sessions of ONE long-lived
+//                                         MonitorService, then print the
+//                                         sessions' aggregate stats
 //   bwc race <prog> [threads] [--static-only]
 //                                         static race check (certificates
 //                                         per conflicting access pair),
@@ -38,6 +35,10 @@
 // <prog> is a path to a .bwc source file, or "bench:<name>" for a
 // built-in SPLASH-2 kernel (bench:fft, bench:radix, ...) or service
 // kernel (bench:auth_check, bench:dispatch).
+//
+// Every count (threads, injections, sessions, shards, ...) must be a whole
+// number within the bounds docs/bwc_cli.md lists; anything else exits 2
+// before a program thread starts.
 //
 // Sampled monitoring (protect and campaign; see docs/bwc_cli.md):
 //   --sampling        adaptive 1-in-N sampling: full checking while the
@@ -63,26 +64,22 @@
 // Exit codes (scriptable):
 //   0  clean run
 //   1  program trapped (crash/hang/abort) or compile error
-//   2  usage error
+//   2  usage error (including a bad count)
 //   3  monitor detected a violation and the run stopped (or finished
 //      with a recorded violation)
 //   4  run finished but the monitor ended Degraded (partial protection)
 //   5  run finished but the monitor ended Failed (unprotected tail)
 //   6  a violation was detected, the run rolled back to a checkpoint and
 //      finished correctly (recovered)
-//   7  serve only: the service rejected at least one admission (sessions
-//      beyond --max-sessions; the runs that were admitted still report
-//      via codes 3/4/5 first)
 //   8  race only: data races found — dynamically confirmed, or (with
 //      --static-only) at least one conflicting pair has no certificate
-#include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "benchmarks/registry.h"
@@ -90,11 +87,41 @@
 #include "fault/compositional.h"
 #include "pipeline/pipeline.h"
 #include "runtime/monitor_service.h"
+#include "support/string_utils.h"
 #include "support/telemetry/telemetry.h"
 
 namespace {
 
 using namespace bw;
+
+// Bounds of bwc's counts (docs/bwc_cli.md). The benches go to 32 program
+// threads.
+constexpr std::uint64_t kMaxThreads = 256;
+constexpr std::uint64_t kMaxShards = 64;
+constexpr std::uint64_t kMaxWorkers = 256;
+constexpr std::uint64_t kMaxRuns = 1'000'000;  // injections, sessions
+constexpr std::uint64_t kMaxFlips = 1'000'000;
+constexpr std::uint64_t kMaxQuota = UINT32_MAX;
+
+std::uint64_t count_arg(const char* what, std::string_view text,
+                        std::uint64_t min, std::uint64_t max) {
+  return support::count_arg_or_exit("bwc", what, text, min, max);
+}
+
+/// Positional argument `index` as a count, or `fallback` when absent.
+std::uint64_t count_at(const std::vector<std::string>& args,
+                       std::size_t index, const char* what,
+                       std::uint64_t fallback, std::uint64_t min,
+                       std::uint64_t max) {
+  return args.size() > index ? count_arg(what, args[index], min, max)
+                             : fallback;
+}
+
+unsigned threads_at(const std::vector<std::string>& args,
+                    std::size_t index) {
+  return static_cast<unsigned>(
+      count_at(args, index, "thread count", 4, 1, kMaxThreads));
+}
 
 std::string read_file(const char* path) {
   std::ifstream in(path);
@@ -141,7 +168,7 @@ int usage() {
       "[--resume=<file>] [--no-protect] [--recover] [--flips=N] "
       "[--compositional]\n"
       "       bwc serve <prog> [sessions] [threads] [--shards=K] "
-      "[--max-sessions=N] [--quota=N] [--runners=R]\n"
+      "[--quota=N]\n"
       "       bwc race <prog> [threads] [--static-only]\n");
   return 2;
 }
@@ -355,9 +382,7 @@ int cmd_inject(const std::string& source, unsigned thread, std::uint64_t k,
 /// Flags consumed only by `bwc serve`.
 struct ServeFlags {
   unsigned shards = 2;
-  std::size_t max_sessions = 64;
-  std::uint64_t quota = 0;  // 0 = service default
-  unsigned runners = 4;
+  std::uint64_t quota = 0;  // 0 = no quota
 };
 
 int cmd_serve(const std::string& source, unsigned sessions, unsigned threads,
@@ -367,51 +392,32 @@ int cmd_serve(const std::string& source, unsigned sessions, unsigned threads,
 
   runtime::MonitorServiceOptions service_options;
   service_options.num_shards = flags.shards;
-  service_options.max_sessions = flags.max_sessions;
-  if (flags.quota != 0) service_options.default_report_quota = flags.quota;
   runtime::MonitorService service(service_options);
   service.start();
-
-  const unsigned runners = std::max(1u, flags.runners);
   std::fprintf(stderr,
-               "bwc: serve: %u sessions (%u program threads each) over %u "
-               "shard(s), %u concurrent runner(s), max %zu live sessions\n",
-               sessions, threads, service.num_shards(), runners,
-               service_options.max_sessions);
+               "bwc: serve: %u sessions (%u program threads each), one "
+               "after another over %u shard(s)\n",
+               sessions, threads, service.num_shards());
 
-  // Runners claim session slots from a shared cursor; each session is a
-  // full admit -> run -> close turnaround against the shared service.
-  std::vector<pipeline::ExecutionResult> results(sessions);
-  std::atomic<unsigned> cursor{0};
-  std::vector<std::thread> pool;
-  pool.reserve(runners);
-  for (unsigned r = 0; r < runners; ++r) {
-    pool.emplace_back([&] {
-      for (unsigned i = cursor.fetch_add(1, std::memory_order_relaxed);
-           i < sessions;
-           i = cursor.fetch_add(1, std::memory_order_relaxed)) {
-        pipeline::ExecutionConfig config;
-        config.num_threads = threads;
-        config.exec_tier = tier;
-        config.stop_on_detection = false;
-        config.session_quota = flags.quota;
-        config.monitor_options.sampling = sampling;
-        results[i] = pipeline::execute_in_session(program, config, service);
-      }
-    });
-  }
-  for (auto& t : pool) t.join();
-  runtime::ServiceStats service_stats = service.stats();
-  service.stop();
-
-  unsigned ok = 0, trapped = 0, rejected = 0, with_violations = 0;
+  // Each session is a full admit -> run -> close turnaround on the
+  // long-lived service.
+  unsigned ok = 0, trapped = 0, with_violations = 0;
   unsigned degraded = 0, failed = 0;
   std::uint64_t processed = 0, throttled = 0, dropped = 0;
   std::size_t violations = 0;
-  for (const pipeline::ExecutionResult& result : results) {
+  for (unsigned i = 0; i < sessions; ++i) {
+    pipeline::ExecutionConfig config;
+    config.num_threads = threads;
+    config.exec_tier = tier;
+    config.stop_on_detection = false;
+    config.session_quota = flags.quota;
+    config.monitor_options.sampling = sampling;
+    const pipeline::ExecutionResult result =
+        pipeline::execute_in_session(program, config, service);
     if (result.admit_error != runtime::AdmitError::None) {
-      ++rejected;
-      continue;
+      std::fprintf(stderr, "bwc: session %u not admitted: %s\n", i,
+                   runtime::to_string(result.admit_error));
+      return 1;
     }
     if (!result.run.ok) ++trapped;
     if (result.detected) ++with_violations;
@@ -429,21 +435,12 @@ int cmd_serve(const std::string& source, unsigned sessions, unsigned threads,
     dropped += result.monitor_stats.dropped_reports;
     violations += result.violations.size();
   }
+  service.stop();
 
   std::fprintf(stderr,
-               "bwc: service: admitted %llu, rejected %llu, evicted %llu, "
-               "active %zu\n",
-               static_cast<unsigned long long>(
-                   service_stats.sessions_admitted),
-               static_cast<unsigned long long>(
-                   service_stats.sessions_rejected),
-               static_cast<unsigned long long>(service_stats.sessions_evicted),
-               service_stats.active_sessions);
-  std::fprintf(stderr,
                "bwc: sessions: %u ok, %u with violations (%zu total), %u "
-               "degraded, %u failed, %u trapped, %u rejected\n",
-               ok, with_violations, violations, degraded, failed, trapped,
-               rejected);
+               "degraded, %u failed, %u trapped\n",
+               ok, with_violations, violations, degraded, failed, trapped);
   std::fprintf(stderr,
                "bwc: reports: processed %llu, throttled %llu, dropped %llu\n",
                static_cast<unsigned long long>(processed),
@@ -454,7 +451,6 @@ int cmd_serve(const std::string& source, unsigned sessions, unsigned threads,
   if (with_violations > 0) return 3;
   if (failed > 0) return 5;
   if (degraded > 0) return 4;
-  if (rejected > 0) return 7;
   return 0;
 }
 
@@ -620,18 +616,12 @@ int dispatch(const std::string& cmd, const std::string& source,
              const ServeFlags& serve_flags, bool recover, bool static_only,
              const runtime::SamplingOptions& sampling, vm::ExecTier tier) {
   if (cmd == "run" || cmd == "protect") {
-    unsigned threads =
-        args.size() > 2 ? static_cast<unsigned>(std::atoi(args[2].c_str()))
-                        : 4;
-    return cmd_run(source, threads, cmd == "protect",
+    return cmd_run(source, threads_at(args, 2), cmd == "protect",
                    recover && cmd == "protect", sampling, tier);
   }
   if (cmd == "analyze") return cmd_analyze(source);
   if (cmd == "race") {
-    unsigned threads =
-        args.size() > 2 ? static_cast<unsigned>(std::atoi(args[2].c_str()))
-                        : 4;
-    return cmd_race(source, threads, static_only);
+    return cmd_race(source, threads_at(args, 2), static_only);
   }
   if (cmd == "emit-ir") {
     std::fputs(pipeline::compile_program(source).module->to_string().c_str(),
@@ -644,32 +634,25 @@ int dispatch(const std::string& cmd, const std::string& source,
     return 0;
   }
   if (cmd == "campaign") {
-    int injections =
-        args.size() > 2 ? std::atoi(args[2].c_str()) : 200;
-    unsigned threads =
-        args.size() > 3 ? static_cast<unsigned>(std::atoi(args[3].c_str()))
-                        : 4;
-    return cmd_campaign(source, injections, threads, campaign_flags,
-                        recover, sampling, tier);
+    const int injections = static_cast<int>(
+        count_at(args, 2, "injection count", 200, 1, kMaxRuns));
+    return cmd_campaign(source, injections, threads_at(args, 3),
+                        campaign_flags, recover, sampling, tier);
   }
   if (cmd == "serve") {
-    unsigned sessions =
-        args.size() > 2 ? static_cast<unsigned>(std::atoi(args[2].c_str()))
-                        : 16;
-    unsigned threads =
-        args.size() > 3 ? static_cast<unsigned>(std::atoi(args[3].c_str()))
-                        : 4;
-    return cmd_serve(source, sessions, threads, serve_flags, sampling, tier);
+    const unsigned sessions = static_cast<unsigned>(
+        count_at(args, 2, "session count", 16, 1, kMaxRuns));
+    return cmd_serve(source, sessions, threads_at(args, 3), serve_flags,
+                     sampling, tier);
   }
   if (cmd == "inject" && args.size() >= 4) {
     bool cond_fault = args.size() > 4 && args[4] == "cond";
-    unsigned threads =
-        args.size() > 5 ? static_cast<unsigned>(std::atoi(args[5].c_str()))
-                        : 4;
-    return cmd_inject(source,
-                      static_cast<unsigned>(std::atoi(args[2].c_str())),
-                      static_cast<std::uint64_t>(std::atoll(args[3].c_str())),
-                      cond_fault, threads, recover, tier);
+    const unsigned threads = threads_at(args, 5);
+    const unsigned thread = static_cast<unsigned>(
+        count_arg("fault thread", args[2], 0, threads - 1));
+    const std::uint64_t k =
+        count_arg("branch index", args[3], 0, UINT64_MAX);
+    return cmd_inject(source, thread, k, cond_fault, threads, recover, tier);
   }
   return usage();
 }
@@ -700,11 +683,11 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--sampling") == 0) {
       sampling.enabled = true;
     } else if (std::strncmp(argv[i], "--sample-rate=", 14) == 0) {
-      sampling.forced_rate =
-          static_cast<std::uint32_t>(std::atoi(argv[i] + 14));
+      sampling.forced_rate = static_cast<std::uint32_t>(
+          count_arg("--sample-rate", argv[i] + 14, 1, UINT32_MAX));
     } else if (std::strncmp(argv[i], "--flips=", 8) == 0) {
-      campaign_flags.targeted_flips =
-          static_cast<unsigned>(std::atoi(argv[i] + 8));
+      campaign_flags.targeted_flips = static_cast<unsigned>(
+          count_arg("--flips", argv[i] + 8, 0, kMaxFlips));
     } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
       trace_path = argv[i] + 8;
     } else if (std::strcmp(argv[i], "--metrics") == 0) {
@@ -715,10 +698,10 @@ int main(int argc, char** argv) {
         return usage();
       }
     } else if (std::strncmp(argv[i], "--workers=", 10) == 0) {
-      campaign_flags.workers =
-          static_cast<unsigned>(std::atoi(argv[i] + 10));
+      campaign_flags.workers = static_cast<unsigned>(
+          count_arg("--workers", argv[i] + 10, 0, kMaxWorkers));
     } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      campaign_flags.seed = std::strtoull(argv[i] + 7, nullptr, 0);
+      campaign_flags.seed = count_arg("--seed", argv[i] + 7, 0, UINT64_MAX);
     } else if (std::strncmp(argv[i], "--checkpoint=", 13) == 0) {
       campaign_flags.checkpoint_file = argv[i] + 13;
     } else if (std::strncmp(argv[i], "--resume=", 9) == 0) {
@@ -728,14 +711,10 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--compositional") == 0) {
       campaign_flags.compositional = true;
     } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      serve_flags.shards = static_cast<unsigned>(std::atoi(argv[i] + 9));
-    } else if (std::strncmp(argv[i], "--max-sessions=", 15) == 0) {
-      serve_flags.max_sessions =
-          static_cast<std::size_t>(std::atoll(argv[i] + 15));
+      serve_flags.shards = static_cast<unsigned>(
+          count_arg("--shards", argv[i] + 9, 1, kMaxShards));
     } else if (std::strncmp(argv[i], "--quota=", 8) == 0) {
-      serve_flags.quota = std::strtoull(argv[i] + 8, nullptr, 0);
-    } else if (std::strncmp(argv[i], "--runners=", 10) == 0) {
-      serve_flags.runners = static_cast<unsigned>(std::atoi(argv[i] + 10));
+      serve_flags.quota = count_arg("--quota", argv[i] + 8, 0, kMaxQuota);
     } else if (std::strncmp(argv[i], "--", 2) == 0) {
       std::fprintf(stderr, "bwc: unknown flag '%s'\n", argv[i]);
       return usage();

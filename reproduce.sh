@@ -150,7 +150,7 @@ if [ "$run_tsan" = 1 ]; then
     ctest --test-dir build-tsan --output-on-failure -L 'campaign|compositional'
     echo "===== TSan sampling lane (adaptive rate ladder under races) ====="
     ctest --test-dir build-tsan --output-on-failure -L sampling
-    echo "===== TSan multitenant lane (session isolation proofs) ====="
+    echo "===== TSan multitenant lane (sequential-session isolation) ====="
     ctest --test-dir build-tsan --output-on-failure -L multitenant
     echo "===== TSan tier lane (threaded dispatch vs interpreter oracle) ====="
     # Bounded subset: the tier-differential harness runs both dispatchers

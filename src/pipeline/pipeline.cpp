@@ -1,7 +1,6 @@
 #include "pipeline/pipeline.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "ir/verifier.h"
 #include "support/telemetry/telemetry.h"
@@ -133,10 +132,7 @@ ExecutionResult execute(const CompiledProgram& program,
   if (config.monitor != MonitorMode::Off && config.monitor_shards >= 1) {
     runtime::MonitorServiceOptions sopts;
     sopts.num_shards = config.monitor_shards;
-    sopts.max_sessions = 1;
     sopts.queue_capacity = config.monitor_options.queue_capacity;
-    // Only the rings apply backpressure, as on the legacy Monitor.
-    sopts.default_report_quota = std::numeric_limits<std::uint64_t>::max();
     sopts.backoff = config.monitor_options.backoff;
     sopts.watchdog = config.monitor_options.watchdog;
     runtime::MonitorService service(sopts);

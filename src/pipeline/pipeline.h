@@ -70,8 +70,8 @@ struct ExecutionConfig {
   /// (thread, shard) ring as it sizes the Monitor's, backoff/watchdog
   /// configure the service, and validation/sampling/fault hooks configure
   /// the session (fault hooks fire per shard unless shard_filter picks
-  /// one). The session's report quota defaults to unbounded, so only the
-  /// rings ever apply backpressure.
+  /// one). session_quota applies as in execute_in_session; at its default
+  /// of 0 only the rings apply backpressure, as on the legacy Monitor.
   unsigned monitor_shards = 0;
   /// Entry points (must match the names used at analysis time).
   std::string parallel_entry = "slave";
@@ -86,9 +86,9 @@ struct ExecutionConfig {
   /// vm::PhasePlan). Mutually exclusive with recovery; inactive by default.
   vm::PhasePlan phase;
   /// Session runs only (execute_in_session, and execute() with
-  /// monitor_shards >= 1): this run's queued-report quota (0 = the
-  /// service's default). monitor_options carries the rest of the session
-  /// shape (validation, fault hooks, sampling, max_pending); monitor
+  /// monitor_shards >= 1): this run's queued-report quota (0 = no
+  /// quota). monitor_options carries the rest of the session shape
+  /// (validation, fault hooks, sampling, max_pending); monitor
   /// Full/DrainOnly maps onto the session's perform_checks.
   std::uint64_t session_quota = 0;
 };
@@ -117,15 +117,17 @@ struct ExecutionResult {
 
 /// Run a compiled program under the monitor `config` selects: none
 /// (MonitorMode::Off), the legacy single-consumer Monitor
-/// (monitor_shards == 0), or a private one-session MonitorService
+/// (monitor_shards == 0), or a private MonitorService
 /// (monitor_shards >= 1, delegating to execute_in_session).
 ExecutionResult execute(const CompiledProgram& program,
                         const ExecutionConfig& config);
 
 /// As execute(), but the monitor is a session admitted from (and torn
-/// down back into) a caller-owned multi-tenant MonitorService instead of
-/// a monitor owned by this run. The service must be started; many
-/// execute_in_session calls may run concurrently against one service.
+/// down back into) a caller-owned MonitorService instead of a monitor
+/// owned by this run. The service must be started. It hosts one session
+/// at a time: a call made while another call's session is live gets
+/// admit_error == AdmitError::Busy and runs nothing, so callers run their
+/// sessions one after another.
 /// The service, not the config, fixes shards, ring size, backoff and the
 /// watchdog; monitor_shards and monitor_options.queue_capacity are
 /// ignored here.

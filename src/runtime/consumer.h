@@ -2,8 +2,8 @@
 // written once: visit each producer's ring in turn, drain a burst, screen
 // and file each report into the two-level table, check, and finalize at
 // section end. The legacy Monitor runs one consumer over its program
-// threads' rings; a MonitorService runs one per shard, visiting each
-// session's tenant on that shard in turn. Both run the pop screen and
+// threads' rings; a MonitorService runs one per shard, visiting the live
+// session's tenant on that shard. Both run the pop screen and
 // filing (TenantCore); the visit with its beat, command mailbox, stall
 // freeze, delay deferral, burst drain and command executor (Tenant); the
 // quiesce predicate (quiesce_sink); the recovery caller's post
@@ -11,7 +11,7 @@
 // recovery wait (bounded_wait). Both wires are the same too: each producer
 // stages single reports into its ring and publishes them in runs, and the
 // consumer drains 256 reports per ring per visit. What stays per topology
-// is the service's routing, quota and session registry.
+// is the service's routing, quota and live-session slot.
 //
 // Internal: only monitor.cpp and monitor_service.cpp include this header.
 #pragma once
@@ -232,7 +232,7 @@ class Tenant {
       popped |= drain(rings_.at(p, consumer_), /*file=*/true) != 0;
     }
     // The delay hook defers the next visit by what this one filed: slow,
-    // but never asleep to the mailbox or to other tenants.
+    // but never asleep to the mailbox.
     const std::uint64_t delay = core_.hooks.delay_ns_per_report;
     const std::uint64_t filed = core_.reports_processed - filed_before;
     if (core_.hooks_apply && delay != 0 && filed != 0) {

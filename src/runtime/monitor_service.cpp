@@ -1,7 +1,5 @@
 #include "runtime/monitor_service.h"
 
-#include <algorithm>
-
 #include "runtime/consumer.h"
 #include "runtime/spsc_queue.h"
 #include "support/diagnostics.h"
@@ -13,7 +11,7 @@ namespace bw::runtime {
 const char* to_string(AdmitError error) {
   switch (error) {
     case AdmitError::None: return "none";
-    case AdmitError::TableFull: return "table-full";
+    case AdmitError::Busy: return "busy";
     case AdmitError::ServiceStopped: return "service-stopped";
     case AdmitError::BadConfig: return "bad-config";
   }
@@ -38,36 +36,39 @@ struct alignas(64) ProducerSlot {
   /// Edge-detector for throttle episodes (one event per entry into the
   /// over-quota regime, not per discarded run).
   bool throttling = false;
-  /// Per-shard watchdog, run against this SESSION's beat on that shard (a
-  /// frozen tenant fails only its own session). The quota gate reads it
-  /// too.
+  /// Per-shard watchdog, run against this session's beat on that shard (a
+  /// frozen tenant fails its session, never the shard). The quota gate
+  /// reads it too.
   std::vector<StallClock> stall;
   /// The quota gate's give-up clock, run against released_reports.
   StallClock quota_stall;
 };
 
-/// Releases each burst's popped reports from the session's quota.
+/// Releases each burst's popped reports from the session's quota; a
+/// session without one never claimed them.
 struct QuotaRelease {
   std::atomic<std::uint64_t>& queued;
   std::atomic<std::uint64_t>& released;
+  bool metered;
   void operator()(std::uint64_t count) const {
+    if (!metered) return;
     queued.fetch_sub(count, std::memory_order_release);
     released.fetch_add(count, std::memory_order_relaxed);
   }
 };
 
 /// Everything a session owns. Shared (via shared_ptr) between the
-/// session handle, the registry, and each shard's snapshot, so a
-/// detaching session's state outlives its registry entry.
+/// session handle, the service's live slot, and each shard's reference,
+/// so a detaching session's state outlives its slot.
 struct SessionState {
   SessionState(SessionId id_, const SessionOptions& opts,
-               std::uint64_t quota_, unsigned num_shards_,
-               std::size_t ring_capacity)
+               unsigned num_shards_, std::size_t ring_capacity)
       : id(id_),
         options(opts),
-        quota(quota_),
-        publish_at(static_cast<std::size_t>(std::clamp<std::uint64_t>(
-            quota_, 1, SpscQueue<BranchReport>::kStride))),
+        quota(opts.report_quota),
+        publish_at(quota == 0 || quota >= SpscQueue<BranchReport>::kStride
+                       ? SpscQueue<BranchReport>::kStride
+                       : static_cast<std::size_t>(quota)),
         producers(opts.num_threads),
         rings(opts.num_threads, num_shards_, ring_capacity),
         mailbox(num_shards_),
@@ -82,13 +83,13 @@ struct SessionState {
               opts.fault_hooks.shard_filter == k));
       shard_tenants.push_back(std::make_unique<ShardTenant>(
           *shard_cores.back(), mailbox, k, rings,
-          QuotaRelease{queued_reports, released_reports}));
+          QuotaRelease{queued_reports, released_reports, quota != 0}));
     }
   }
 
   const SessionId id;
   const SessionOptions options;
-  const std::uint64_t quota;
+  const std::uint64_t quota;  // 0 = none
   /// A lane's staged run is published once it holds this many reports:
   /// a stride, or the whole quota when that is smaller, so that one run
   /// can always claim it.
@@ -113,7 +114,7 @@ struct SessionState {
   std::vector<std::unique_ptr<ShardTenant>> shard_tenants;
 
   /// Reports published but not yet filed, across all shards — the value
-  /// the per-tenant quota gates on. Incremented by producers when a
+  /// the session quota gates on. Incremented by producers when a
   /// run claims quota, decremented by shards after each burst is filed.
   std::atomic<std::uint64_t> queued_reports{0};
   /// Reports the shards have taken off queued_reports, ever: the beat a
@@ -179,36 +180,32 @@ void merge_session_results(detail::SessionState& s, std::uint64_t seq) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Shard side: one thread per shard, visiting every session in turn.
+// Shard side: one thread per shard, visiting the live session.
 // ---------------------------------------------------------------------------
 
 struct MonitorService::Shard {
   unsigned index = 0;
   std::thread worker;
-  std::uint64_t snapshot_version = ~std::uint64_t{0};
-  std::vector<std::shared_ptr<detail::SessionState>> snapshot;
+  SessionId session_id = 0;
+  std::shared_ptr<detail::SessionState> session;
 };
 
 void MonitorService::shard_run(Shard& shard) {
   telemetry::SpanScope span(telemetry::Phase::MonitorCheck,
                             "service.shard.drain");
   while (true) {
-    if (registry_version_.load(std::memory_order_acquire) !=
-        shard.snapshot_version) {
+    if (live_id_.load(std::memory_order_acquire) != shard.session_id) {
       std::lock_guard<std::mutex> lock(mutex_);
-      shard.snapshot = sessions_;
-      shard.snapshot_version =
-          registry_version_.load(std::memory_order_relaxed);
+      shard.session = live_;
+      shard.session_id = live_id_.load(std::memory_order_relaxed);
     }
     bool popped = false;
-    for (auto& sp : shard.snapshot) {
-      detail::SessionState& s = *sp;
-      // A session still tearing down is visited like any other, so the
-      // residual runs close() publishes never wait on a ring nobody
-      // drains; one whose detach this shard executed is never visited
-      // again.
-      if (s.mailbox.detached(shard.index)) continue;
-      popped |= s.shard_tenants[shard.index]->visit();
+    // A session still tearing down is visited like any other, so the
+    // residual runs close() publishes never wait on a ring nobody drains;
+    // one whose detach this shard executed is never visited again.
+    if (shard.session != nullptr &&
+        !shard.session->mailbox.detached(shard.index)) {
+      popped = shard.session->shard_tenants[shard.index]->visit();
     }
     if (!popped) {
       if (shards_exit_.load(std::memory_order_acquire)) break;
@@ -221,15 +218,10 @@ void MonitorService::shard_run(Shard& shard) {
 // Producer side (runs on the session's program threads).
 // ---------------------------------------------------------------------------
 
-unsigned MonitorService::shard_of(const detail::SessionState& s,
-                                  const BranchReport& report) const {
-  // Keyed by (session, ctx, static_id): a branch of one session lives
-  // wholly in one shard, and two sessions' identical branches may land
-  // on different shards — irrelevant, since their tables are disjoint.
+unsigned MonitorService::shard_of(const BranchReport& report) const {
+  // Keyed by (ctx, static_id): a branch lives wholly in one shard.
   return static_cast<unsigned>(
-      support::hash_combine(
-          support::hash_combine(report.ctx_hash, report.static_id), s.id) %
-      num_shards_);
+      support::hash_combine(report.ctx_hash, report.static_id) % num_shards_);
 }
 
 void MonitorService::session_send(detail::SessionState& s,
@@ -258,7 +250,7 @@ void MonitorService::session_send(detail::SessionState& s,
     return;  // instance deterministically sampled out on every thread
   }
   telemetry::counter_add(telemetry::Counter::ReportsSent);
-  const unsigned shard = shard_of(s, report);
+  const unsigned shard = shard_of(report);
   SpscQueue<BranchReport>& ring = s.rings.at(report.thread, shard);
   BranchReport sealed;
   const BranchReport* payload = &report;
@@ -270,10 +262,8 @@ void MonitorService::session_send(detail::SessionState& s,
   auto try_stage = [&] { return ring.try_stage(*payload); };
   if (!try_stage()) {
     // The shard can only make room behind what it sees. A give-up asks
-    // the watchdog about THIS session's beat on the refusing shard: one
-    // wedged shard trips Failed exactly like the legacy single consumer,
-    // and a tenant frozen by its own stall fault trips only its own
-    // Failed.
+    // the watchdog about this session's beat on the refusing shard: one
+    // wedged shard trips Failed exactly like the legacy single consumer.
     publish_run(s, report.thread, shard);
     if (!push_or_give_up(try_stage, s.cells(), options_.backoff,
                          options_.watchdog, report.thread, shard,
@@ -303,7 +293,7 @@ void MonitorService::publish_runs(detail::SessionState& s,
   for (unsigned k = 0; k < num_shards_; ++k) publish_run(s, thread, k);
 }
 
-/// The per-tenant quota gate for a run bound to `shard`: claim (CAS),
+/// The session's quota gate for a run bound to `shard`: claim (CAS),
 /// then the backoff ladder, which here also stops once the session leaves
 /// kActive, repeated (as on a full ring) while the shards released reports
 /// within the give-up grace. A gate already seen stuck — released_reports
@@ -311,8 +301,7 @@ void MonitorService::publish_runs(detail::SessionState& s,
 /// still as long — gives up at once instead of re-running a ladder that
 /// cannot succeed, and a beat frozen for the watchdog deadline fails the
 /// session as the ring path does. On failure the caller samples down and
-/// drops. Only this session's producers ever wait here; the quota counter
-/// is session-private.
+/// drops. Only sessions with a quota come here.
 bool MonitorService::acquire_quota(detail::SessionState& s,
                                    std::uint32_t thread, unsigned shard,
                                    std::uint32_t count) {
@@ -375,11 +364,9 @@ void MonitorService::publish_run(detail::SessionState& s,
     ring.discard_staged();
     return;
   }
-  if (!acquire_quota(s, thread, shard, count)) {
+  if (s.quota != 0 && !acquire_quota(s, thread, shard, count)) {
     // Over quota after the full ladder: the final rungs — sample down,
-    // degrade, discard the run. All side effects are session-local; a
-    // noisy tenant throttles itself while its neighbors keep full
-    // checking.
+    // degrade, discard the run. All side effects are session-local.
     s.reports_throttled.fetch_add(count, std::memory_order_relaxed);
     if (!slot.throttling) {
       slot.throttling = true;
@@ -426,9 +413,8 @@ bool MonitorService::session_reset_epoch(detail::SessionState& s) {
   // Shards discarded this session's published reports and tables; now
   // take back the runs its producers staged, counted as rolled back on
   // their shard, and the detection flag. Safe: this session's producers
-  // are quiescent by the recovery contract (neighbor sessions keep
-  // running; their state is disjoint), and every shard acked the reset,
-  // so none writes its core's counters until the next command.
+  // are quiescent by the recovery contract, and every shard acked the
+  // reset, so none writes its core's counters until the next command.
   for (unsigned t = 0; t < s.options.num_threads; ++t) {
     for (unsigned k = 0; k < num_shards_; ++k) {
       SpscQueue<BranchReport>& ring = s.rings.at(t, k);
@@ -474,16 +460,11 @@ void MonitorService::teardown(
   }
   merge_session_results(s, seq);
   s.phase.store(detail::kDetached, std::memory_order_release);
-  std::size_t active_now = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    sessions_.erase(std::remove(sessions_.begin(), sessions_.end(), state),
-                    sessions_.end());
-    ++sessions_evicted_;
-    registry_version_.fetch_add(1, std::memory_order_release);
-    active_now = sessions_.size();
+    live_.reset();
+    live_id_.store(0, std::memory_order_release);
   }
-  telemetry::gauge_set(telemetry::Gauge::ActiveSessions, active_now);
   telemetry::counter_add(telemetry::Counter::SessionsEvicted);
   telemetry::record_event(telemetry::EventKind::SessionEvicted,
                           telemetry::Phase::MonitorCheck, s.id,
@@ -499,7 +480,6 @@ MonitorService::MonitorService(MonitorServiceOptions options)
     : options_(options) {
   if (options_.num_shards == 0) options_.num_shards = 1;
   if (options_.queue_capacity == 0) options_.queue_capacity = 1;
-  if (options_.max_sessions == 0) options_.max_sessions = 1;
   num_shards_ = options_.num_shards;
   shards_.reserve(num_shards_);
   for (unsigned k = 0; k < num_shards_; ++k) {
@@ -529,14 +509,14 @@ void MonitorService::stop() {
     }
     return;
   }
-  // Detach every remaining session first (their handles stay valid and
-  // readable), then signal the shard threads out.
-  std::vector<std::shared_ptr<detail::SessionState>> remaining;
+  // Detach the live session first (its handle stays valid and readable),
+  // then signal the shard threads out.
+  std::shared_ptr<detail::SessionState> live;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    remaining = sessions_;
+    live = live_;
   }
-  for (auto& state : remaining) teardown(state);
+  if (live != nullptr) teardown(live);
   shards_exit_.store(true, std::memory_order_release);
   for (auto& shard : shards_) {
     if (shard->worker.joinable()) shard->worker.join();
@@ -547,7 +527,6 @@ MonitorService::Admission MonitorService::admit(
     const SessionOptions& options) {
   Admission result;
   std::shared_ptr<detail::SessionState> state;
-  std::size_t active_now = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!started_.load(std::memory_order_relaxed) ||
@@ -555,30 +534,22 @@ MonitorService::Admission MonitorService::admit(
       result.error = AdmitError::ServiceStopped;
     } else if (options.num_threads == 0 ||
                options.max_pending_per_branch == 0) {
-      // A config that can never be valid outranks a transiently-full
-      // table: the caller should fix the request, not retry it.
+      // A config that can never be valid outranks a busy service: the
+      // caller should fix the request, not retry it.
       result.error = AdmitError::BadConfig;
-    } else if (sessions_.size() >= options_.max_sessions) {
-      result.error = AdmitError::TableFull;
+    } else if (live_ != nullptr) {
+      result.error = AdmitError::Busy;
     } else {
-      const std::uint64_t quota = options.report_quota != 0
-                                      ? options.report_quota
-                                      : options_.default_report_quota;
       state = std::make_shared<detail::SessionState>(
-          next_session_id_++, options, quota, num_shards_,
-          options_.queue_capacity);
-      sessions_.push_back(state);
-      ++sessions_admitted_;
-      registry_version_.fetch_add(1, std::memory_order_release);
-      active_now = sessions_.size();
+          next_session_id_++, options, num_shards_, options_.queue_capacity);
+      live_ = state;
+      live_id_.store(state->id, std::memory_order_release);
     }
-    if (!state) ++sessions_rejected_;
   }
   if (!state) {
     telemetry::counter_add(telemetry::Counter::SessionsRejected);
     return result;
   }
-  telemetry::gauge_set(telemetry::Gauge::ActiveSessions, active_now);
   telemetry::counter_add(telemetry::Counter::SessionsAdmitted);
   telemetry::record_event(telemetry::EventKind::SessionAdmitted,
                           telemetry::Phase::MonitorCheck, state->id,
@@ -587,23 +558,8 @@ MonitorService::Admission MonitorService::admit(
   return result;
 }
 
-ServiceStats MonitorService::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ServiceStats out;
-  out.sessions_admitted = sessions_admitted_;
-  out.sessions_rejected = sessions_rejected_;
-  out.sessions_evicted = sessions_evicted_;
-  out.active_sessions = sessions_.size();
-  return out;
-}
-
-std::size_t MonitorService::active_sessions() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return sessions_.size();
-}
-
 // ---------------------------------------------------------------------------
-// MonitorSession: the per-tenant BranchSink handle.
+// MonitorSession: the session's BranchSink handle.
 // ---------------------------------------------------------------------------
 
 MonitorSession::MonitorSession(MonitorService* service,

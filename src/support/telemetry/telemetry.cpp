@@ -72,7 +72,6 @@ const char* to_string(Gauge gauge) {
       return "fault.campaign_worker_util_pct";
     case Gauge::SamplingRate: return "monitor.sampling_rate";
     case Gauge::ExecTier: return "vm.exec_tier";
-    case Gauge::ActiveSessions: return "service.active_sessions";
     case Gauge::kCount: break;
   }
   return "<bad-gauge>";

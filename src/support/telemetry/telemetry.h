@@ -84,11 +84,11 @@ enum class Counter : std::uint16_t {
   // slabs served warm from an earlier run, or fresh from the allocator.
   BlockCacheHits,
   BlockCacheMisses,
-  // Multi-tenant monitor service (runtime/monitor_service.h).
+  // Monitor service (runtime/monitor_service.h).
   SessionsAdmitted,
-  SessionsRejected,   // admission refused: table full / stopped / bad config
+  SessionsRejected,   // admission refused: busy / stopped / bad config
   SessionsEvicted,    // sessions torn down (drained and detached)
-  ReportsThrottled,   // reports dropped because a tenant was over quota
+  ReportsThrottled,   // reports dropped because a session was over quota
   TenantThrottleEvents,  // distinct over-quota episodes (edge-counted)
   // Compositional campaign engine (fault/compositional.h).
   CampaignPhaseCacheHits,  // injections served from the phase-outcome cache
@@ -116,8 +116,6 @@ enum class Gauge : std::uint16_t {
   // Last execution's dispatcher (vm::ExecTier numeric value; resolved,
   // never Auto).
   ExecTier,
-  // Multi-tenant monitor service: live session count (admit/teardown).
-  ActiveSessions,
   kCount,
 };
 

@@ -69,9 +69,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzNoFalsePositives,
                          ::testing::Range<std::uint64_t>(1, 41));
 
 // The request-processing service kernels (auth_check, dispatch) join the
-// fuzz lane alongside the generated programs: they are the workloads the
-// multi-tenant service hosts, so the clean-run guarantee must hold for
-// them on both monitor backends too.
+// fuzz lane alongside the generated programs: they are the workloads
+// `bwc serve` runs as service sessions, so the clean-run guarantee must
+// hold for them on both monitor backends too.
 class ServiceKernelNoFalsePositives
     : public ::testing::TestWithParam<const char*> {};
 

@@ -146,7 +146,6 @@ Verdict service_verdict(const Streams& streams, unsigned num_threads,
   runtime::MonitorServiceOptions options;
   options.num_shards = shards;
   options.queue_capacity = ring_capacity;
-  options.max_sessions = 1;
   options.backoff = kLossless;
   runtime::MonitorService service(options);
   service.start();

@@ -1,27 +1,27 @@
-// Multi-tenant MonitorService suite (ctest label: multitenant).
+// MonitorService session suite (ctest label: multitenant).
 //
-// Three layers, from unit to acceptance:
-//   1. Admission: the session table is bounded and every refusal is a
+// Four layers, from unit to acceptance:
+//   1. Admission: one session is live at a time, and every refusal is a
 //      typed AdmitError, never a silently-degraded sink.
-//   2. Per-tenant quotas/backpressure: an over-quota tenant throttles
-//      ITSELF (sample-down + drop + Degraded) while a neighbor session on
-//      the same shards keeps full, Healthy checking.
-//   3. The noisy-neighbor isolation proof from the issue: with
-//      MonitorStall / QueueCorrupt / ReportDrop / TargetedFlip injected
-//      into exactly one session of a concurrent multi-tenant run, every
-//      OTHER session's verdicts, health, and program output are
-//      byte-identical to its solo-run baseline.
+//   2. Verdicts and recovery through a session, and sessions run one
+//      after another on one service keeping independent verdicts.
+//   3. Per-session quotas/backpressure: an over-quota session throttles
+//      itself (sample-down + drop + Degraded) without fabricating alarms.
+//   4. Isolation across sequential sessions: with MonitorStall /
+//      QueueCorrupt / ReportDrop / TargetedFlip injected into one
+//      session, every session that follows it on the same service (the
+//      same shard threads, rings and tables recycled through BlockCache)
+//      is byte-identical to its solo-run baseline.
 //
 // Everything here also runs under TSan (reproduce.sh --tsan): the
-// isolation proofs drive real concurrent execute_in_session calls against
-// one shared service.
+// sessions' producers race the shard threads, and each detach hands the
+// shards to the next session.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -100,56 +100,84 @@ void expect_same_violations(const std::vector<Violation>& got,
 // 1. Admission.
 // ---------------------------------------------------------------------------
 
-TEST(MonitorServiceAdmission, SessionTableIsBoundedWithTypedErrors) {
+/// A deviating stream: thread 1 flips (branch 3, iter 100), where the
+/// consistent outcome (3 ^ 100) & 1 == 1 is `true`, so the flipped thread
+/// lands alone on the `false` side and the 2-thread tie-break in
+/// check_shared indicts exactly it.
+void send_faulty_stream(MonitorSession& session) {
+  send_stream(session, 8, 200, /*flip_thread=*/1, /*flip_branch=*/3,
+              /*flip_iter=*/100);
+}
+
+MonitorServiceOptions two_shards() {
   MonitorServiceOptions options;
   options.num_shards = 2;
-  options.max_sessions = 2;
-  MonitorService service(options);
+  return options;
+}
+
+SessionOptions two_threads() {
+  SessionOptions sopts;
+  sopts.num_threads = 2;
+  return sopts;
+}
+
+TEST(MonitorServiceAdmission, OneLiveSessionWithTypedErrors) {
+  // Solo reference for the live session's verdict and accounting.
+  MonitorService solo(two_shards());
+  solo.start();
+  MonitorService::Admission ref = solo.admit(two_threads());
+  ASSERT_EQ(ref.error, AdmitError::None);
+  send_faulty_stream(*ref.session);
+  ref.session->close();
+  solo.stop();
+
+  MonitorService service(two_shards());
   service.start();
-
-  MonitorService::Admission a = service.admit();
-  MonitorService::Admission b = service.admit();
+  MonitorService::Admission a = service.admit(two_threads());
   ASSERT_EQ(a.error, AdmitError::None);
-  ASSERT_EQ(b.error, AdmitError::None);
   ASSERT_NE(a.session, nullptr);
-  ASSERT_NE(b.session, nullptr);
-  EXPECT_NE(a.session->id(), b.session->id());
-  EXPECT_EQ(service.active_sessions(), 2u);
 
-  // Table full: typed refusal, no session handle.
-  MonitorService::Admission c = service.admit();
-  EXPECT_EQ(c.error, AdmitError::TableFull);
-  EXPECT_EQ(c.session, nullptr);
-  EXPECT_STREQ(to_string(c.error), "table-full");
+  // A session is live: typed refusal, no session handle.
+  MonitorService::Admission busy = service.admit(two_threads());
+  EXPECT_EQ(busy.error, AdmitError::Busy);
+  EXPECT_EQ(busy.session, nullptr);
+  EXPECT_STREQ(to_string(busy.error), "busy");
 
-  // Zero program threads can never be a valid tenant.
+  // Zero program threads can never be a valid session, busy or not.
   SessionOptions bad;
   bad.num_threads = 0;
   EXPECT_EQ(service.admit(bad).error, AdmitError::BadConfig);
 
-  // Teardown frees the slot; admission succeeds again.
+  // The refused admissions left the live session untouched: its verdict
+  // and accounting match the solo run.
+  send_faulty_stream(*a.session);
   a.session->close();
-  EXPECT_EQ(service.active_sessions(), 1u);
-  MonitorService::Admission d = service.admit();
-  EXPECT_EQ(d.error, AdmitError::None);
+  expect_same_violations(sorted_violations(a.session->violations()),
+                         sorted_violations(ref.session->violations()),
+                         "live session");
+  const MonitorStats got = a.session->stats();
+  const MonitorStats want = ref.session->stats();
+  EXPECT_EQ(got.reports_processed, want.reports_processed);
+  EXPECT_EQ(got.instances_checked, want.instances_checked);
+  EXPECT_EQ(got.dropped_reports, 0u);
+  EXPECT_EQ(a.session->health(), ref.session->health());
 
-  ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.sessions_admitted, 3u);
-  EXPECT_EQ(stats.sessions_rejected, 2u);
-  EXPECT_EQ(stats.sessions_evicted, 1u);
-  EXPECT_EQ(stats.active_sessions, 2u);
+  // Teardown frees the slot; admission succeeds again.
+  MonitorService::Admission d = service.admit(two_threads());
+  ASSERT_EQ(d.error, AdmitError::None);
+  EXPECT_NE(d.session->id(), a.session->id());
 
   service.stop();
   EXPECT_EQ(service.admit().error, AdmitError::ServiceStopped);
   // Handles outlive stop(): stats stay readable, close() is a no-op.
-  EXPECT_TRUE(b.session->violations().empty());
-  b.session->close();
+  EXPECT_TRUE(d.session->violations().empty());
+  EXPECT_EQ(d.session->stats().reports_processed, 0u);
+  d.session->close();
 }
 
 TEST(MonitorServiceAdmission, AdmitBeforeStartIsRefused) {
   MonitorService service;
   EXPECT_EQ(service.admit().error, AdmitError::ServiceStopped);
-  EXPECT_EQ(service.stats().sessions_rejected, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -199,54 +227,37 @@ TEST(MonitorServiceVerdicts, InjectedDeviationIsDetectedAndAttributed) {
   EXPECT_EQ(a.session->violations()[0].iter_hash, 17u);
 }
 
-TEST(MonitorServiceVerdicts, ConcurrentSessionsKeepIndependentVerdicts) {
-  MonitorServiceOptions options;
-  options.num_shards = 2;
-  MonitorService service(options);
+TEST(MonitorServiceVerdicts, SequentialSessionsKeepIndependentVerdicts) {
+  // Clean, faulty, clean on the same shard threads: a verdict never
+  // carries over into the next session.
+  MonitorService service(two_shards());
   service.start();
-  SessionOptions sopts;
-  sopts.num_threads = 2;
-  MonitorService::Admission clean = service.admit(sopts);
-  MonitorService::Admission faulty = service.admit(sopts);
-  ASSERT_EQ(clean.error, AdmitError::None);
-  ASSERT_EQ(faulty.error, AdmitError::None);
-
-  std::thread clean_thread(
-      [&] { send_stream(*clean.session, 8, 200); });
-  std::thread faulty_thread([&] {
-    // (3 ^ 100) & 1 == 1: the consistent outcome is `true`, so the
-    // flipped thread lands alone on the `false` side and the 2-thread
-    // tie-break in check_shared indicts exactly it.
-    send_stream(*faulty.session, 8, 200, /*flip_thread=*/1,
-                /*flip_branch=*/3, /*flip_iter=*/100);
-  });
-  clean_thread.join();
-  faulty_thread.join();
-  clean.session->close();
-  faulty.session->close();
-
-  EXPECT_TRUE(clean.session->violations().empty());
-  EXPECT_EQ(clean.session->health(), MonitorHealth::Healthy);
-  ASSERT_EQ(faulty.session->violations().size(), 1u);
-  EXPECT_EQ(faulty.session->violations()[0].suspect_thread, 1u);
+  for (const bool faulty : {false, true, false}) {
+    MonitorService::Admission a = service.admit(two_threads());
+    ASSERT_EQ(a.error, AdmitError::None);
+    if (faulty) {
+      send_faulty_stream(*a.session);
+    } else {
+      send_stream(*a.session, 8, 200);
+    }
+    a.session->close();
+    EXPECT_EQ(a.session->stats().reports_processed, 2u * 8u * 200u);
+    if (faulty) {
+      ASSERT_EQ(a.session->violations().size(), 1u);
+      EXPECT_EQ(a.session->violations()[0].suspect_thread, 1u);
+    } else {
+      EXPECT_TRUE(a.session->violations().empty());
+      EXPECT_EQ(a.session->health(), MonitorHealth::Healthy);
+    }
+  }
+  service.stop();
 }
 
 TEST(MonitorServiceVerdicts, ResetEpochDiscardsOnlyThisSessionsTimeline) {
-  MonitorServiceOptions options;
-  options.num_shards = 2;
-  MonitorService service(options);
+  MonitorService service(two_shards());
   service.start();
-  SessionOptions sopts;
-  sopts.num_threads = 2;
-  MonitorService::Admission victim = service.admit(sopts);
-  MonitorService::Admission neighbor = service.admit(sopts);
+  MonitorService::Admission victim = service.admit(two_threads());
   ASSERT_EQ(victim.error, AdmitError::None);
-  ASSERT_EQ(neighbor.error, AdmitError::None);
-
-  // Neighbor sends a real deviation BEFORE the victim's rollback; its
-  // verdict must survive the victim's reset untouched.
-  send_stream(*neighbor.session, 4, 20, /*flip_thread=*/0,
-              /*flip_branch=*/2, /*flip_iter=*/5);
 
   send_stream(*victim.session, 4, 20, /*flip_thread=*/1,
               /*flip_branch=*/1, /*flip_iter=*/3);
@@ -276,15 +287,23 @@ TEST(MonitorServiceVerdicts, ResetEpochDiscardsOnlyThisSessionsTimeline) {
   EXPECT_FALSE(victim.session->violation_detected());
 
   victim.session->close();
-  neighbor.session->close();
   EXPECT_TRUE(victim.session->violations().empty());
   // Every published report was filed before the reset (quiesce), so the
   // staged run is all that was rolled back, and it was never filed.
   const MonitorStats vstats = victim.session->stats();
   EXPECT_EQ(vstats.reports_rolled_back, 2 * kStaged);
   EXPECT_EQ(vstats.reports_processed, 2u * 2u * 4u * 20u);
-  ASSERT_EQ(neighbor.session->violations().size(), 1u);
-  EXPECT_EQ(neighbor.session->violations()[0].suspect_thread, 0u);
+
+  // The next session on the same shards starts from an empty timeline and
+  // keeps its own deviation.
+  MonitorService::Admission next = service.admit(two_threads());
+  ASSERT_EQ(next.error, AdmitError::None);
+  send_stream(*next.session, 4, 20, /*flip_thread=*/0, /*flip_branch=*/2,
+              /*flip_iter=*/5);
+  next.session->close();
+  ASSERT_EQ(next.session->violations().size(), 1u);
+  EXPECT_EQ(next.session->violations()[0].suspect_thread, 0u);
+  EXPECT_EQ(next.session->stats().reports_rolled_back, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -295,14 +314,12 @@ TEST(MonitorServiceQuota, OverQuotaTenantThrottlesItselfOnly) {
   // One shard so routing is pinned; the victim's first popped report
   // stalls its tenant slot, so its queued reports never drain and its
   // tiny quota fills deterministically. The fast bounded ladder then
-  // fails every further flush -> throttle. The neighbor session shares
-  // the shard and must stay Healthy with zero throttling.
+  // fails every further flush -> throttle.
   MonitorServiceOptions options;
   options.num_shards = 1;
   options.backoff.spins = 4;
-  // Enough yield budget that the HEALTHY neighbor never ring-drops on a
-  // single core, small enough that the victim's doomed quota ladder
-  // (its tenant is stalled, so quota can never free) fails fast.
+  // The victim's doomed quota ladder (its tenant is stalled, so quota can
+  // never free) fails fast.
   options.backoff.yields = 512;
   options.backoff.bounded = true;
   options.watchdog.stall_timeout_ns = 60'000'000'000ULL;  // stay Degraded
@@ -313,30 +330,14 @@ TEST(MonitorServiceQuota, OverQuotaTenantThrottlesItselfOnly) {
   noisy.num_threads = 1;
   noisy.report_quota = 4;
   noisy.fault_hooks.stall_after_reports = 1;
-  SessionOptions quiet;
-  quiet.num_threads = 1;
   MonitorService::Admission victim = service.admit(noisy);
-  MonitorService::Admission neighbor = service.admit(quiet);
   ASSERT_EQ(victim.error, AdmitError::None);
-  ASSERT_EQ(neighbor.error, AdmitError::None);
 
-  std::thread victim_thread([&] {
-    for (std::uint64_t i = 0; i < 64; ++i) {
-      victim.session->send(consistent_report(0, 0, i));
-      victim.session->flush(0);
-    }
-  });
-  std::thread neighbor_thread([&] {
-    for (std::uint64_t i = 0; i < 2000; ++i) {
-      neighbor.session->send(consistent_report(0, 0, i));
-      if (i % 8 == 0) neighbor.session->flush(0);
-    }
-    neighbor.session->flush(0);
-  });
-  victim_thread.join();
-  neighbor_thread.join();
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    victim.session->send(consistent_report(0, 0, i));
+    victim.session->flush(0);
+  }
   victim.session->close();
-  neighbor.session->close();
 
   MonitorStats vstats = victim.session->stats();
   EXPECT_GT(vstats.reports_throttled, 0u);
@@ -344,15 +345,6 @@ TEST(MonitorServiceQuota, OverQuotaTenantThrottlesItselfOnly) {
   EXPECT_LE(vstats.quota_peak, 4u);
   EXPECT_NE(victim.session->health(), MonitorHealth::Healthy);
   EXPECT_TRUE(victim.session->violations().empty());  // throttling != alarm
-
-  // The noisy neighbor degraded only itself.
-  MonitorStats nstats = neighbor.session->stats();
-  EXPECT_EQ(neighbor.session->health(), MonitorHealth::Healthy);
-  EXPECT_EQ(nstats.reports_throttled, 0u);
-  EXPECT_EQ(nstats.throttle_events, 0u);
-  EXPECT_EQ(nstats.dropped_reports, 0u);
-  EXPECT_EQ(nstats.reports_processed, 2000u);
-  EXPECT_TRUE(neighbor.session->violations().empty());
 }
 
 TEST(MonitorServiceQuota, QuotaReleasesAsShardsDrain) {
@@ -435,9 +427,9 @@ TEST(MonitorServiceQuota, StalledTenantPaysOneLadderThenFails) {
 }
 
 // ---------------------------------------------------------------------------
-// 4. The isolation proof (issue acceptance criterion): faults injected
-//    into exactly one session; every other session byte-identical to its
-//    solo-run baseline.
+// 4. Isolation across sequential sessions: faults injected into one
+//    session; every session that follows it on the same service is
+//    byte-identical to its solo-run baseline.
 // ---------------------------------------------------------------------------
 
 constexpr const char* kKernel = R"BWC(
@@ -460,7 +452,7 @@ func slave() {
 }
 )BWC";
 
-/// What the isolation proof compares: everything a tenant could observe
+/// What the isolation proof compares: everything a session could observe
 /// about its own run. Collapsed to strings/sorted vectors so "byte
 /// identical" is literal.
 struct SessionOutcome {
@@ -499,14 +491,7 @@ void expect_byte_identical(const SessionOutcome& got,
   EXPECT_EQ(got.dropped_reports, want.dropped_reports) << label;
 }
 
-MonitorServiceOptions isolation_service_options() {
-  MonitorServiceOptions options;
-  options.num_shards = 2;
-  options.max_sessions = 8;
-  return options;
-}
-
-/// A clean tenant's execution config. Deterministic end to end: sampling
+/// A clean session's execution config. Deterministic end to end: sampling
 /// off, run-to-completion, interpreter-independent verdicts. 4 program
 /// threads: the kernel's strided-loop branch is a threadID-monotone
 /// check, which needs >= 3 observers to single out a deviant.
@@ -517,7 +502,7 @@ pipeline::ExecutionConfig clean_config() {
   return config;
 }
 
-/// A tenant whose PROGRAM carries a genuine targeted flip: its verdict is
+/// A session whose PROGRAM carries a genuine targeted flip: its verdict is
 /// a non-empty violation list, so "byte-identical to baseline" proves
 /// verdict stability, not just absence of false alarms.
 pipeline::ExecutionConfig flipped_config() {
@@ -535,7 +520,7 @@ pipeline::ExecutionConfig flipped_config() {
 /// service with identical shape.
 SessionOutcome solo_baseline(const pipeline::CompiledProgram& program,
                              const pipeline::ExecutionConfig& config) {
-  MonitorService service(isolation_service_options());
+  MonitorService service(two_shards());
   service.start();
   SessionOutcome out =
       outcome_of(pipeline::execute_in_session(program, config, service));
@@ -562,28 +547,24 @@ class MonitorServiceIsolation : public ::testing::Test {
     program_ = nullptr;
   }
 
-  /// Run the victim config + three neighbors (two clean, one with the
-  /// targeted program flip) CONCURRENTLY against one shared service,
-  /// then require every neighbor byte-identical to its solo baseline.
+  /// Run the victim config, then three neighbors (two clean, one with the
+  /// targeted program flip) one after another on the same service, then
+  /// require every neighbor byte-identical to its solo baseline.
   void run_isolation_case(const pipeline::ExecutionConfig& victim_config,
                           SessionOutcome* victim_out = nullptr) {
     ASSERT_FALSE(clean_baseline_->detected);
     ASSERT_TRUE(flipped_baseline_->detected);
     ASSERT_FALSE(flipped_baseline_->violations.empty());
 
-    MonitorService service(isolation_service_options());
+    MonitorService service(two_shards());
     service.start();
     const pipeline::ExecutionConfig configs[4] = {
         victim_config, clean_config(), clean_config(), flipped_config()};
     SessionOutcome outcomes[4];
-    std::vector<std::thread> tenants;
     for (int i = 0; i < 4; ++i) {
-      tenants.emplace_back([&, i] {
-        outcomes[i] = outcome_of(
-            pipeline::execute_in_session(*program_, configs[i], service));
-      });
+      outcomes[i] = outcome_of(
+          pipeline::execute_in_session(*program_, configs[i], service));
     }
-    for (auto& t : tenants) t.join();
     service.stop();
 
     expect_byte_identical(outcomes[1], *clean_baseline_, "clean neighbor 1");
@@ -608,7 +589,7 @@ TEST_F(MonitorServiceIsolation, MonitorStallInOneSessionDoesNotLeak) {
   SessionOutcome out;
   run_isolation_case(victim, &out);
   // The victim's tenant froze: its own health degrades (drops counted at
-  // detach), nobody else's does.
+  // detach), no later session's does.
   EXPECT_NE(out.health, MonitorHealth::Healthy);
   EXPECT_GT(out.dropped_reports, 0u);
   EXPECT_TRUE(out.violations.empty());  // a stall never fabricates alarms
@@ -645,8 +626,7 @@ TEST_F(MonitorServiceIsolation, TargetedFlipInOneSessionDoesNotLeak) {
   EXPECT_TRUE(out.detected);
   ASSERT_FALSE(out.violations.empty());
   // Same program + same fault plan as the flipped baseline: the victim
-  // itself must ALSO be byte-identical to that baseline (its neighbors'
-  // faults are... nonexistent; this is the symmetric sanity check).
+  // itself must also be byte-identical to that baseline.
   expect_byte_identical(out, *flipped_baseline_, "victim");
 }
 

@@ -81,10 +81,7 @@ class Backed {
     }
     MonitorServiceOptions service_options;
     service_options.num_shards = 1;
-    service_options.max_sessions = 1;
     service_options.queue_capacity = options.queue_capacity;
-    // Never binds: the rings apply the backpressure, as in the Monitor.
-    service_options.default_report_quota = std::uint64_t{1} << 40;
     service_options.backoff = options.backoff;
     service_options.watchdog = options.watchdog;
     service_ = std::make_unique<MonitorService>(service_options);

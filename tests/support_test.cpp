@@ -73,6 +73,24 @@ TEST(StringUtils, CountCodeLinesSkipsBlanksAndComments) {
   EXPECT_EQ(count_code_lines(""), 0);
 }
 
+TEST(StringUtils, ParseCountTakesOnlyWholeNumbersInRange) {
+  EXPECT_EQ(parse_count("4", 1, 256), 4u);
+  EXPECT_EQ(parse_count("256", 1, 256), 256u);
+  EXPECT_EQ(parse_count("0", 0, 8), 0u);
+  EXPECT_EQ(parse_count("0xbeef", 0, UINT64_MAX), 0xbeefu);
+  EXPECT_EQ(parse_count("0XFF", 0, UINT64_MAX), 255u);
+  EXPECT_EQ(parse_count("18446744073709551615", 0, UINT64_MAX), UINT64_MAX);
+  // Zero where zero is meaningless, and values past the bound.
+  EXPECT_FALSE(parse_count("0", 1, 256));
+  EXPECT_FALSE(parse_count("257", 1, 256));
+  // Not a number, a sign, a space, trailing characters, overflow.
+  for (const char* bad : {"", "abc", "-1", "+4", " 4", "4 ", "4x", "1e3",
+                          "0x", "0xg", "4.0", "18446744073709551616",
+                          "0x10000000000000000"}) {
+    EXPECT_FALSE(parse_count(bad, 0, UINT64_MAX)) << "'" << bad << "'";
+  }
+}
+
 TEST(Diagnostics, CompileErrorCarriesLocation) {
   CompileError with_loc(SourceLoc{3, 7}, "bad thing");
   EXPECT_EQ(std::string(with_loc.what()), "3:7: bad thing");
