@@ -8,6 +8,8 @@
 
 namespace bw::bench {
 
+constexpr std::uint64_t kMaxInjections = 1'000'000;  // and flip budgets
+constexpr std::uint64_t kMaxReports = 1'000'000'000;  // per producer thread
 constexpr std::uint64_t kMaxReps = 10'000;
 constexpr std::uint64_t kMaxShards = 64;
 constexpr std::uint64_t kMaxThreads = 256;

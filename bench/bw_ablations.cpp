@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "bench_args.h"
 #include "benchmarks/registry.h"
 #include "fault/campaign.h"
 
@@ -49,7 +50,11 @@ int clean_violations(const char* source,
 }  // namespace
 
 int main(int argc, char** argv) {
-  int injections = argc > 1 ? std::atoi(argv[1]) : 120;
+  const int injections =
+      argc > 1 ? static_cast<int>(support::count_arg_or_exit(
+                     "bw_ablations", "injection count", argv[1], 1,
+                     bench::kMaxInjections))
+               : 120;
 
   // --- A1: none -> partial promotion --------------------------------------
   std::printf("A1: promotion of `none` branches (condition faults, "

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_args.h"
 #include "bench_json.h"
 #include "benchmarks/registry.h"
 #include "fault/campaign.h"
@@ -49,7 +50,9 @@ int main(int argc, char** argv) {
   int positional = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--workers=", 10) == 0) {
-      workers = static_cast<unsigned>(std::atoi(argv[i] + 10));
+      workers = static_cast<unsigned>(support::count_arg_or_exit(
+          "bw_compositional", "--workers", argv[i] + 10, 0,
+          bench::kMaxThreads));
     } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
       seed = std::strtoull(argv[i] + 7, nullptr, 0);
     } else if (std::strncmp(argv[i], "--tier=", 7) == 0) {
@@ -60,10 +63,14 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
     } else if (positional == 0) {
-      injections = std::atoi(argv[i]);
+      injections = static_cast<int>(support::count_arg_or_exit(
+          "bw_compositional", "injection count", argv[i], 1,
+          bench::kMaxInjections));
       ++positional;
     } else {
-      threads = static_cast<unsigned>(std::atoi(argv[i]));
+      threads = static_cast<unsigned>(support::count_arg_or_exit(
+          "bw_compositional", "thread count", argv[i], 1,
+          bench::kMaxThreads));
     }
   }
 

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_args.h"
 #include "bench_json.h"
 #include "benchmarks/registry.h"
 #include "fault/campaign.h"
@@ -37,7 +38,9 @@ int main(int argc, char** argv) {
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--workers=", 10) == 0) {
-      workers = static_cast<unsigned>(std::atoi(argv[i] + 10));
+      workers = static_cast<unsigned>(support::count_arg_or_exit(
+          "bw_fig8_coverage_flip", "--workers", argv[i] + 10, 0,
+          bench::kMaxThreads));
     } else if (std::strncmp(argv[i], "--tier=", 7) == 0) {
       if (!vm::parse_exec_tier(argv[i] + 7, tier)) {
         std::fprintf(stderr, "unknown tier '%s'\n", argv[i] + 7);
@@ -46,9 +49,13 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
     } else if (positional++ == 0) {
-      injections = std::atoi(argv[i]);
+      injections = static_cast<int>(support::count_arg_or_exit(
+          "bw_fig8_coverage_flip", "injection count", argv[i], 1,
+          bench::kMaxInjections));
     } else {
-      thread_counts.push_back(static_cast<unsigned>(std::atoi(argv[i])));
+      thread_counts.push_back(static_cast<unsigned>(support::count_arg_or_exit(
+          "bw_fig8_coverage_flip", "thread count", argv[i], 1,
+          bench::kMaxThreads)));
     }
   }
   if (thread_counts.empty()) thread_counts = {4, 32};

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_args.h"
 #include "bench_json.h"
 #include "benchmarks/registry.h"
 #include "fault/campaign.h"
@@ -29,13 +30,19 @@ int main(int argc, char** argv) {
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--workers=", 10) == 0) {
-      workers = static_cast<unsigned>(std::atoi(argv[i] + 10));
+      workers = static_cast<unsigned>(support::count_arg_or_exit(
+          "bw_fig9_coverage_cond", "--workers", argv[i] + 10, 0,
+          bench::kMaxThreads));
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
     } else if (positional++ == 0) {
-      injections = std::atoi(argv[i]);
+      injections = static_cast<int>(support::count_arg_or_exit(
+          "bw_fig9_coverage_cond", "injection count", argv[i], 1,
+          bench::kMaxInjections));
     } else {
-      thread_counts.push_back(static_cast<unsigned>(std::atoi(argv[i])));
+      thread_counts.push_back(static_cast<unsigned>(support::count_arg_or_exit(
+          "bw_fig9_coverage_cond", "thread count", argv[i], 1,
+          bench::kMaxThreads)));
     }
   }
   if (thread_counts.empty()) thread_counts = {4, 32};

@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_args.h"
 #include "runtime/monitor.h"
 
 namespace {
@@ -96,9 +97,16 @@ MonitorOptions base_options(bool bounded) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  unsigned threads = argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 4;
+  const unsigned threads =
+      argc > 1 ? static_cast<unsigned>(bw::support::count_arg_or_exit(
+                     "bw_monitor_resilience", "thread count", argv[1], 1,
+                     bw::bench::kMaxThreads))
+               : 4;
   std::uint64_t per_thread =
-      argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2])) : 50'000;
+      argc > 2 ? bw::support::count_arg_or_exit("bw_monitor_resilience",
+                                                "reports per thread", argv[2],
+                                                1, bw::bench::kMaxReports)
+               : 50'000;
   const std::uint64_t total = threads * per_thread;
 
   std::printf("Monitor resilience bench: %u producer threads x %llu "

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_args.h"
 #include "bench_json.h"
 #include "benchmarks/registry.h"
 #include "fault/campaign.h"
@@ -73,13 +74,17 @@ int main(int argc, char** argv) {
     if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
     } else if (positional == 0) {
-      threads = static_cast<unsigned>(std::atoi(argv[i]));
+      threads = static_cast<unsigned>(support::count_arg_or_exit(
+          "bw_recovery", "thread count", argv[i], 1, bench::kMaxThreads));
       ++positional;
     } else if (positional == 1) {
-      injections = std::atoi(argv[i]);
+      injections = static_cast<int>(support::count_arg_or_exit(
+          "bw_recovery", "injection count", argv[i], 1,
+          bench::kMaxInjections));
       ++positional;
     } else {
-      repeats = std::atoi(argv[i]);
+      repeats = static_cast<int>(support::count_arg_or_exit(
+          "bw_recovery", "repeat count", argv[i], 1, bench::kMaxReps));
       ++positional;
     }
   }

@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_args.h"
 #include "bench_json.h"
 #include "benchmarks/registry.h"
 #include "fault/campaign.h"
@@ -77,17 +78,23 @@ int main(int argc, char** argv) {
   int positional = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = static_cast<unsigned>(std::atoi(argv[i] + 10));
+      threads = static_cast<unsigned>(support::count_arg_or_exit(
+          "bw_sampling", "--threads", argv[i] + 10, 1, bench::kMaxThreads));
     } else if (std::strncmp(argv[i], "--workers=", 10) == 0) {
-      workers = static_cast<unsigned>(std::atoi(argv[i] + 10));
+      workers = static_cast<unsigned>(support::count_arg_or_exit(
+          "bw_sampling", "--workers", argv[i] + 10, 0, bench::kMaxThreads));
     } else if (std::strncmp(argv[i], "--flips=", 8) == 0) {
-      flips = static_cast<unsigned>(std::atoi(argv[i] + 8));
+      flips = static_cast<unsigned>(support::count_arg_or_exit(
+          "bw_sampling", "--flips", argv[i] + 8, 0, bench::kMaxInjections));
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
     } else if (positional++ == 0) {
-      injections = std::atoi(argv[i]);
+      injections = static_cast<int>(support::count_arg_or_exit(
+          "bw_sampling", "injection count", argv[i], 1,
+          bench::kMaxInjections));
     } else {
-      reps = std::atoi(argv[i]);
+      reps = static_cast<int>(support::count_arg_or_exit(
+          "bw_sampling", "rep count", argv[i], 1, bench::kMaxReps));
     }
   }
 

@@ -9,13 +9,22 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "bench_args.h"
 #include "benchmarks/registry.h"
 #include "fault/duplication.h"
 
 int main(int argc, char** argv) {
   using namespace bw;
-  int injections = argc > 1 ? std::atoi(argv[1]) : 100;
-  unsigned threads = argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 4;
+  const int injections =
+      argc > 1 ? static_cast<int>(support::count_arg_or_exit(
+                     "bw_sec6_duplication", "injection count", argv[1], 1,
+                     bench::kMaxInjections))
+               : 100;
+  const unsigned threads =
+      argc > 2 ? static_cast<unsigned>(support::count_arg_or_exit(
+                     "bw_sec6_duplication", "thread count", argv[2], 1,
+                     bench::kMaxThreads))
+               : 4;
 
   std::printf("Section VI: BLOCKWATCH vs software duplication "
               "(%d branch-flip injections, %u threads)\n\n",

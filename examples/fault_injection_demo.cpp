@@ -9,13 +9,18 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "bench_args.h"
 #include "benchmarks/registry.h"
 #include "fault/campaign.h"
 
 int main(int argc, char** argv) {
   using namespace bw;
   const char* name = argc > 1 ? argv[1] : "radix";
-  int injections = argc > 2 ? std::atoi(argv[2]) : 100;
+  const int injections =
+      argc > 2 ? static_cast<int>(support::count_arg_or_exit(
+                     "fault_injection_demo", "injection count", argv[2], 1,
+                     bench::kMaxInjections))
+               : 100;
   fault::FaultType type =
       (argc > 3 && std::strcmp(argv[3], "cond") == 0)
           ? fault::FaultType::BranchCondition

@@ -129,13 +129,14 @@ CompiledProgram protect_program(std::string_view source,
 
 ExecutionResult execute(const CompiledProgram& program,
                         const ExecutionConfig& config) {
+  if (config.num_threads == 0) {
+    ExecutionResult refused;
+    refused.admit_error = runtime::AdmitError::BadConfig;
+    return refused;
+  }
   if (config.monitor != MonitorMode::Off && config.monitor_shards >= 1) {
-    runtime::MonitorServiceOptions sopts;
-    sopts.num_shards = config.monitor_shards;
-    sopts.queue_capacity = config.monitor_options.queue_capacity;
-    sopts.backoff = config.monitor_options.backoff;
-    sopts.watchdog = config.monitor_options.watchdog;
-    runtime::MonitorService service(sopts);
+    runtime::MonitorService service(runtime::service_options_for(
+        config.monitor_options, config.monitor_shards));
     service.start();
     ExecutionResult result = execute_in_session(program, config, service);
     service.stop();
@@ -169,15 +170,10 @@ ExecutionResult execute_in_session(const CompiledProgram& program,
                                    runtime::MonitorService& service) {
   ExecutionResult result;
 
-  runtime::SessionOptions sopts;
-  sopts.num_threads = config.num_threads;
+  runtime::SessionOptions sopts = runtime::session_options_for(
+      config.monitor_options, config.num_threads);
   sopts.report_quota = config.session_quota;
   sopts.perform_checks = config.monitor != MonitorMode::DrainOnly;
-  sopts.validate_reports = config.monitor_options.validate_reports;
-  sopts.max_pending_per_branch =
-      config.monitor_options.max_pending_per_branch;
-  sopts.fault_hooks = config.monitor_options.fault_hooks;
-  sopts.sampling = config.monitor_options.sampling;
   runtime::MonitorService::Admission admission = service.admit(sopts);
   if (admission.error != runtime::AdmitError::None) {
     result.admit_error = admission.error;

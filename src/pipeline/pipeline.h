@@ -110,15 +110,18 @@ struct ExecutionResult {
   vm::RecoveryStats recovery;
   /// The run rolled back at least once and still finished cleanly.
   bool recovered = false;
-  /// execute_in_session only: why admission failed. When != None the
-  /// program did NOT run (run/violations/stats are all default).
+  /// Why the run was refused. When != None the program did NOT run
+  /// (run/violations/stats are all default). execute() refuses zero
+  /// program threads with BadConfig on every monitor path, Off included;
+  /// a session run also reports its admission error (Busy, say).
   runtime::AdmitError admit_error = runtime::AdmitError::None;
 };
 
 /// Run a compiled program under the monitor `config` selects: none
 /// (MonitorMode::Off), the legacy single-consumer Monitor
 /// (monitor_shards == 0), or a private MonitorService
-/// (monitor_shards >= 1, delegating to execute_in_session).
+/// (monitor_shards >= 1, delegating to execute_in_session). Zero
+/// program threads are refused with admit_error == BadConfig, unrun.
 ExecutionResult execute(const CompiledProgram& program,
                         const ExecutionConfig& config);
 

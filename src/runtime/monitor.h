@@ -5,21 +5,23 @@
 // threads reported (eager path) or at end of the parallel section
 // (finalize path), and records violations.
 //
-// The monitor thread runs the one consumer of consumer.h — filing, the
-// beat, the command mailbox, the quiesce predicate, the stall freeze, the
-// delay deferral and the burst drain — which every MonitorService shard
-// runs too, over the same wire: one ring of single reports per program
-// thread (per shard, on the service), drained 256 reports per burst.
+// The Monitor owns one detail::Sink (consumer.h) with one consumer and
+// runs that consumer's visits on its own thread. Everything else — the
+// producer path, the publish points, the recovery calls, teardown and the
+// stats fold — is the sink's, the same code a MonitorService session is
+// built from: one ring of single reports per program thread, drained 256
+// reports per burst.
 //
 // Publication. send() stages each report and publishes its thread's run
 // to the monitor thread every SpscQueue::kStride (32) reports;
 // flush(thread) publishes the rest, and the VM flushes at every barrier
 // arrival, at its periodic poll, and when the thread leaves the section
 // (normally, by a trap or at a phase exit). A producer that finds its
-// ring full publishes before it backs off, and stop() and the recovery
-// calls publish every ring, the producers being quiescent there. A
-// report therefore reaches the consumer within 32 reports of its thread
-// or by the thread's next barrier, whichever comes first.
+// ring full publishes before it backs off, and stop(), quiesce() and
+// finalize_section() publish every ring, the producers being quiescent
+// there; reset_epoch() discards what they staged. A report therefore
+// reaches the consumer within 32 reports of its thread or by the
+// thread's next barrier, whichever comes first.
 //
 // Resilience (see resilience.h): producers never block indefinitely on a
 // full queue — a bounded backoff gives up once the consumer's beat has
@@ -49,8 +51,9 @@
 
 namespace bw::runtime {
 
-class TenantCore;  // consumer.h
-struct Mailbox;    // consumer.h
+namespace detail {
+class Sink;  // consumer.h
+}  // namespace detail
 
 struct MonitorOptions {
   /// Per-thread ring size hint. Each ring holds the next power of two
@@ -113,28 +116,6 @@ struct MonitorStats {
   std::vector<std::uint64_t> dropped_per_thread;
 };
 
-/// Folds a sampler's stats and each producer slot's give-up counter
-/// (`.dropped`) into `m`. Drops are folded as the change since the last
-/// fold, so a merged snapshot can be folded again to pick up a send that
-/// raced MonitorSession::close().
-template <typename ProducerSlots>
-void fold_producer_stats(MonitorStats& m, const SamplingController& sampler,
-                         const ProducerSlots& producers) {
-  m.dropped_per_thread.resize(producers.size(), 0);
-  for (std::size_t t = 0; t < producers.size(); ++t) {
-    const std::uint64_t dropped =
-        producers[t].dropped.load(std::memory_order_relaxed);
-    m.dropped_reports += dropped - m.dropped_per_thread[t];
-    m.dropped_per_thread[t] = dropped;
-  }
-  const SamplingStats sampling = sampler.stats();
-  m.reports_sampled_out = sampling.sampled_out;
-  m.sampling_degrades = sampling.degrades;
-  m.sampling_snap_backs = sampling.snap_backs;
-  m.sampling_rate_final = sampling.final_rate;
-  m.sampling_rate_peak = sampling.peak_rate;
-}
-
 class Monitor : public BranchSink {
  public:
   Monitor(unsigned num_threads, MonitorOptions options = {});
@@ -162,18 +143,11 @@ class Monitor : public BranchSink {
 
   /// True once any check has failed. Safe to poll from any thread; the
   /// program treats this as the paper's "raise an exception" signal.
-  bool violation_detected() const override {
-    return violation_count_.load(std::memory_order_acquire) != 0;
-  }
-  std::uint64_t violation_count() const {
-    return violation_count_.load(std::memory_order_acquire);
-  }
+  bool violation_detected() const override;
+  std::uint64_t violation_count() const;
 
-  MonitorHealth health() const override { return health_.get(); }
-
-  SamplingController* sampler() override {
-    return sampler_.active() ? &sampler_ : nullptr;
-  }
+  MonitorHealth health() const override;
+  SamplingController* sampler() override;
 
   // --- Recovery protocol (see monitor_interface.h for the contract) ---
   // Commands go through the consumer's mailbox (consumer.h): the monitor
@@ -192,37 +166,13 @@ class Monitor : public BranchSink {
   const std::vector<Violation>& violations() const;
   MonitorStats stats() const;
 
-  unsigned num_threads() const { return num_threads_; }
+  unsigned num_threads() const;
 
  private:
-  /// Per-producer slow-path state. Cacheline-sized so one producer's drop
-  /// accounting never bounces another producer's line.
-  struct alignas(64) ProducerSlot {
-    std::atomic<std::uint64_t> dropped{0};  // written by owner, read by stats
-    StallClock stall;                        // against the consumer's beat
-  };
-
-  void run();
-  bool running() const { return started_.load() && !stopping_.load(); }
-
-  unsigned num_threads_;
-  MonitorOptions options_;
-  /// One ring per program thread, all drained by the monitor thread.
-  RingMatrix<BranchReport> rings_;
-  std::vector<ProducerSlot> producers_;
-  // The consumer core (consumer.h); the monitor thread is its only
-  // mutator, no locking needed.
-  std::unique_ptr<TenantCore> core_;
-  /// The recovery and stop commands, and the beat the producers' watchdog
-  /// reads to tell "slow" from "dead" (consumer.h).
-  std::unique_ptr<Mailbox> mailbox_;
-
+  /// The one-consumer sink (consumer.h) the monitor thread drains.
+  std::unique_ptr<detail::Sink> sink_;
   std::thread thread_;
-  std::atomic<bool> stopping_{false};
   std::atomic<bool> started_{false};
-  HealthCell health_;
-  SamplingController sampler_;
-  std::atomic<std::uint64_t> violation_count_{0};
 };
 
 }  // namespace bw::runtime

@@ -7,24 +7,22 @@
 // service; a long-lived service runs its sessions one after another on
 // the same shard threads.
 //
-// Every shard runs the consumer the legacy Monitor runs (consumer.h),
-// visiting the live session's tenant on that shard: the same visit, beat,
-// command mailbox, quiesce predicate, stall freeze, delay deferral and
-// burst drain, the same producer give-up path and the same bounded
-// recovery wait, over the same wire: each producer stages single reports
-// into a ring of reports and publishes them in runs. One structural change
-// relative to the legacy Monitor, invisible to verdicts:
+// A session is the sink the legacy Monitor is built from (consumer.h
+// detail::Sink) with one consumer per shard: the same producer path,
+// publish points, recovery calls, teardown and stats fold, over the same
+// wire of single reports staged into rings and published in runs. What
+// the service adds, invisible to verdicts:
 //
 //   * Sharding. K checker shards each own the branch keys that hash to
 //     them: a report's shard is hash(ctx, static_id) % K. Routing happens
 //     on the producer, so every ring keeps exactly one producer and one
 //     consumer and the fabric stays lock-free. Each (thread, shard) lane
-//     stages into its own ring and publishes its run once it holds
-//     SpscQueue::kStride reports (or the session quota, when that is
-//     smaller), on BranchSink::flush (the VM's barriers, polls and section
-//     exits), on a health transition, on a full ring, and at session
-//     close; before publishing, a run of a session with a quota claims
-//     its count from it.
+//     stages into its own ring and publishes its run at the sink's
+//     publish points; a run of a session with a quota claims its count
+//     from the quota first.
+//   * The live-session slot and admission (one session at a time).
+//   * The in-flight guard: send() and flush() hold it across a phase
+//     check, so close() may race the session's own producers.
 //
 // Verdict invariance: a branch maps wholly to one shard, so the
 // per-branch instance lifecycle is the legacy algorithm run on a
@@ -124,11 +122,17 @@ struct MonitorServiceOptions {
   WatchdogOptions watchdog;
 };
 
-namespace detail {
-struct SessionState;
-}  // namespace detail
+/// The session and service shape of a MonitorOptions, for `num_threads`
+/// program threads (no quota) on `num_shards` shards: one translation for
+/// execute(), the Monitor's own sink and tests.
+SessionOptions session_options_for(const MonitorOptions& options,
+                                   unsigned num_threads);
+MonitorServiceOptions service_options_for(const MonitorOptions& options,
+                                          unsigned num_shards);
 
-enum class Command : int;  // consumer.h
+namespace detail {
+class Sink;  // consumer.h
+}  // namespace detail
 
 class MonitorService;
 
@@ -151,9 +155,10 @@ class MonitorSession : public BranchSink {
   MonitorHealth health() const override;
   SamplingController* sampler() override;
 
-  // Recovery protocol, scoped to this session: reset_epoch discards the
-  // session's rings/tables/violations, quiesce waits on its queued
-  // reports. The shard threads are never paused.
+  // Recovery protocol, scoped to this session (the sink's, as on the
+  // Monitor): quiesce and finalize_section publish the staged runs first,
+  // reset_epoch discards them with the session's published reports,
+  // tables and violations. The shard threads are never paused.
   bool supports_recovery() const override { return true; }
   bool quiesce() override;
   bool finalize_section() override;
@@ -177,10 +182,10 @@ class MonitorSession : public BranchSink {
  private:
   friend class MonitorService;
   MonitorSession(MonitorService* service,
-                 std::shared_ptr<detail::SessionState> state);
+                 std::shared_ptr<detail::Sink> state);
 
   MonitorService* service_;
-  std::shared_ptr<detail::SessionState> state_;
+  std::shared_ptr<detail::Sink> state_;
 };
 
 class MonitorService {
@@ -216,17 +221,7 @@ class MonitorService {
   struct Shard;  // shard-thread-private state; defined in the .cpp
 
   unsigned shard_of(const BranchReport& report) const;
-  void session_send(detail::SessionState& s, const BranchReport& report);
-  void session_flush(detail::SessionState& s, std::uint32_t thread);
-  void publish_runs(detail::SessionState& s, std::uint32_t thread);
-  void publish_run(detail::SessionState& s, std::uint32_t thread,
-                   unsigned shard);
-  bool acquire_quota(detail::SessionState& s, std::uint32_t thread,
-                     unsigned shard, std::uint32_t count);
-  bool post_session_command(detail::SessionState& s, Command command);
-  bool session_quiesce(detail::SessionState& s);
-  bool session_reset_epoch(detail::SessionState& s);
-  void teardown(const std::shared_ptr<detail::SessionState>& state);
+  void teardown(const std::shared_ptr<detail::Sink>& state);
 
   void shard_run(Shard& shard);
 
@@ -238,7 +233,7 @@ class MonitorService {
   /// shared_ptr keeps a detaching session's state alive until every shard
   /// dropped it) and refreshes it whenever live_id_ moves.
   std::mutex mutex_;
-  std::shared_ptr<detail::SessionState> live_;  // under mutex_
+  std::shared_ptr<detail::Sink> live_;  // under mutex_
   std::atomic<SessionId> live_id_{0};           // 0 = no live session
   SessionId next_session_id_ = 1;               // under mutex_
 

@@ -23,9 +23,9 @@
 //     monitor-path fault models (FaultType::MonitorStall / QueueCorrupt /
 //     ReportDrop) and for the slow-consumer benchmark.
 //
-// Each decision of that policy is defined once, below. The one consumer
-// core of consumer.h calls it for both backends (the legacy Monitor and
-// every MonitorService shard), which differ only in topology:
+// Each decision of that policy is defined once, below. The one sink of
+// consumer.h calls it for both backends (the legacy Monitor and a
+// MonitorService session), which differ only in topology:
 //
 //   * raise_health()        — the one health edge: raise, and on a won
 //                             transition snap the sampler back.
@@ -34,8 +34,9 @@
 //   * StallClock            — the clock a producer's give-up consults:
 //                             the give-up grace and the watchdog.
 //
-// The pop screen (TenantCore::screen_popped) and the recovery deadline
-// (bounded_wait) are consumer-side and live in consumer.h.
+// The pop screen (TenantCore::screen_popped), the producer give-up path
+// (Sink::push_or_give_up) and the recovery deadline (bounded_wait) live
+// in consumer.h.
 #pragma once
 
 #include <algorithm>
@@ -143,11 +144,11 @@ struct MonitorFaultHooks {
   /// Defer the consumer's next visit by this much per report it filed: a
   /// deterministic slow-consumer load for the resilience benchmark.
   std::uint64_t delay_ns_per_report = 0;
-  /// MonitorService sessions only: restrict the hooks above to the
-  /// 0-based checker shard with this index (kAllShards applies them to
-  /// every shard, each counting its own pops). Lets tests wedge ONE shard
-  /// and prove its siblings keep checking while health degrades. The
-  /// single-consumer Monitor ignores this field.
+  /// Restrict the hooks above to the 0-based consumer (checker shard)
+  /// with this index (kAllShards applies them to every shard, each
+  /// counting its own pops). Lets tests wedge ONE shard and prove its
+  /// siblings keep checking while health degrades. The single-consumer
+  /// Monitor is shard 0.
   static constexpr std::uint32_t kAllShards = 0xffffffffu;
   std::uint32_t shard_filter = kAllShards;
 

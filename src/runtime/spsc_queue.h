@@ -232,10 +232,6 @@ class RingMatrix {
     return *rings_[std::size_t{producer} * consumers_ + consumer];
   }
   unsigned producers() const { return producers_; }
-  /// Publishes every ring's staged items; the producers must be quiescent.
-  void publish() {
-    for (auto& ring : rings_) ring->publish();
-  }
   bool empty() const {
     for (const auto& ring : rings_) {
       if (!ring->empty()) return false;

@@ -1,9 +1,9 @@
 // Monitor tests: queue draining, the two-level instance table, eager and
-// finalize-time checking, drain-only mode, eviction under pressure, and
-// the points where staged reports are published to the monitor thread.
+// finalize-time checking, drain-only mode and eviction under pressure.
+// The publish points of staged reports are SharedResilience cases
+// (resilience_test.cpp), run on both backends.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -264,108 +264,6 @@ TEST(Monitor, ManyCleanInstancesUnderConcurrency) {
   monitor.stop();
   EXPECT_TRUE(monitor.violations().empty());
   EXPECT_EQ(monitor.stats().reports_processed, 20'000u);
-}
-
-/// Polls `monitor` for a violation for up to `timeout_ms`.
-bool violation_within(const Monitor& monitor, int timeout_ms) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  while (!monitor.violation_detected()) {
-    if (std::chrono::steady_clock::now() >= deadline) return false;
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-  return true;
-}
-
-TEST(Monitor, LoneStagedReportsWaitForFlush) {
-  // A divergent instance from two reports, each far short of a stride:
-  // the monitor thread cannot see either until its thread flushes.
-  Monitor monitor(2);
-  monitor.start();
-  monitor.send(report(0, 1, CheckCode::SharedOutcome, true));
-  monitor.send(report(1, 1, CheckCode::SharedOutcome, false));
-  EXPECT_FALSE(violation_within(monitor, 50));
-  monitor.flush(0);
-  EXPECT_FALSE(violation_within(monitor, 50));  // thread 1's still staged
-  monitor.flush(1);
-  EXPECT_TRUE(violation_within(monitor, 5000));
-  monitor.stop();
-  EXPECT_EQ(monitor.stats().reports_processed, 2u);
-  EXPECT_EQ(monitor.violations().size(), 1u);
-}
-
-TEST(Monitor, StopFilesWhatJoinedProducersStaged) {
-  // Each producer leaves a partial stride staged and never flushes: stop()
-  // publishes it, so every report is filed and the planted divergence in
-  // the last instance is found.
-  constexpr unsigned kThreads = 3;
-  constexpr std::uint64_t kReports = 3 * SpscQueue<int>::kStride + 5;
-  Monitor monitor(kThreads);
-  monitor.start();
-  std::vector<std::thread> producers;
-  for (unsigned t = 0; t < kThreads; ++t) {
-    producers.emplace_back([&monitor, t] {
-      for (std::uint64_t iter = 0; iter < kReports; ++iter) {
-        const bool flip = t == 1 && iter == kReports - 1;
-        monitor.send(report(t, 1, CheckCode::SharedOutcome, !flip, iter));
-      }
-    });
-  }
-  for (auto& p : producers) p.join();
-  monitor.stop();
-  EXPECT_EQ(monitor.stats().reports_processed, kThreads * kReports);
-  EXPECT_EQ(monitor.stats().instances_checked, kReports);
-  ASSERT_EQ(monitor.violations().size(), 1u);
-  EXPECT_EQ(monitor.violations()[0].iter_hash, kReports - 1);
-  EXPECT_EQ(monitor.violations()[0].suspect_thread, 1u);
-}
-
-TEST(Monitor, QuiesceJudgesTheLastPartialStride) {
-  // Producers send fewer than a stride each, flush (as the VM does at a
-  // barrier) and park; quiesce() must then see the violation among those
-  // reports, and again after a second round that nobody flushed.
-  constexpr unsigned kThreads = 3;
-  constexpr std::uint64_t kReports = SpscQueue<int>::kStride - 3;
-  Monitor monitor(kThreads);
-  monitor.start();
-  for (int round = 0; round < 2; ++round) {
-    const bool flush = round == 0;
-    std::vector<std::thread> producers;
-    for (unsigned t = 0; t < kThreads; ++t) {
-      producers.emplace_back([&monitor, t, round, flush] {
-        for (std::uint64_t iter = 0; iter < kReports; ++iter) {
-          const bool flip = t == 2 && iter == kReports - 1;
-          monitor.send(report(t, 1 + round, CheckCode::SharedOutcome, !flip,
-                              iter));
-        }
-        if (flush) monitor.flush(t);
-      });
-    }
-    for (auto& p : producers) p.join();
-    ASSERT_TRUE(monitor.quiesce()) << "round " << round;
-    EXPECT_TRUE(monitor.violation_detected()) << "round " << round;
-    ASSERT_TRUE(monitor.reset_epoch()) << "round " << round;
-    EXPECT_FALSE(monitor.violation_detected()) << "round " << round;
-  }
-  monitor.stop();
-  EXPECT_EQ(monitor.stats().reports_processed, 2 * kThreads * kReports);
-}
-
-TEST(Monitor, ResetDiscardsStagedReportsWithTheEpoch) {
-  // A report staged but never flushed belongs to the timeline
-  // reset_epoch() rolls back: it is discarded with it (or filed and then
-  // cleared, if the consumer got to it first), never filed into the next
-  // epoch, where it would disagree with the other thread's report.
-  Monitor monitor(2);
-  monitor.start();
-  monitor.send(report(0, 1, CheckCode::SharedOutcome, true));
-  ASSERT_TRUE(monitor.reset_epoch());
-  monitor.send(report(1, 1, CheckCode::SharedOutcome, false));
-  monitor.stop();
-  EXPECT_TRUE(monitor.violations().empty());
-  const MonitorStats stats = monitor.stats();
-  EXPECT_EQ(stats.reports_processed + stats.reports_rolled_back, 2u);
-  EXPECT_EQ(stats.instances_checked, 0u);  // one reporter: nothing to check
 }
 
 TEST(Monitor, StopIsIdempotent) {

@@ -70,6 +70,30 @@ TEST(Pipeline, MonitorModesBehaveDistinctly) {
   EXPECT_EQ(off.run.output, full.run.output);
 }
 
+TEST(Pipeline, ZeroThreadsIsRefusedOnEveryMonitorPath) {
+  pipeline::CompiledProgram program = pipeline::protect_program(kKernel);
+  struct Path {
+    pipeline::MonitorMode mode;
+    unsigned shards;
+  };
+  // Unmonitored, the legacy Monitor, and a one-shard service session.
+  for (const Path path : {Path{pipeline::MonitorMode::Off, 0},
+                          Path{pipeline::MonitorMode::Full, 0},
+                          Path{pipeline::MonitorMode::Full, 1}}) {
+    pipeline::ExecutionConfig config;
+    config.num_threads = 0;
+    config.monitor = path.mode;
+    config.monitor_shards = path.shards;
+    pipeline::ExecutionResult result = pipeline::execute(program, config);
+    EXPECT_EQ(result.admit_error, runtime::AdmitError::BadConfig)
+        << "shards " << path.shards;
+    EXPECT_TRUE(result.run.threads.empty());  // nothing ran
+    EXPECT_TRUE(result.run.output.empty());
+    EXPECT_FALSE(result.detected);
+    EXPECT_EQ(result.monitor_stats.reports_processed, 0u);
+  }
+}
+
 TEST(Pipeline, DetectionPathEndToEnd) {
   pipeline::CompiledProgram program = pipeline::protect_program(kKernel);
   pipeline::ExecutionConfig config;

@@ -1,10 +1,11 @@
 // Monitor resilience tests: bounded backoff with drop accounting, the
 // sticky Healthy -> Degraded -> Failed health machine, the heartbeat
 // watchdog, degraded-mode unverifiable-instance skipping, checksum
-// rejection of corrupted reports, and end-to-end liveness of a protected
-// program whose monitor thread is artificially stalled. The SharedResilience
-// cases run the one policy of resilience.h on both backends: the legacy
-// Monitor and a one-session MonitorService.
+// rejection of corrupted reports, the publish points of staged reports,
+// and end-to-end liveness of a protected program whose monitor thread is
+// artificially stalled. The SharedResilience cases run the one sink of
+// consumer.h on both backends: the legacy Monitor and a one-session
+// MonitorService.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 #include "pipeline/pipeline.h"
 #include "runtime/monitor.h"
 #include "runtime/monitor_service.h"
+#include "runtime/spsc_queue.h"
 
 namespace {
 
@@ -79,21 +81,11 @@ class Backed {
       monitor_->start();
       return;
     }
-    MonitorServiceOptions service_options;
-    service_options.num_shards = 1;
-    service_options.queue_capacity = options.queue_capacity;
-    service_options.backoff = options.backoff;
-    service_options.watchdog = options.watchdog;
-    service_ = std::make_unique<MonitorService>(service_options);
+    service_ = std::make_unique<MonitorService>(
+        service_options_for(options, /*num_shards=*/1));
     service_->start();
-    SessionOptions session_options;
-    session_options.num_threads = num_threads;
-    session_options.perform_checks = options.perform_checks;
-    session_options.validate_reports = options.validate_reports;
-    session_options.max_pending_per_branch = options.max_pending_per_branch;
-    session_options.fault_hooks = options.fault_hooks;
-    session_options.sampling = options.sampling;
-    session_ = service_->admit(session_options).session;
+    session_ =
+        service_->admit(session_options_for(options, num_threads)).session;
     EXPECT_NE(session_, nullptr);
   }
 
@@ -413,6 +405,116 @@ TEST_P(SharedResilience, ResetEpochForgetsViolationsAndPendingInstances) {
   run.finish();
   EXPECT_TRUE(run.violations().empty());
   EXPECT_EQ(run.health(), MonitorHealth::Healthy);
+}
+
+// The publish points of staged reports, on both backends: a report
+// staged short of a stride waits for its thread's flush, and the recovery
+// calls and finish() take care of what joined or parked producers staged.
+
+/// Polls `sink` for a violation for up to `timeout_ms`.
+bool violation_within(const BranchSink& sink, int timeout_ms) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
+  while (!sink.violation_detected()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  return true;
+}
+
+TEST_P(SharedResilience, LoneStagedReportsWaitForFlush) {
+  // A divergent instance from two reports, each far short of a stride:
+  // the consumer cannot see either until its thread flushes.
+  Backed run(GetParam(), 2, MonitorOptions{});
+  BranchSink& sink = run.sink();
+  run.send(report(0, 1, CheckCode::SharedOutcome, true));
+  run.send(report(1, 1, CheckCode::SharedOutcome, false));
+  EXPECT_FALSE(violation_within(sink, 50));
+  run.flush(0);
+  EXPECT_FALSE(violation_within(sink, 50));  // thread 1's still staged
+  run.flush(1);
+  EXPECT_TRUE(violation_within(sink, 5000));
+  run.finish();
+  EXPECT_EQ(run.stats().reports_processed, 2u);
+  EXPECT_EQ(run.violations().size(), 1u);
+}
+
+TEST_P(SharedResilience, StopFilesWhatJoinedProducersStaged) {
+  // Each producer leaves a partial stride staged and never flushes:
+  // finish() publishes it, so every report is filed and the planted
+  // divergence in the last instance is found.
+  constexpr unsigned kThreads = 3;
+  constexpr std::uint64_t kReports = 3 * SpscQueue<int>::kStride + 5;
+  Backed run(GetParam(), kThreads, MonitorOptions{});
+  std::vector<std::thread> producers;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    producers.emplace_back([&run, t] {
+      for (std::uint64_t iter = 0; iter < kReports; ++iter) {
+        const bool flip = t == 1 && iter == kReports - 1;
+        run.send(report(t, 1, CheckCode::SharedOutcome, !flip, iter));
+      }
+    });
+  }
+  for (auto& p : producers) p.join();
+  run.finish();
+  EXPECT_EQ(run.stats().reports_processed, kThreads * kReports);
+  EXPECT_EQ(run.stats().instances_checked, kReports);
+  ASSERT_EQ(run.violations().size(), 1u);
+  EXPECT_EQ(run.violations()[0].iter_hash, kReports - 1);
+  EXPECT_EQ(run.violations()[0].suspect_thread, 1u);
+}
+
+TEST_P(SharedResilience, QuiesceJudgesTheLastPartialStride) {
+  // Producers send fewer than a stride each and park, after a flush (as
+  // the VM does at a barrier) or without one; quiesce() and
+  // finalize_section() must each then see the violation among those
+  // reports.
+  constexpr unsigned kThreads = 3;
+  constexpr std::uint64_t kReports = SpscQueue<int>::kStride - 3;
+  Backed run(GetParam(), kThreads, MonitorOptions{});
+  BranchSink& sink = run.sink();
+  for (int round = 0; round < 4; ++round) {
+    const bool flush = round % 2 == 0;
+    const bool finalize = round >= 2;
+    std::vector<std::thread> producers;
+    for (unsigned t = 0; t < kThreads; ++t) {
+      producers.emplace_back([&run, t, round, flush] {
+        for (std::uint64_t iter = 0; iter < kReports; ++iter) {
+          const bool flip = t == 2 && iter == kReports - 1;
+          run.send(report(t, 1 + round, CheckCode::SharedOutcome, !flip,
+                          iter));
+        }
+        if (flush) run.flush(t);
+      });
+    }
+    for (auto& p : producers) p.join();
+    if (finalize) {
+      ASSERT_TRUE(sink.finalize_section()) << "round " << round;
+    } else {
+      ASSERT_TRUE(sink.quiesce()) << "round " << round;
+    }
+    EXPECT_TRUE(sink.violation_detected()) << "round " << round;
+    ASSERT_TRUE(sink.reset_epoch()) << "round " << round;
+    EXPECT_FALSE(sink.violation_detected()) << "round " << round;
+  }
+  run.finish();
+  EXPECT_EQ(run.stats().reports_processed, 4 * kThreads * kReports);
+}
+
+TEST_P(SharedResilience, ResetDiscardsStagedReportsWithTheEpoch) {
+  // A report staged but never flushed belongs to the timeline
+  // reset_epoch() rolls back: it is discarded with it (or filed and then
+  // cleared, if the consumer got to it first), never filed into the next
+  // epoch, where it would disagree with the other thread's report.
+  Backed run(GetParam(), 2, MonitorOptions{});
+  run.send(report(0, 1, CheckCode::SharedOutcome, true));
+  ASSERT_TRUE(run.sink().reset_epoch());
+  run.send(report(1, 1, CheckCode::SharedOutcome, false));
+  run.finish();
+  EXPECT_TRUE(run.violations().empty());
+  const MonitorStats stats = run.stats();
+  EXPECT_EQ(stats.reports_processed + stats.reports_rolled_back, 2u);
+  EXPECT_EQ(stats.instances_checked, 0u);  // one reporter: nothing to check
 }
 
 TEST(Resilience, UnboundedLegacyPolicyStillDrainsNormally) {
