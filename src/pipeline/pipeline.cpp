@@ -36,9 +36,10 @@ void publish_analysis(const analysis::SimilarityResult& analysis) {
 
 /// Fold an execution's monitor accounting into the registry. The per-shard
 /// consumer counters are only coherent after stop(), so this runs at the
-/// end of execute() rather than on the monitor's hot path.
+/// end of execute() rather than on the monitor's hot path. `shards` is the
+/// shard count the run used: the service's for a session, 0 otherwise.
 void publish_execution(const ExecutionResult& result,
-                       const ExecutionConfig& config) {
+                       const ExecutionConfig& config, unsigned shards) {
   if (!telemetry::enabled()) return;
   telemetry::counter_add(telemetry::Counter::RunsExecuted);
   telemetry::counter_add(telemetry::Counter::ReportsMuted,
@@ -50,8 +51,7 @@ void publish_execution(const ExecutionResult& result,
   telemetry::counter_add(telemetry::Counter::InstancesSkipped,
                          result.monitor_stats.instances_skipped);
   telemetry::gauge_set(telemetry::Gauge::NumThreads, config.num_threads);
-  telemetry::gauge_set(telemetry::Gauge::MonitorShards,
-                       config.monitor_shards);
+  telemetry::gauge_set(telemetry::Gauge::MonitorShards, shards);
   telemetry::gauge_set(
       telemetry::Gauge::MonitorHealth,
       static_cast<std::uint64_t>(result.monitor_health));
@@ -161,7 +161,7 @@ ExecutionResult execute(const CompiledProgram& program,
     result.detected = result.run.detected || !result.violations.empty();
     result.monitor_health = monitor->health();
   }
-  publish_execution(result, config);
+  publish_execution(result, config, /*shards=*/0);
   return result;
 }
 
@@ -188,7 +188,7 @@ ExecutionResult execute_in_session(const CompiledProgram& program,
   result.monitor_stats = session.stats();
   result.detected = result.run.detected || !result.violations.empty();
   result.monitor_health = session.health();
-  publish_execution(result, config);
+  publish_execution(result, config, service.num_shards());
   return result;
 }
 

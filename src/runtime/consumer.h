@@ -14,12 +14,16 @@
 // staged first; reset_epoch discards it as rolled back), teardown and the
 // stats fold. The two shapes:
 //
-//   * the legacy Monitor owns one Sink with one consumer and runs that
-//     consumer's visits on its own thread;
-//   * a MonitorService session is a Sink with K consumers, one per shard,
-//     visited by the service's shard threads; the service adds routing
-//     (shard_of), the live-session slot and the in-flight guard that lets
-//     close() race the session's own producers.
+//   * the legacy Monitor owns one Sink with one consumer;
+//   * a MonitorService session is a Sink with K consumers, one per shard;
+//     the service adds routing (shard_of), admission of one session at a
+//     time and the in-flight guard that lets close() race the session's
+//     own producers.
+//
+// Either way the sink runs its own consumers: start() spawns one thread
+// per consumer, each running the one consumer loop (visit, yield when
+// nothing was popped, until the consumer executes the detach), and the
+// teardown that wins joins them once they acked it.
 //
 // A report is published with its thread's run every SpscQueue::kStride
 // reports (or the quota, when that is smaller), on flush(thread), on a
@@ -208,12 +212,14 @@ class Sink {
     publish_runs(thread);
   }
 
-  // --- Consumer side (consumer `consumer`'s thread only) ---
+  /// Spawns one thread per consumer. Must precede any send(); a second
+  /// call, or one after teardown(), does nothing. Until it runs nothing
+  /// was sent: quiesce() is trivially true, and finalize_section() and
+  /// reset_epoch() are false, since no consumer would ever ack them.
+  void start();
 
-  /// One visit of the consumer's tenant; returns whether it popped.
-  bool visit(unsigned consumer);
-  /// The consumer executed the detach: never visit the sink again.
-  bool detached(unsigned consumer) const;
+  // --- Consumer side ---
+
   /// Releases `count` reports a consumer filed from the quota.
   void release(std::uint64_t count) {
     if (quota == 0) return;
@@ -235,9 +241,9 @@ class Sink {
   bool reset_epoch();
 
   /// Latches the phase, waits out in-flight producer calls, publishes the
-  /// staged runs, posts the detach, waits (bounded) for every ack and
-  /// merges the acked consumers' results. Returns false, once the winner
-  /// has finished, to every caller but the first.
+  /// staged runs, posts the detach, waits (bounded) for every ack, merges
+  /// the acked consumers' results and joins the consumer threads. Returns
+  /// false, once the winner has finished, to every caller but the first.
   bool teardown();
 
   /// Only valid after teardown(). Producer drop counters are re-read on
@@ -369,8 +375,10 @@ class Sink {
   std::vector<std::unique_ptr<TenantCore>> cores_;
   /// Each consumer's visits, made only by that consumer's thread. Kept
   /// until the sink dies: a consumer reads its tenant once more right
-  /// after acking the detach.
+  /// after acking the detach, before teardown joins it.
   std::vector<std::unique_ptr<Tenant>> tenants_;
+  /// One thread per consumer once start() ran; joined by teardown.
+  std::vector<std::thread> consumers_;
 
   /// Reports published but not yet filed, across all consumers: the value
   /// the quota gates on. Incremented when a run claims quota, decremented

@@ -1,7 +1,6 @@
 #include "runtime/monitor.h"
 
 #include "runtime/consumer.h"
-#include "support/telemetry/telemetry.h"
 
 namespace bw::runtime {
 
@@ -10,27 +9,11 @@ Monitor::Monitor(unsigned num_threads, MonitorOptions options)
           /*id=*/0, session_options_for(options, num_threads),
           service_options_for(options, /*num_shards=*/1))) {}
 
-Monitor::~Monitor() { stop(); }
+Monitor::~Monitor() = default;  // the sink tears itself down
 
-void Monitor::start() {
-  bool expected = false;
-  if (!started_.compare_exchange_strong(expected, true)) return;
-  thread_ = std::thread([this] {
-    // One span for the monitor thread's whole drain-and-check lifetime: in
-    // a trace it sits on its own tid row, bracketing every violation event.
-    telemetry::SpanScope span(telemetry::Phase::MonitorCheck,
-                              "monitor.drain");
-    while (!sink_->detached(0)) {
-      if (!sink_->visit(0)) std::this_thread::yield();
-    }
-  });
-}
+void Monitor::start() { sink_->start(); }
 
-void Monitor::stop() {
-  if (!started_.load()) return;
-  sink_->teardown();
-  if (thread_.joinable()) thread_.join();
-}
+void Monitor::stop() { sink_->teardown(); }
 
 void Monitor::send(const BranchReport& report) { sink_->send(report, 0); }
 
@@ -50,20 +33,11 @@ SamplingController* Monitor::sampler() {
   return sink_->sampler.active() ? &sink_->sampler : nullptr;
 }
 
-// Without the monitor thread nothing was sent: quiesce is trivially true,
-// and a command would never be acked.
-bool Monitor::quiesce() {
-  return !started_.load(std::memory_order_acquire) || sink_->quiesce();
-}
+bool Monitor::quiesce() { return sink_->quiesce(); }
 
-bool Monitor::finalize_section() {
-  return started_.load(std::memory_order_acquire) &&
-         sink_->finalize_section();
-}
+bool Monitor::finalize_section() { return sink_->finalize_section(); }
 
-bool Monitor::reset_epoch() {
-  return started_.load(std::memory_order_acquire) && sink_->reset_epoch();
-}
+bool Monitor::reset_epoch() { return sink_->reset_epoch(); }
 
 const std::vector<Violation>& Monitor::violations() const {
   return sink_->violations();

@@ -5,8 +5,8 @@
 // threads reported (eager path) or at end of the parallel section
 // (finalize path), and records violations.
 //
-// The Monitor owns one detail::Sink (consumer.h) with one consumer and
-// runs that consumer's visits on its own thread. Everything else — the
+// The Monitor is one detail::Sink (consumer.h) with one consumer. All of
+// it — the consumer thread that start() spawns and stop() joins, the
 // producer path, the publish points, the recovery calls, teardown and the
 // stats fold — is the sink's, the same code a MonitorService session is
 // built from: one ring of single reports per program thread, drained 256
@@ -36,10 +36,8 @@
 // instead of risking a false violation built on partial data.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "runtime/branch_table.h"
@@ -105,10 +103,11 @@ struct MonitorStats {
   std::uint64_t sampling_snap_backs = 0;
   std::uint32_t sampling_rate_final = 1;
   std::uint32_t sampling_rate_peak = 1;
-  /// Multi-tenant backpressure (MonitorService sessions only; always zero
-  /// for the legacy Monitor). Reports discarded because the tenant was
-  /// over its queued-report quota, the number of distinct over-quota
-  /// episodes, and the high-water mark of queued reports.
+  /// Per-session quota backpressure (MonitorService sessions with a
+  /// report_quota only; always zero for the legacy Monitor). Reports
+  /// discarded because the session was over its queued-report quota, the
+  /// number of distinct over-quota episodes, and the high-water mark of
+  /// queued reports.
   std::uint64_t reports_throttled = 0;
   std::uint64_t throttle_events = 0;
   std::uint64_t quota_peak = 0;
@@ -125,10 +124,13 @@ class Monitor : public BranchSink {
   Monitor& operator=(const Monitor&) = delete;
 
   /// Launch the monitor thread. Must be called before any report is sent.
+  /// Until it is, quiesce() is true and finalize_section()/reset_epoch()
+  /// are false.
   void start();
 
   /// Signal end of the parallel section, drain everything, finalize
-  /// residual instances, and join the monitor thread. Idempotent.
+  /// residual instances, and join the monitor thread. Idempotent; the
+  /// destructor calls it. A stopped monitor cannot be restarted.
   void stop();
 
   /// Producer API (called from program thread `thread`): stage a report
@@ -169,10 +171,8 @@ class Monitor : public BranchSink {
   unsigned num_threads() const;
 
  private:
-  /// The one-consumer sink (consumer.h) the monitor thread drains.
+  /// The one-consumer sink (consumer.h), which runs the monitor thread.
   std::unique_ptr<detail::Sink> sink_;
-  std::thread thread_;
-  std::atomic<bool> started_{false};
 };
 
 }  // namespace bw::runtime

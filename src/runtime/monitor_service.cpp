@@ -57,44 +57,11 @@ struct InFlightGuard {
 
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// Shard side: one thread per shard, visiting the live session.
-// ---------------------------------------------------------------------------
-
-struct MonitorService::Shard {
-  unsigned index = 0;
-  std::thread worker;
-  SessionId session_id = 0;
-  std::shared_ptr<detail::Sink> session;
-};
-
-void MonitorService::shard_run(Shard& shard) {
-  telemetry::SpanScope span(telemetry::Phase::MonitorCheck,
-                            "service.shard.drain");
-  while (true) {
-    if (live_id_.load(std::memory_order_acquire) != shard.session_id) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      shard.session = live_;
-      shard.session_id = live_id_.load(std::memory_order_relaxed);
-    }
-    bool popped = false;
-    // A session still tearing down is visited like any other, so the
-    // residual runs close() publishes never wait on a ring nobody drains;
-    // one whose detach this shard executed is never visited again.
-    if (shard.session != nullptr && !shard.session->detached(shard.index)) {
-      popped = shard.session->visit(shard.index);
-    }
-    if (!popped) {
-      if (shards_exit_.load(std::memory_order_acquire)) break;
-      std::this_thread::yield();
-    }
-  }
-}
-
 unsigned MonitorService::shard_of(const BranchReport& report) const {
   // Keyed by (ctx, static_id): a branch lives wholly in one shard.
   return static_cast<unsigned>(
-      support::hash_combine(report.ctx_hash, report.static_id) % num_shards_);
+      support::hash_combine(report.ctx_hash, report.static_id) %
+      options_.num_shards);
 }
 
 void MonitorService::teardown(const std::shared_ptr<detail::Sink>& state) {
@@ -103,7 +70,6 @@ void MonitorService::teardown(const std::shared_ptr<detail::Sink>& state) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     live_.reset();
-    live_id_.store(0, std::memory_order_release);
   }
   const MonitorStats stats = s.stats();
   telemetry::counter_add(telemetry::Counter::SessionsEvicted);
@@ -120,47 +86,26 @@ MonitorService::MonitorService(MonitorServiceOptions options)
     : options_(options) {
   if (options_.num_shards == 0) options_.num_shards = 1;
   if (options_.queue_capacity == 0) options_.queue_capacity = 1;
-  num_shards_ = options_.num_shards;
-  shards_.reserve(num_shards_);
-  for (unsigned k = 0; k < num_shards_; ++k) {
-    auto shard = std::make_unique<Shard>();
-    shard->index = k;
-    shards_.push_back(std::move(shard));
-  }
 }
 
 MonitorService::~MonitorService() { stop(); }
 
 void MonitorService::start() {
-  bool expected = false;
-  if (!started_.compare_exchange_strong(expected, true)) return;
-  for (auto& shard : shards_) {
-    Shard* s = shard.get();
-    s->worker = std::thread([this, s] { shard_run(*s); });
-  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  started_ = true;
 }
 
+// Every caller returns with the live session detached: a caller that
+// loses the race to tear it down waits for the winner.
 void MonitorService::stop() {
-  if (!started_.load(std::memory_order_acquire)) return;
-  bool expected = false;
-  if (!stopping_.compare_exchange_strong(expected, true)) {
-    for (auto& shard : shards_) {
-      if (shard->worker.joinable()) shard->worker.join();
-    }
-    return;
-  }
-  // Detach the live session first (its handle stays valid and readable),
-  // then signal the shard threads out.
   std::shared_ptr<detail::Sink> live;
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    if (!started_) return;
+    stopping_ = true;
     live = live_;
   }
   if (live != nullptr) teardown(live);
-  shards_exit_.store(true, std::memory_order_release);
-  for (auto& shard : shards_) {
-    if (shard->worker.joinable()) shard->worker.join();
-  }
 }
 
 MonitorService::Admission MonitorService::admit(
@@ -169,8 +114,7 @@ MonitorService::Admission MonitorService::admit(
   std::shared_ptr<detail::Sink> state;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!started_.load(std::memory_order_relaxed) ||
-        stopping_.load(std::memory_order_relaxed)) {
+    if (!started_ || stopping_) {
       result.error = AdmitError::ServiceStopped;
     } else if (options.num_threads == 0 ||
                options.max_pending_per_branch == 0) {
@@ -180,10 +124,12 @@ MonitorService::Admission MonitorService::admit(
     } else if (live_ != nullptr) {
       result.error = AdmitError::Busy;
     } else {
+      // Started under the lock, so a racing stop() never tears down a
+      // session whose consumers are not running yet.
       state = std::make_shared<detail::Sink>(next_session_id_++, options,
                                              options_);
+      state->start();
       live_ = state;
-      live_id_.store(state->id, std::memory_order_release);
     }
   }
   if (!state) {

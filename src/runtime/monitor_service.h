@@ -1,11 +1,13 @@
-// Sharded monitor service: a long-lived pool of checker shards that hosts
-// one program instance (a session) at a time. It is the scalability
-// successor to the single-consumer Monitor (paper Section III-B), which
-// Figures 6-7 show flat-lining as producers multiply: one thread drains
-// every queue and files every report into one table. pipeline::execute()
-// with monitor_shards >= 1 runs its program as the session of a private
-// service; a long-lived service runs its sessions one after another on
-// the same shard threads.
+// Sharded monitor service: K checker shards for one program instance (a
+// session) at a time. It is the scalability successor to the
+// single-consumer Monitor (paper Section III-B), which Figures 6-7 show
+// flat-lining as producers multiply: one thread drains every queue and
+// files every report into one table. pipeline::execute() with
+// monitor_shards >= 1 runs its program as the session of a private
+// service; a long-lived service runs its sessions one after another.
+// Each session runs its own K consumer threads, one per shard: admit()
+// starts them and the session's teardown joins them, so a service with
+// no live session runs no thread.
 //
 // A session is the sink the legacy Monitor is built from (consumer.h
 // detail::Sink) with one consumer per shard: the same producer path,
@@ -20,7 +22,7 @@
 //     stages into its own ring and publishes its run at the sink's
 //     publish points; a run of a session with a quota claims its count
 //     from the quota first.
-//   * The live-session slot and admission (one session at a time).
+//   * Admission: one live session at a time.
 //   * The in-flight guard: send() and flush() hold it across a phase
 //     check, so close() may race the session's own producers.
 //
@@ -35,23 +37,25 @@
 // BranchTable and its own SPSC rings (one per producer thread), plus a
 // sticky HealthCell, SamplingController, violation counter and recovery
 // command mailbox. A session-scoped MonitorStall freezes only the
-// session's tenant (no draining, no beat), never the shard thread, and
-// the delay hook defers only the tenant's next visit, so the shards serve
-// the next session unharmed. An optional quota caps the session's queued
-// (published, not yet filed) reports: a run over quota runs the backoff
-// ladder, then samples down (SamplingController::note_pressure) and
-// discards the run, degrading the session's health.
+// session's tenant (no draining, no beat): its consumer thread still
+// serves the mailbox, so the session still detaches, and the delay hook
+// defers only the tenant's next visit. An optional quota caps the
+// session's queued (published, not yet filed) reports: a run over quota
+// runs the backoff ladder, then samples down
+// (SamplingController::note_pressure) and discards the run, degrading the
+// session's health.
 //
 // Admission is explicit: admit() returns a typed AdmitError while a
 // session is live (Busy) or when the service is stopping, never a
 // silently-degraded session. Teardown (MonitorSession::close, or the
 // session handle's destructor) may race the session's own producers: it
 // latches the session, waits for in-flight producer calls to retire (a
-// Dekker guard), publishes the residual staged runs (shards keep draining
-// the session meanwhile), broadcasts a detach command, and each shard
-// drains the tenant's rings, finalizes its table and acks, after which
-// teardown merges the results and frees the slot. A producer call that
-// arrives after the latch is counted as a drop, never lost or raced.
+// Dekker guard), publishes the residual staged runs (the consumers keep
+// draining meanwhile), broadcasts a detach command, and each consumer
+// drains its rings, finalizes its table, acks and exits, after which
+// teardown merges the results, joins the consumer threads and frees the
+// service for the next admission. A producer call that arrives after the
+// latch is counted as a drop, never lost or raced.
 //
 // Lifetime contract: MonitorSession handles must not outlive the
 // MonitorService that admitted them. MonitorService::stop() (and the
@@ -59,11 +63,9 @@
 // close() on the handle is a no-op and its stats stay readable.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "runtime/monitor.h"  // MonitorStats
@@ -158,14 +160,15 @@ class MonitorSession : public BranchSink {
   // Recovery protocol, scoped to this session (the sink's, as on the
   // Monitor): quiesce and finalize_section publish the staged runs first,
   // reset_epoch discards them with the session's published reports,
-  // tables and violations. The shard threads are never paused.
+  // tables and violations. The consumer threads are never paused.
   bool supports_recovery() const override { return true; }
   bool quiesce() override;
   bool finalize_section() override;
   bool reset_epoch() override;
 
   /// Tear the session down: publish the staged runs, detach the
-  /// per-shard tenant tables, free the service's session slot.
+  /// per-shard tenant tables, join the session's consumer threads and
+  /// free the service for the next admission.
   /// Idempotent; called by the destructor if the caller did not. After
   /// close(), violations()/stats() hold the session's final merged
   /// results.
@@ -196,12 +199,12 @@ class MonitorService {
   MonitorService(const MonitorService&) = delete;
   MonitorService& operator=(const MonitorService&) = delete;
 
-  /// Launch the shared shard threads. Must precede any admit().
+  /// Open admission. Must precede any admit(); starts no thread.
   void start();
 
-  /// Refuse new admissions, force-detach the live session (its handle
-  /// stays valid; close() becomes a no-op), and join the shards.
-  /// Idempotent.
+  /// Close admission and force-detach the live session (its handle stays
+  /// valid; close() becomes a no-op). Idempotent: every caller returns
+  /// once the session is detached and its consumer threads are joined.
   void stop();
 
   struct Admission {
@@ -209,37 +212,27 @@ class MonitorService {
     AdmitError error = AdmitError::None;
   };
 
-  /// Admit one session. At most one is live at a time: while it is, the
-  /// caller gets AdmitError::Busy (and a SessionsRejected tick), never an
-  /// implicitly-degraded sink.
+  /// Admit one session and start its K consumer threads. At most one is
+  /// live at a time: while it is, the caller gets AdmitError::Busy (and a
+  /// SessionsRejected tick), never an implicitly-degraded sink.
   Admission admit(const SessionOptions& options = {});
 
-  unsigned num_shards() const { return num_shards_; }
+  unsigned num_shards() const { return options_.num_shards; }
 
  private:
   friend class MonitorSession;
-  struct Shard;  // shard-thread-private state; defined in the .cpp
 
   unsigned shard_of(const BranchReport& report) const;
   void teardown(const std::shared_ptr<detail::Sink>& state);
 
-  void shard_run(Shard& shard);
-
   MonitorServiceOptions options_;
-  unsigned num_shards_ = 0;
-  std::vector<std::unique_ptr<Shard>> shards_;
 
-  /// The live session slot. Each shard keeps its own reference (the
-  /// shared_ptr keeps a detaching session's state alive until every shard
-  /// dropped it) and refreshes it whenever live_id_ moves.
   std::mutex mutex_;
+  /// The live session, until its teardown finishes (stop() detaches it).
   std::shared_ptr<detail::Sink> live_;  // under mutex_
-  std::atomic<SessionId> live_id_{0};           // 0 = no live session
-  SessionId next_session_id_ = 1;               // under mutex_
-
-  std::atomic<bool> started_{false};
-  std::atomic<bool> stopping_{false};     // admission latch
-  std::atomic<bool> shards_exit_{false};  // shard exit signal (post-detach)
+  SessionId next_session_id_ = 1;       // under mutex_
+  bool started_ = false;                // under mutex_
+  bool stopping_ = false;               // under mutex_: admission latch
 };
 
 }  // namespace bw::runtime

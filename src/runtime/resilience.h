@@ -113,8 +113,10 @@ struct BackoffPolicy {
   /// behind never costs a drop).
   std::uint32_t yields = 4096;
   /// When false, reproduce the original unbounded spin (never give up,
-  /// never drop). Deadlock-prone under a stalled monitor; kept only as the
-  /// baseline for bench/bw_monitor_resilience.
+  /// never drop). Deadlock-prone under a stalled monitor. Kept as the
+  /// baseline for bench/bw_monitor_resilience, as the lossless replay
+  /// (kLossless) of tests/monitor_differential_test.cpp, and for
+  /// tests/resilience_test.cpp's spin-forever case.
   bool bounded = true;
 };
 

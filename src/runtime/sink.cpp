@@ -23,12 +23,24 @@ Sink::Sink(SessionId id_, const SessionOptions& opts,
   }
 }
 
-Sink::~Sink() = default;
+// A sink never outlives its consumer threads.
+Sink::~Sink() { teardown(); }
 
-bool Sink::visit(unsigned consumer) { return tenants_[consumer]->visit(); }
-
-bool Sink::detached(unsigned consumer) const {
-  return tenants_[consumer]->detached();
+void Sink::start() {
+  if (!consumers_.empty() || phase.load(std::memory_order_acquire) != kActive) {
+    return;
+  }
+  for (const std::unique_ptr<Tenant>& tenant : tenants_) {
+    consumers_.emplace_back([t = tenant.get()] {
+      // One span for the consumer's whole drain-and-check lifetime: in a
+      // trace it sits on its own tid row, bracketing every violation event.
+      telemetry::SpanScope span(telemetry::Phase::MonitorCheck,
+                                "monitor.drain");
+      while (!t->detached()) {
+        if (!t->visit()) std::this_thread::yield();
+      }
+    });
+  }
 }
 
 /// The quota gate for a run bound to `consumer`: claim (CAS), then the
@@ -104,7 +116,9 @@ bool Sink::claim_quota(std::uint32_t thread, unsigned consumer,
 }
 
 bool Sink::post_and_wait(Command command) {
-  if (health.get() == MonitorHealth::Failed) return false;
+  if (consumers_.empty() || health.get() == MonitorHealth::Failed) {
+    return false;
+  }
   const std::uint64_t seq = mailbox.post(command);
   if (bounded_wait([&] { return mailbox.all_acked(seq); }, watchdog,
                    &health)) {
@@ -118,6 +132,7 @@ bool Sink::post_and_wait(Command command) {
 // report popped before the rings emptied has been filed and checked. A
 // frozen consumer never beats: its sink runs out the deadline.
 bool Sink::quiesce() {
+  if (consumers_.empty()) return true;
   if (phase.load(std::memory_order_acquire) != kActive) return false;
   publish();
   std::vector<std::uint64_t> empty_beats;
@@ -189,18 +204,23 @@ bool Sink::teardown() {
       std::this_thread::yield();
     }
   }
-  publish();
   // Broadcast the detach; every consumer drains its rings (a frozen
-  // tenant's as drops), finalizes its table and acks. The wait ignores
-  // health: a Failed sink still detaches.
-  const std::uint64_t seq = mailbox.post(Command::Detach);
-  if (!bounded_wait([&] { return mailbox.all_acked(seq); }, watchdog,
-                    /*health=*/nullptr)) {
-    // A consumer thread is truly wedged (stalls never wedge it). Merge
-    // only the acked cores; the sink is Failed.
-    health.raise(MonitorHealth::Failed);
+  // tenant's as drops), finalizes its table, acks and leaves its loop.
+  // The wait ignores health: a Failed sink still detaches. A sink never
+  // started has nothing to drain, and its cores merge as they are.
+  std::uint64_t seq = 0;
+  if (!consumers_.empty()) {
+    publish();
+    seq = mailbox.post(Command::Detach);
+    if (!bounded_wait([&] { return mailbox.all_acked(seq); }, watchdog,
+                      /*health=*/nullptr)) {
+      // A consumer thread is truly wedged (stalls never wedge it). Merge
+      // only the acked cores; the sink is Failed.
+      health.raise(MonitorHealth::Failed);
+    }
   }
   merge(seq);
+  for (std::thread& consumer : consumers_) consumer.join();
   phase.store(kDetached, std::memory_order_release);
   return true;
 }

@@ -329,9 +329,9 @@ TEST(MonitorServiceStress, RealViolationIsStillDetectedUnderConcurrency) {
 // ---------------------------------------------------------------------------
 
 // Back-to-back session churn: admit -> stream from real producer threads
-// -> close, 60 times against one service, so every detach drain hands the
-// shard threads to the next session while they still hold the last one's
-// state. Invariant: zero false alarms and full report conservation on
+// -> close, 60 times against one service, so every session spawns and
+// joins its own consumer threads while its producers still race the
+// close. Invariant: zero false alarms and full report conservation on
 // every churned session.
 TEST(MonitorServiceStress, SessionChurnUnderLoadNoFalseAlarms) {
   MonitorServiceOptions options;

@@ -9,19 +9,23 @@
 //      itself (sample-down + drop + Degraded) without fabricating alarms.
 //   4. Isolation across sequential sessions: with MonitorStall /
 //      QueueCorrupt / ReportDrop / TargetedFlip injected into one
-//      session, every session that follows it on the same service (the
-//      same shard threads, rings and tables recycled through BlockCache)
-//      is byte-identical to its solo-run baseline.
+//      session, every session that follows it on the same service (rings
+//      and tables recycled through BlockCache) is byte-identical to its
+//      solo-run baseline.
+//   5. Consumer-thread lifecycle: a session's consumer threads live
+//      exactly as long as the session, a Monitor's as long as its run.
 //
 // Everything here also runs under TSan (reproduce.sh --tsan): the
-// sessions' producers race the shard threads, and each detach hands the
-// shards to the next session.
+// sessions' producers race their consumer threads, and every session
+// spawns and joins its own.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -228,8 +232,8 @@ TEST(MonitorServiceVerdicts, InjectedDeviationIsDetectedAndAttributed) {
 }
 
 TEST(MonitorServiceVerdicts, SequentialSessionsKeepIndependentVerdicts) {
-  // Clean, faulty, clean on the same shard threads: a verdict never
-  // carries over into the next session.
+  // Clean, faulty, clean on one service: a verdict never carries over
+  // into the next session.
   MonitorService service(two_shards());
   service.start();
   for (const bool faulty : {false, true, false}) {
@@ -294,8 +298,8 @@ TEST(MonitorServiceVerdicts, ResetEpochDiscardsOnlyThisSessionsTimeline) {
   EXPECT_EQ(vstats.reports_rolled_back, 2 * kStaged);
   EXPECT_EQ(vstats.reports_processed, 2u * 2u * 4u * 20u);
 
-  // The next session on the same shards starts from an empty timeline and
-  // keeps its own deviation.
+  // The next session on the same service starts from an empty timeline
+  // and keeps its own deviation.
   MonitorService::Admission next = service.admit(two_threads());
   ASSERT_EQ(next.error, AdmitError::None);
   send_stream(*next.session, 4, 20, /*flip_thread=*/0, /*flip_branch=*/2,
@@ -628,6 +632,95 @@ TEST_F(MonitorServiceIsolation, TargetedFlipInOneSessionDoesNotLeak) {
   // Same program + same fault plan as the flipped baseline: the victim
   // itself must also be byte-identical to that baseline.
   expect_byte_identical(out, *flipped_baseline_, "victim");
+}
+
+// ---------------------------------------------------------------------------
+// 5. Consumer-thread lifecycle.
+// ---------------------------------------------------------------------------
+
+#if defined(__linux__)
+/// The process's thread count, from /proc/self/status.
+int thread_count() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+/// Polls (up to 5 s) until the process runs `want` threads and returns
+/// the last count: a joined thread can stay in the count for a moment
+/// while the kernel finishes its exit.
+int settled_thread_count(int want) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  int count = thread_count();
+  while (count != want && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    count = thread_count();
+  }
+  return count;
+}
+#endif
+
+TEST(MonitorServiceLifecycle, ConsumerThreadsLiveOnlyWithTheirSink) {
+#if !defined(__linux__)
+  GTEST_SKIP() << "counts threads through /proc/self/status";
+#else
+  // Counted from inside a first thread: a sanitizer runtime may start a
+  // helper thread of its own with the process's first thread.
+  int with_one_more = 0;
+  std::thread([&] { with_one_more = thread_count(); }).join();
+  const int base = settled_thread_count(with_one_more - 1);
+  ASSERT_EQ(base, with_one_more - 1);
+
+  MonitorService service(two_shards());
+  service.start();
+  EXPECT_EQ(settled_thread_count(base), base)
+      << "a started service with no session runs a thread";
+
+  MonitorService::Admission a = service.admit(two_threads());
+  ASSERT_EQ(a.error, AdmitError::None);
+  EXPECT_EQ(thread_count(), base + 2) << "one consumer per shard";
+  send_stream(*a.session, 8, 200);
+  a.session->close();
+  EXPECT_EQ(settled_thread_count(base), base) << "after close()";
+  EXPECT_EQ(a.session->stats().reports_processed, 2u * 8u * 200u);
+
+  // Tenants frozen on the stall hook still serve the detach: close()
+  // returns with their threads joined, the queued reports counted as
+  // drops under degraded health.
+  SessionOptions stalled = two_threads();
+  stalled.fault_hooks.stall_after_reports = 1;
+  MonitorService::Admission b = service.admit(stalled);
+  ASSERT_EQ(b.error, AdmitError::None);
+  EXPECT_EQ(thread_count(), base + 2);
+  send_stream(*b.session, 4, 50);
+  b.session->close();
+  EXPECT_EQ(settled_thread_count(base), base) << "after a stalled close()";
+  EXPECT_EQ(b.session->health(), MonitorHealth::Degraded);
+  EXPECT_GT(b.session->stats().hooks_fired, 0u);
+  EXPECT_GT(b.session->stats().dropped_reports, 0u);
+
+  // stop() force-detaches a live session and joins its threads.
+  MonitorService::Admission c = service.admit(two_threads());
+  ASSERT_EQ(c.error, AdmitError::None);
+  EXPECT_EQ(thread_count(), base + 2);
+  service.stop();
+  EXPECT_EQ(settled_thread_count(base), base) << "after stop()";
+  c.session->close();
+
+  Monitor monitor(2);
+  EXPECT_EQ(thread_count(), base) << "an unstarted Monitor";
+  monitor.start();
+  EXPECT_EQ(thread_count(), base + 1);
+  monitor.send(consistent_report(0, 0, 0));
+  monitor.send(consistent_report(1, 0, 0));
+  monitor.stop();
+  EXPECT_EQ(settled_thread_count(base), base) << "after Monitor::stop()";
+  EXPECT_EQ(monitor.stats().instances_checked, 1u);
+#endif
 }
 
 }  // namespace

@@ -344,6 +344,30 @@ TEST_F(TelemetryTest, PipelineTraceIsWellFormedOrderedAndCoversSixPhases) {
   EXPECT_TRUE(JsonChecker(tel::to_json(snap)).parse());
 }
 
+// monitor.shards names the shard count the run used: the service's for a
+// session (whatever ExecutionConfig::monitor_shards says, which
+// execute_in_session ignores), 0 for the legacy Monitor.
+TEST_F(TelemetryTest, MonitorShardsGaugeNamesTheShardsTheRunUsed) {
+  pipeline::CompiledProgram program = pipeline::protect_program(kBarrierKernel);
+  pipeline::ExecutionConfig config;
+  config.num_threads = 4;
+  runtime::MonitorServiceOptions options;
+  options.num_shards = 2;
+  runtime::MonitorService service(options);
+  service.start();
+  ASSERT_TRUE(pipeline::execute_in_session(program, config, service).run.ok);
+  service.stop();
+  EXPECT_EQ(tel::scrape().gauge(tel::Gauge::MonitorShards), 2u);
+
+  config.monitor_shards = 3;
+  ASSERT_TRUE(pipeline::execute(program, config).run.ok);
+  EXPECT_EQ(tel::scrape().gauge(tel::Gauge::MonitorShards), 3u);
+
+  config.monitor_shards = 0;
+  ASSERT_TRUE(pipeline::execute(program, config).run.ok);
+  EXPECT_EQ(tel::scrape().gauge(tel::Gauge::MonitorShards), 0u);
+}
+
 TEST_F(TelemetryTest, ResetDropsEverything) {
   tel::counter_add(tel::Counter::ReportsSent, 5);
   tel::record_event(tel::EventKind::Checkpoint, tel::Phase::Recovery, 1, 2);
